@@ -55,10 +55,16 @@ VerificationResult MassVerifier::check_pair(const data::CenterFields& a,
 VerificationResult MassVerifier::check_sequence(
     std::span<const data::CenterFields> frames, double dt_seconds) const {
   COASTAL_CHECK_MSG(frames.size() >= 2, "need at least two frames");
+  return check_sequence(frames.front(), frames.subspan(1), dt_seconds);
+}
+
+VerificationResult MassVerifier::check_sequence(
+    const data::CenterFields& first, std::span<const data::CenterFields> rest,
+    double dt_seconds) const {
+  COASTAL_CHECK_MSG(!rest.empty(), "need at least two frames");
   VerificationResult empty;
   empty.pass = true;
-  return extend_sequence(empty, frames.front(), frames.subspan(1),
-                         dt_seconds);
+  return extend_sequence(empty, first, rest, dt_seconds);
 }
 
 VerificationResult MassVerifier::extend_sequence(

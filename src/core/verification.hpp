@@ -108,6 +108,11 @@ class MassVerifier {
   /// requires every pair's mean to beat the threshold.
   VerificationResult check_sequence(std::span<const data::CenterFields> frames,
                                     double dt_seconds) const;
+  /// The same verdict over [first, rest...] without assembling that
+  /// sequence: `first` is the initial condition, `rest` the forecast.
+  VerificationResult check_sequence(const data::CenterFields& first,
+                                    std::span<const data::CenterFields> rest,
+                                    double dt_seconds) const;
 
   /// Extend a sequence verdict across appended frames: fold the
   /// consecutive pairs of [seed, frames...] into `base` exactly as one

@@ -19,11 +19,7 @@ EpisodeOutcome verify_or_fallback(std::vector<data::CenterFields>& frames,
 
   // Verify the episode including the transition from the current state.
   util::Timer verify_timer;
-  std::vector<data::CenterFields> seq;
-  seq.reserve(frames.size() + 1);
-  seq.push_back(current);
-  for (auto& f : frames) seq.push_back(f);
-  outcome.verdict = verifier.check_sequence(seq, snapshot_dt);
+  outcome.verdict = verifier.check_sequence(current, frames, snapshot_dt);
   outcome.verify_seconds = verify_timer.seconds();
 
   if (!outcome.verdict.pass) {

@@ -130,10 +130,11 @@ CachePolicy cache_policy_from_env(CachePolicy base) {
   return base;
 }
 
-std::vector<uint64_t> ForecastCache::boundary_digests(
+ForecastCache::Key ForecastCache::key(
     int model_id, int version, const data::SampleSpec& spec,
     std::span<const data::CenterFields> window) {
   const int T = spec.T;
+  Key out{model_id, version, spec, {}};
   util::ContentHash h;
   h.update_i64(model_id);
   h.update_i64(version);
@@ -144,8 +145,7 @@ std::vector<uint64_t> ForecastCache::boundary_digests(
   h.update_i64(spec.src_ny);
   h.update_i64(spec.src_nx);
   h.update_i64(spec.src_nz);
-  std::vector<uint64_t> digests;
-  digests.reserve((window.size() - 1) / static_cast<size_t>(T));
+  out.digests.reserve(window.size() / static_cast<size_t>(T));
   for (size_t i = 0; i < window.size(); ++i) {
     const auto& f = window[i];
     h.update_i64(f.nx);
@@ -157,23 +157,24 @@ std::vector<uint64_t> ForecastCache::boundary_digests(
     h.update_f32(f.zeta);
     // One snapshot per episode boundary: after absorbing frame p*T the
     // stream has seen exactly the p-episode prefix window.
-    if (i > 0 && i % static_cast<size_t>(T) == 0) digests.push_back(h.digest());
+    if (i > 0 && i % static_cast<size_t>(T) == 0) {
+      out.digests.push_back(h.digest());
+    }
   }
-  return digests;
+  return out;
 }
 
 bool ForecastCache::matches_locked(
-    const Entry& entry, int model_id, int version,
-    const data::SampleSpec& spec,
+    const Entry& entry, const Key& key,
     std::span<const data::CenterFields> window) const {
-  if (entry.model_id != model_id || entry.version != version ||
-      !(entry.spec == spec)) {
+  if (entry.model_id != key.model_id || entry.version != key.version ||
+      !(entry.spec == key.spec)) {
     return false;
   }
   const size_t nframes =
-      static_cast<size_t>(entry.episodes) * spec.T + 1;
+      static_cast<size_t>(entry.episodes) * key.spec.T + 1;
   if (window.size() < nframes) return false;
-  const size_t ff = frame_floats(spec);
+  const size_t ff = frame_floats(key.spec);
   const float* packed = entry.window.data();
   for (size_t i = 0; i < nframes; ++i) {
     const auto& f = window[i];
@@ -228,11 +229,15 @@ void ForecastCache::fill_probe_locked(const Entry& entry, Probe& out) const {
 ForecastCache::Probe ForecastCache::probe(
     int model_id, int version, const data::SampleSpec& spec,
     std::span<const data::CenterFields> window) {
+  return probe(key(model_id, version, spec, window), window);
+}
+
+ForecastCache::Probe ForecastCache::probe(
+    const Key& key, std::span<const data::CenterFields> window,
+    bool exact_only) {
   Probe out;
-  if (!policy_.enabled || window.size() < static_cast<size_t>(spec.T) + 1) {
-    return out;
-  }
-  const auto digests = boundary_digests(model_id, version, spec, window);
+  const auto& digests = key.digests;
+  if (!policy_.enabled || digests.empty()) return out;
   const auto now = clock::now();
   std::lock_guard<std::mutex> lock(mutex_);
   auto expired = [&](const Entry& e) {
@@ -242,7 +247,7 @@ ForecastCache::Probe ForecastCache::probe(
   // Exact key first, then every shorter episode-boundary prefix.
   for (size_t p = digests.size(); p >= 1; --p) {
     const bool exact = p == digests.size();
-    if (!exact && !policy_.prefix_reuse) break;
+    if (!exact && (exact_only || !policy_.prefix_reuse)) break;
     const uint64_t digest = digests[p - 1];
     auto it = entries_.find(digest);
     if (it == entries_.end()) continue;
@@ -253,7 +258,7 @@ ForecastCache::Probe ForecastCache::probe(
       continue;
     }
     if (static_cast<size_t>(entry.episodes) != p ||
-        !matches_locked(entry, model_id, version, spec, window)) {
+        !matches_locked(entry, key, window)) {
       continue;  // collision: a different window hashed here
     }
     touch_locked(digest);
@@ -267,7 +272,7 @@ ForecastCache::Probe ForecastCache::probe(
     }
     return out;
   }
-  misses_->inc();
+  if (!exact_only) misses_->inc();
   return out;
 }
 
@@ -277,7 +282,17 @@ void ForecastCache::insert(int model_id, int version,
                            const std::vector<data::CenterFields>& frames,
                            const core::VerificationResult& verdict,
                            bool verified) {
+  insert(key(model_id, version, spec, window), window, frames, verdict,
+         verified);
+}
+
+void ForecastCache::insert(const Key& key,
+                           std::span<const data::CenterFields> window,
+                           const std::vector<data::CenterFields>& frames,
+                           const core::VerificationResult& verdict,
+                           bool verified) {
   if (!policy_.enabled) return;
+  const data::SampleSpec& spec = key.spec;
   COASTAL_CHECK_MSG(!tensor::ArenaScope::active(),
                     "cache fills must happen outside episode arenas: "
                     "arena-backed entries die with the scope");
@@ -286,6 +301,8 @@ void ForecastCache::insert(int model_id, int version,
                         window.size() == frames.size() + 1,
                     "cache insert needs e*T frames and an e*T+1 window");
   const int episodes = static_cast<int>(frames.size()) / spec.T;
+  COASTAL_CHECK_MSG(key.digests.size() == static_cast<size_t>(episodes),
+                    "cache key does not describe the inserted window");
   const int nx = window.front().nx, ny = window.front().ny,
             nz = window.front().nz;
   for (const auto& f : window) {
@@ -307,12 +324,11 @@ void ForecastCache::insert(int model_id, int version,
   const uint64_t entry_bytes =
       static_cast<uint64_t>(window.size() + frames.size()) * ff *
       sizeof(float);
-  const uint64_t digest =
-      boundary_digests(model_id, version, spec, window).back();
+  const uint64_t digest = key.digests.back();
 
   auto entry = std::make_unique<Entry>();
-  entry->model_id = model_id;
-  entry->version = version;
+  entry->model_id = key.model_id;
+  entry->version = key.version;
   entry->spec = spec;
   entry->episodes = episodes;
   entry->nx = nx;
@@ -341,7 +357,7 @@ void ForecastCache::insert(int model_id, int version,
     return;
   }
   if (auto it = entries_.find(digest); it != entries_.end()) {
-    if (matches_locked(*it->second, model_id, version, spec, window)) {
+    if (matches_locked(*it->second, key, window)) {
       touch_locked(digest);  // identical content: refresh recency only
       return;
     }

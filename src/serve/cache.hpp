@@ -106,6 +106,25 @@ class ForecastCache {
   ForecastCache(const ForecastCache&) = delete;
   ForecastCache& operator=(const ForecastCache&) = delete;
 
+  /// A window's cache key: the content hash snapshotted at every episode
+  /// boundary (`digests[p-1]` addresses the p-episode prefix, `back()`
+  /// the whole window) plus the identity the byte compare re-checks.
+  /// Hashing is the expensive part of a probe, so a server builds the key
+  /// once per request and hands it to every probe and insert of that
+  /// window.
+  struct Key {
+    int model_id = 0;
+    int version = 0;
+    data::SampleSpec spec;
+    std::vector<uint64_t> digests;
+  };
+
+  /// Hash `window` (e*T+1 normalized frames) for (model_id, version,
+  /// spec).  A window shorter than one episode yields no digests, which
+  /// every probe treats as a miss.
+  static Key key(int model_id, int version, const data::SampleSpec& spec,
+                 std::span<const data::CenterFields> window);
+
   /// Probe outcome.  `hit` is an exact match: `frames` are the full
   /// result and `verdict`/`verified` apply as-is.  `prefix` means a
   /// p-episode ancestor matched: `frames` are its p*T frames (episodes
@@ -120,18 +139,29 @@ class ForecastCache {
     bool verified = false;
   };
 
-  /// Look up `window` (e*T+1 normalized frames) for (model_id, version,
-  /// spec).  Refreshes LRU recency on hit.
+  /// Look up `window` under its precomputed `key`.  Refreshes LRU
+  /// recency on hit.  A full probe tries the exact key, then every
+  /// shorter episode-boundary prefix, and counts one hit, prefix hit or
+  /// miss.  `exact_only` looks up the whole window alone and counts only
+  /// a hit — the admission probe, whose misses go on to a full probe.
+  Probe probe(const Key& key, std::span<const data::CenterFields> window,
+              bool exact_only = false);
+  /// Full probe that hashes `window` itself.
   Probe probe(int model_id, int version, const data::SampleSpec& spec,
               std::span<const data::CenterFields> window);
 
-  /// Admit a served result: `frames` are the episodes*T decoded frames
-  /// for `window` (episodes*T+1 frames).  The caller guarantees the
-  /// result is the healthy surrogate path (no fallback, no degraded mode,
-  /// no entry error); unverified payloads are finite-scanned here.
-  /// Re-inserting an existing key refreshes its recency.
-  /// Must not be called inside a tensor::ArenaScope — cached storage
-  /// must outlive any episode arena (enforced with a CheckError).
+  /// Admit a served result under the window's precomputed `key`:
+  /// `frames` are the episodes*T decoded frames for `window`
+  /// (episodes*T+1 frames).  The caller guarantees the result is the
+  /// healthy surrogate path (no fallback, no degraded mode, no entry
+  /// error); unverified payloads are finite-scanned here.  Re-inserting
+  /// an existing key refreshes its recency.  Must not be called inside a
+  /// tensor::ArenaScope — cached storage must outlive any episode arena
+  /// (enforced with a CheckError).
+  void insert(const Key& key, std::span<const data::CenterFields> window,
+              const std::vector<data::CenterFields>& frames,
+              const core::VerificationResult& verdict, bool verified);
+  /// insert() that hashes `window` itself.
   void insert(int model_id, int version, const data::SampleSpec& spec,
               std::span<const data::CenterFields> window,
               const std::vector<data::CenterFields>& frames,
@@ -147,17 +177,10 @@ class ForecastCache {
  private:
   struct Entry;
 
-  /// Hash snapshots at every episode boundary: result[p-1] is the key of
-  /// the p-episode prefix of `window` (p = 1 .. (window.size()-1)/T).
-  static std::vector<uint64_t> boundary_digests(
-      int model_id, int version, const data::SampleSpec& spec,
-      std::span<const data::CenterFields> window);
-
   /// True when `entry` stores exactly the first p*T+1 frames of `window`
-  /// for the same (model, version, spec) — the byte compare that makes a
+  /// for the key's (model, version, spec) — the byte compare that makes a
   /// hash collision a miss.  Caller holds mutex_.
-  bool matches_locked(const Entry& entry, int model_id, int version,
-                      const data::SampleSpec& spec,
+  bool matches_locked(const Entry& entry, const Key& key,
                       std::span<const data::CenterFields> window) const;
 
   void touch_locked(uint64_t digest);

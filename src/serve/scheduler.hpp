@@ -34,6 +34,7 @@
 #include "core/verification.hpp"
 #include "data/center_fields.hpp"
 #include "obs/trace.hpp"
+#include "serve/cache.hpp"
 
 namespace coastal::serve {
 
@@ -87,6 +88,9 @@ struct PendingRequest {
   /// Absolute deadline derived from ForecastRequest::timeout_us at
   /// submit(); time_point{} (epoch) means no deadline.
   std::chrono::steady_clock::time_point deadline{};
+  /// The window's cache key, hashed once at submit() (empty when the
+  /// cache is off); the worker's probe and the post-verify insert reuse it.
+  ForecastCache::Key cache_key;
 };
 
 /// Micro-batch coalescing knobs.

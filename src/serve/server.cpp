@@ -78,10 +78,15 @@ void note_serve_span(std::atomic<int64_t>& first_us,
 }
 
 /// Bitwise window equality — the identical-request coalescing predicate.
-/// memcmp (not float ==) so NaN payloads and signed zeros never merge
-/// episodes that would decode differently.
-bool same_window(const std::vector<data::CenterFields>& a,
-                 const std::vector<data::CenterFields>& b) {
+/// Differing cache keys prove the windows differ without reading them;
+/// otherwise memcmp (not float ==), so NaN payloads and signed zeros never
+/// merge episodes that would decode differently.
+bool same_window(const PendingRequest& pa, const PendingRequest& pb) {
+  const auto& ka = pa.cache_key.digests;
+  const auto& kb = pb.cache_key.digests;
+  if (!ka.empty() && !kb.empty() && ka.back() != kb.back()) return false;
+  const auto& a = pa.request.window;
+  const auto& b = pb.request.window;
   if (a.size() != b.size()) return false;
   auto eq = [](const std::vector<float>& p, const std::vector<float>& q) {
     return p.size() == q.size() &&
@@ -153,6 +158,23 @@ bool is_transient(const std::exception_ptr& e) {
   } catch (...) {
     return true;
   }
+}
+
+/// Take a model slot's forward lock (one batch in flight per model, see
+/// server.hpp).  With the watchdog on (hang_ms > 0) the wait is bounded,
+/// so a replacement worker cannot wedge forever behind a hung predecessor
+/// still holding the slot.
+std::unique_lock<std::timed_mutex> lock_model(std::timed_mutex& m,
+                                              int64_t hang_ms) {
+  std::unique_lock<std::timed_mutex> lock(m, std::defer_lock);
+  if (hang_ms <= 0) {
+    lock.lock();
+  } else if (!lock.try_lock_for(std::chrono::milliseconds(
+                 std::max<int64_t>(1, hang_ms / 2)))) {
+    throw ForecastError(ForecastErrorCode::kModelFailure,
+                        "model slot lock timed out");
+  }
+  return lock;
 }
 
 /// NaN-poison the first frame of a decoded episode (the `rollout.step`
@@ -391,12 +413,40 @@ std::optional<std::future<ForecastResult>> ForecastServer::submit(
   request.trace.id = obs::TraceRecorder::instance().begin_trace();
   pending.request = std::move(request);
   auto future = pending.promise.get_future();
-  // Count the submission *before* the (potentially blocking) push: a fast
-  // worker can pop and serve the request while this thread is still here,
-  // and a stats() snapshot must never show served > submitted.
+  // Count the submission *before* it can resolve (an admission hit below,
+  // or a fast worker popping it while this thread is still here): a
+  // stats() snapshot must never show served > submitted.
   {
     obs::Registry::Group g(registry_);
     c_submitted_->inc();
+  }
+  const auto slot = static_cast<size_t>(pending.request.model_id);
+  // Hash the window once; the worker's probe and the post-verify insert
+  // reuse the key.  An exact hit resolves right here — no queue slot, no
+  // collection window, no worker — unless the queue is closed (the push
+  // below rejects) or the slot's breaker is not closed (that traffic must
+  // reach a worker, which bypasses the cache).
+  const bool caching = cache_->policy().enabled;
+  if (caching) {
+    pending.cache_key = ForecastCache::key(pending.request.model_id,
+                                           models_[slot].version, spec,
+                                           pending.request.window);
+  }
+  if (caching && !queue_.closed() && !breakers_[slot]->open()) {
+    ForecastCache::Probe hit = [&] {
+      obs::ScopedStage stage(obs::Stage::kCacheProbe);
+      return cache_->probe(pending.cache_key, pending.request.window,
+                           /*exact_only=*/true);
+    }();
+    if (hit.hit) {
+      const int64_t t0 = obs::to_us(pending.enqueued);
+      trace_span(pending.request.trace.id, "queue", t0, t0);
+      trace_span(pending.request.trace.id, "triage", t0, obs::now_us(),
+                 obs::kCacheHit);
+      deliver_hit(pending, pending.promise, hit, /*take_frames=*/true, 1,
+                  pending.enqueued);
+      return future;
+    }
   }
   const bool accepted =
       queue_.push(pending, config_.overflow == ServerConfig::Overflow::kBlock);
@@ -489,6 +539,9 @@ void ForecastServer::serve_batch(
   const int episodes =
       static_cast<int>(batch.front().request.window.size() - 1) / spec.T;
   CircuitBreaker& breaker = *breakers_[static_cast<size_t>(model_id)];
+  std::timed_mutex& model_mutex =
+      *model_mutexes_[static_cast<size_t>(model_id)];
+  const int64_t hang_ms = config_.reliability.watchdog.hang_timeout_ms;
   const bool can_degrade = config_.fallback.has_value();
 
   // Deadline triage: requests already expired at batch assembly fail now,
@@ -509,28 +562,36 @@ void ForecastServer::serve_batch(
   // to its entry.
   std::vector<size_t> uniques;
   std::vector<size_t> owner(batch.size(), SIZE_MAX);
+  std::vector<int> sharers;  ///< requests per entry
   uniques.reserve(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     if (dead[i]) continue;
     size_t u = uniques.size();
     if (config_.batch.coalesce_identical) {
       for (size_t j = 0; j < uniques.size(); ++j) {
-        if (same_window(batch[uniques[j]].request.window,
-                        batch[i].request.window)) {
+        if (same_window(batch[uniques[j]], batch[i])) {
           u = j;
           break;
         }
       }
     }
-    if (u == uniques.size()) uniques.push_back(i);
+    if (u == uniques.size()) {
+      uniques.push_back(i);
+      sharers.push_back(0);
+    }
     owner[i] = u;
+    ++sharers[u];
   }
   if (uniques.empty()) return;
-  std::vector<int> sharers(uniques.size(), 0);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (dead[i]) continue;
-    ++sharers[owner[i]];
-  }
+  // Fail every surviving request (of entry `u` alone, when given), typed.
+  auto fail_live = [&](const std::exception_ptr& e,
+                       obs::Counter* extra = nullptr, size_t u = SIZE_MAX) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if (!dead[i] && (u == SIZE_MAX || owner[i] == u)) {
+        deliver_error(*inflight, i, e, extra);
+      }
+    }
+  };
 
   // Circuit-breaker admission: an open slot serves the verified numerical
   // answer directly (degraded mode); half-open lets one probe batch try
@@ -539,11 +600,8 @@ void ForecastServer::serve_batch(
   const bool probe = mode == CircuitBreaker::Mode::kProbe;
   bool breaker_degraded = mode == CircuitBreaker::Mode::kDegraded;
   if (breaker_degraded && !can_degrade) {
-    const auto e = typed_error(ForecastErrorCode::kCircuitOpen,
-                               "slot degraded and no fallback configured");
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (!dead[i]) deliver_error(*inflight, i, e);
-    }
+    fail_live(typed_error(ForecastErrorCode::kCircuitOpen,
+                          "slot degraded and no fallback configured"));
     return;
   }
 
@@ -558,8 +616,8 @@ void ForecastServer::serve_batch(
   if (use_cache) {
     obs::ScopedStage stage(obs::Stage::kCacheProbe);
     for (size_t u = 0; u < uniques.size(); ++u) {
-      probes[u] = cache_->probe(model_id, slot.version, spec,
-                                batch[uniques[u]].request.window);
+      const PendingRequest& ex = batch[uniques[u]];
+      probes[u] = cache_->probe(ex.cache_key, ex.request.window);
     }
   }
   // Triage spans close here: queue pop -> breaker admission -> cache
@@ -574,11 +632,20 @@ void ForecastServer::serve_batch(
     trace_span(batch[i].request.trace.id, "triage", us_assembled, us_triaged,
                tflags);
   }
-  // Exact hits deliver immediately: no forward, no re-verification — by
-  // bitwise rollout determinism the stored frames ARE what a recompute
-  // would produce, and the stored verdict already certified them.
+  // Exact hits — an identical window was inserted while this one queued —
+  // deliver with no forward and no re-verification: by bitwise rollout
+  // determinism the stored frames ARE what a recompute would produce,
+  // and the stored verdict already certified them.  The rest (misses and
+  // prefix hits) are the live entries that need the surrogate.
+  std::vector<size_t> live;
+  live.reserve(uniques.size());
+  size_t live_sharers = 0;
   for (size_t u = 0; u < uniques.size(); ++u) {
-    if (!probes[u].hit) continue;
+    if (!probes[u].hit) {
+      live.push_back(u);
+      live_sharers += static_cast<size_t>(sharers[u]);
+      continue;
+    }
     done[u] = 1;
     {
       obs::Registry::Group g(registry_);
@@ -588,52 +655,11 @@ void ForecastServer::serve_batch(
     for (size_t i = 0; i < batch.size(); ++i) {
       if (dead[i] || owner[i] != u) continue;
       dead[i] = 1;
-      const auto t_done = clock::now();
       const bool last = --remaining == 0;
-      if (has_deadline(batch[i]) && t_done >= batch[i].deadline) {
-        deliver_error(*inflight, i,
-                      typed_error(ForecastErrorCode::kDeadlineExceeded,
-                                  "expired before delivery"),
-                      c_deadline_);
-        continue;
+      if (auto* p = claim(*inflight, i)) {
+        deliver_hit(batch[i], *p, probes[u], last, sharers[u], t_assembled);
       }
-      std::promise<ForecastResult>* p = claim(*inflight, i);
-      if (p == nullptr) continue;
-      ForecastResult result;
-      result.frames = last ? std::move(probes[u].frames) : probes[u].frames;
-      result.batch_size = 0;  // no forward ran for this request
-      result.sharers = sharers[u];
-      result.cache_hit = true;
-      result.verdict = probes[u].verdict;
-      result.verified = probes[u].verified;
-      result.queue_seconds = seconds_between(batch[i].enqueued, t_assembled);
-      result.service_seconds = seconds_between(t_assembled, t_done);
-      note_serve_span(first_serve_us_, last_serve_us_, t_assembled, t_done);
-      {
-        obs::Registry::Group g(registry_);
-        h_latency_->observe(seconds_between(batch[i].enqueued, t_done) * 1e6);
-        c_served_->inc();
-      }
-      const uint64_t tid = batch[i].request.trace.id;
-      if (tid != 0) {
-        const int64_t td = obs::to_us(t_done);
-        // No forward span, by construction: the cache served this one.
-        trace_span(tid, "resolve", td, td, obs::kCacheHit);
-        trace_span(tid, "request", obs::to_us(batch[i].enqueued), td,
-                   obs::kCacheHit);
-      }
-      p->set_value(std::move(result));
     }
-  }
-
-  // The uniques that still need the surrogate (misses and prefix hits).
-  std::vector<size_t> live;
-  live.reserve(uniques.size());
-  size_t live_sharers = 0;
-  for (size_t u = 0; u < uniques.size(); ++u) {
-    if (done[u]) continue;
-    live.push_back(u);
-    live_sharers += static_cast<size_t>(sharers[u]);
   }
   if (live.empty()) return;
   const int64_t B = static_cast<int64_t>(live.size());
@@ -690,24 +716,7 @@ void ForecastServer::serve_batch(
       us_fwd0 = obs::now_us();
       for (int attempt = 1; !forward_ok; ++attempt) {
         try {
-          // One batch in flight per model (see file comment in
-          // server.hpp).  With the watchdog on, bound the wait so a
-          // replacement worker cannot wedge forever behind a hung
-          // predecessor still holding the slot.
-          std::unique_lock<std::timed_mutex> model_lock(
-              *model_mutexes_[static_cast<size_t>(model_id)],
-              std::defer_lock);
-          const int64_t hang_ms =
-              config_.reliability.watchdog.hang_timeout_ms;
-          if (hang_ms > 0) {
-            if (!model_lock.try_lock_for(std::chrono::milliseconds(
-                    std::max<int64_t>(1, hang_ms / 2)))) {
-              throw ForecastError(ForecastErrorCode::kModelFailure,
-                                  "model slot lock timed out");
-            }
-          } else {
-            model_lock.lock();
-          }
+          const auto model_lock = lock_model(model_mutex, hang_ms);
           COASTAL_FAULT_POINT("serve.forward");
           if (state->retired.load(std::memory_order_acquire)) return;
           // Grouped BatchNorm statistics (and per-request attention
@@ -805,20 +814,7 @@ void ForecastServer::serve_batch(
       for (int attempt = 1; !done[u] && entry_error[u] == nullptr;
            ++attempt) {
         try {
-          std::unique_lock<std::timed_mutex> model_lock(
-              *model_mutexes_[static_cast<size_t>(model_id)],
-              std::defer_lock);
-          const int64_t hang_ms =
-              config_.reliability.watchdog.hang_timeout_ms;
-          if (hang_ms > 0) {
-            if (!model_lock.try_lock_for(std::chrono::milliseconds(
-                    std::max<int64_t>(1, hang_ms / 2)))) {
-              throw ForecastError(ForecastErrorCode::kModelFailure,
-                                  "model slot lock timed out");
-            }
-          } else {
-            model_lock.lock();
-          }
+          const auto model_lock = lock_model(model_mutex, hang_ms);
           COASTAL_FAULT_POINT("serve.forward");
           if (state->retired.load(std::memory_order_acquire)) return;
           auto suffix = core::resume_rollout(
@@ -841,12 +837,7 @@ void ForecastServer::serve_batch(
             // A mid-chain deadline is delivered directly — the request
             // expired, it did not fail; routing it into the numerical
             // fallback would burn a full ROMS chain for nobody.
-            for (size_t i = 0; i < batch.size(); ++i) {
-              if (dead[i] || owner[i] != u) continue;
-              dead[i] = 1;
-              deliver_error(*inflight, i, std::make_exception_ptr(fe),
-                            c_deadline_);
-            }
+            fail_live(std::current_exception(), c_deadline_, u);
             done[u] = 1;
           } else {
             entry_error[u] = std::current_exception();  // never transient
@@ -858,13 +849,11 @@ void ForecastServer::serve_batch(
             break;
           }
           c_retries_->inc();
-          {
-            // Zero-length marker in the entry's trace: this chain needed
-            // another forward attempt.
-            const int64_t tr = obs::now_us();
-            trace_span(batch[uniques[u]].request.trace.id, "retry", tr, tr,
-                       obs::kFaultRetry);
-          }
+          // Zero-length marker in the entry's trace: this chain needed
+          // another forward attempt.
+          const int64_t tr = obs::now_us();
+          trace_span(batch[uniques[u]].request.trace.id, "retry", tr, tr,
+                     obs::kFaultRetry);
           std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
           backoff_us = static_cast<int64_t>(
               static_cast<double>(backoff_us) * retry.backoff_mult);
@@ -898,11 +887,9 @@ void ForecastServer::serve_batch(
   }
 
   if (deadline_abort) {
-    const auto e = typed_error(ForecastErrorCode::kDeadlineExceeded,
-                               "expired during forward retries");
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (!dead[i]) deliver_error(*inflight, i, e, c_deadline_);
-    }
+    fail_live(typed_error(ForecastErrorCode::kDeadlineExceeded,
+                          "expired during forward retries"),
+              c_deadline_);
     return;
   }
 
@@ -919,10 +906,7 @@ void ForecastServer::serve_batch(
     if (can_degrade) {
       salvage_numerical = true;
     } else {
-      const auto e = as_model_failure(forward_error);
-      for (size_t i = 0; i < batch.size(); ++i) {
-        if (!dead[i]) deliver_error(*inflight, i, e);
-      }
+      fail_live(as_model_failure(forward_error));
       return;
     }
   }
@@ -953,10 +937,7 @@ void ForecastServer::serve_batch(
         breaker_degraded || salvage_numerical || entry_error[u] != nullptr;
     if (numerical_route && !can_degrade) {
       // Per-entry decode failure with no fallback: isolate it.
-      const auto e = as_model_failure(entry_error[u]);
-      for (size_t i = 0; i < batch.size(); ++i) {
-        if (!dead[i] && owner[i] == u) deliver_error(*inflight, i, e);
-      }
+      fail_live(as_model_failure(entry_error[u]), nullptr, u);
       if (probe) ++probe_failures;
       else if (forward_ok) breaker.record(false);
       continue;
@@ -972,11 +953,8 @@ void ForecastServer::serve_batch(
         decoded[u] = core::numerical_episode(
             *grid_, config_.fallback->tides, config_.fallback->params,
             current, current.time, config_.snapshot_dt, spec.T * episodes);
-        std::vector<data::CenterFields> seq;
-        seq.reserve(decoded[u].size() + 1);
-        seq.push_back(current);
-        for (auto& f : decoded[u]) seq.push_back(f);
-        entry_verdict = verifier_->check_sequence(seq, config_.snapshot_dt);
+        entry_verdict = verifier_->check_sequence(current, decoded[u],
+                                                  config_.snapshot_dt);
         entry_verified = true;
         entry_fallback = true;
         entry_degraded = breaker_degraded;
@@ -1000,12 +978,8 @@ void ForecastServer::serve_batch(
                 probes[u].verdict, decoded[u][nres - 1], all.subspan(nres),
                 config_.snapshot_dt);
           } else {
-            std::vector<data::CenterFields> seq;
-            seq.reserve(decoded[u].size() + 1);
-            seq.push_back(current);
-            for (auto& f : decoded[u]) seq.push_back(f);
-            entry_verdict =
-                verifier_->check_sequence(seq, config_.snapshot_dt);
+            entry_verdict = verifier_->check_sequence(current, decoded[u],
+                                                      config_.snapshot_dt);
           }
           if (!entry_verdict.pass && config_.fallback) {
             // Whole-chain numerical rerun, mirroring verify_or_fallback
@@ -1027,11 +1001,8 @@ void ForecastServer::serve_batch(
           entry_verdict = outcome.verdict;
           entry_fallback = outcome.fallback;
         } else {
-          std::vector<data::CenterFields> seq;
-          seq.reserve(decoded[u].size() + 1);
-          seq.push_back(current);
-          for (auto& f : decoded[u]) seq.push_back(f);
-          entry_verdict = verifier_->check_sequence(seq, config_.snapshot_dt);
+          entry_verdict = verifier_->check_sequence(current, decoded[u],
+                                                    config_.snapshot_dt);
         }
         entry_verified = true;
       }
@@ -1046,10 +1017,7 @@ void ForecastServer::serve_batch(
         }
       }
     } catch (...) {
-      const auto e = std::current_exception();
-      for (size_t i = 0; i < batch.size(); ++i) {
-        if (!dead[i] && owner[i] == u) deliver_error(*inflight, i, e);
-      }
+      fail_live(std::current_exception(), nullptr, u);
       continue;
     }
     // Post-verification cache fill: only the healthy surrogate route in
@@ -1059,14 +1027,16 @@ void ForecastServer::serve_batch(
     // as insert() requires: the entry's storage must outlive this batch.
     if (use_cache && !numerical_route && !entry_fallback &&
         entry_error[u] == nullptr) {
-      cache_->insert(model_id, slot.version, spec, window, decoded[u],
+      cache_->insert(batch[uniques[u]].cache_key, window, decoded[u],
                      entry_verdict, entry_verified);
     }
     // Span tags for this entry's outcome; the verify/fallback interval
     // closed when the try block above finished.
-    const int64_t us_entry1 = obs::now_us();
-    const char* entry_stage =
-        numerical_route ? "fallback" : (verifier_ ? "verify" : nullptr);
+    obs::TraceSpan stage_span;
+    stage_span.start_us = us_entry0;
+    stage_span.end_us = obs::now_us();
+    stage_span.stage = numerical_route ? "fallback" : "verify";
+    const bool has_stage = numerical_route || verifier_.has_value();
     uint32_t entry_flags = 0;
     if (entry_fallback) entry_flags |= obs::kFallback;
     if (entry_degraded) entry_flags |= obs::kDegraded;
@@ -1075,26 +1045,16 @@ void ForecastServer::serve_batch(
     if (entry_verified && !entry_verdict.pass) {
       entry_flags |= obs::kVerifyFailed;
     }
-    uint32_t verify_flags = entry_flags;
+    stage_span.flags = entry_flags;
     if (!numerical_route && entry_fallback) {
       // The surrogate's verdict failed and the frames were recomputed —
       // tag the verify span even though the final verdict passed.
-      verify_flags |= obs::kVerifyFailed;
+      stage_span.flags |= obs::kVerifyFailed;
     }
     int remaining = sharers[u];
     for (size_t i = 0; i < batch.size(); ++i) {
       if (dead[i] || owner[i] != u) continue;
-      const auto t_done = clock::now();
       const bool last = --remaining == 0;
-      if (has_deadline(batch[i]) && t_done >= batch[i].deadline) {
-        // The result exists but the client stopped waiting: a deadline is
-        // a promise about *delivery*, not computation.
-        deliver_error(*inflight, i,
-                      typed_error(ForecastErrorCode::kDeadlineExceeded,
-                                  "expired before delivery"),
-                      c_deadline_);
-        continue;
-      }
       std::promise<ForecastResult>* p = claim(*inflight, i);
       if (p == nullptr) continue;
       ForecastResult result;
@@ -1107,27 +1067,8 @@ void ForecastServer::serve_batch(
       result.verified = entry_verified;
       result.fallback = entry_fallback;
       result.degraded = entry_degraded;
-      result.queue_seconds = seconds_between(batch[i].enqueued, t_assembled);
-      result.service_seconds = seconds_between(t_assembled, t_done);
-      note_serve_span(first_serve_us_, last_serve_us_, t_assembled, t_done);
-      {
-        obs::Registry::Group g(registry_);
-        h_latency_->observe(seconds_between(batch[i].enqueued, t_done) * 1e6);
-        c_served_->inc();
-        if (entry_fallback) c_fallbacks_->inc();
-        if (entry_degraded) c_degraded_->inc();
-      }
-      const uint64_t tid = batch[i].request.trace.id;
-      if (tid != 0) {
-        const int64_t td = obs::to_us(t_done);
-        if (entry_stage != nullptr) {
-          trace_span(tid, entry_stage, us_entry0, us_entry1, verify_flags);
-        }
-        trace_span(tid, "resolve", td, td, entry_flags);
-        trace_span(tid, "request", obs::to_us(batch[i].enqueued), td,
-                   entry_flags);
-      }
-      p->set_value(std::move(result));
+      deliver(batch[i], *p, std::move(result), t_assembled, entry_flags,
+              has_stage ? &stage_span : nullptr);
     }
   }
   if (probe && forward_ok) breaker.probe_result(probe_failures == 0);
@@ -1247,12 +1188,20 @@ bool ForecastServer::deliver_error(InFlightBatch& b, size_t i,
                                    obs::Counter* extra_counter) {
   std::promise<ForecastResult>* p = claim(b, i);
   if (p == nullptr) return false;
+  resolve_error(b.reqs[i], *p, std::move(error), extra_counter);
+  return true;
+}
+
+void ForecastServer::resolve_error(const PendingRequest& req,
+                                   std::promise<ForecastResult>& p,
+                                   std::exception_ptr error,
+                                   obs::Counter* extra_counter) {
   {
     obs::Registry::Group g(registry_);
     c_failed_->inc();
     if (extra_counter != nullptr) extra_counter->inc();
   }
-  const uint64_t tid = b.reqs[i].request.trace.id;
+  const uint64_t tid = req.request.trace.id;
   if (tid != 0 && obs::TraceRecorder::instance().enabled()) {
     const int64_t t1 = obs::now_us();
     const int code = error_code_of(error);
@@ -1261,11 +1210,62 @@ bool ForecastServer::deliver_error(InFlightBatch& b, size_t i,
       flags |= obs::kWorkerLost;
     }
     trace_span(tid, "resolve", t1, t1, flags, code);
-    trace_span(tid, "request", obs::to_us(b.reqs[i].enqueued), t1, flags,
-               code);
+    trace_span(tid, "request", obs::to_us(req.enqueued), t1, flags, code);
   }
-  p->set_exception(std::move(error));
-  return true;
+  p.set_exception(std::move(error));
+}
+
+void ForecastServer::deliver(const PendingRequest& req,
+                             std::promise<ForecastResult>& p,
+                             ForecastResult result,
+                             clock::time_point assembled, uint32_t flags,
+                             const obs::TraceSpan* stage) {
+  const auto t_done = clock::now();
+  if (has_deadline(req) && t_done >= req.deadline) {
+    // The result exists but the client stopped waiting: a deadline is a
+    // promise about *delivery*, not computation.
+    resolve_error(req, p,
+                  typed_error(ForecastErrorCode::kDeadlineExceeded,
+                              "expired before delivery"),
+                  c_deadline_);
+    return;
+  }
+  result.queue_seconds = seconds_between(req.enqueued, assembled);
+  result.service_seconds = seconds_between(assembled, t_done);
+  note_serve_span(first_serve_us_, last_serve_us_, assembled, t_done);
+  {
+    obs::Registry::Group g(registry_);
+    h_latency_->observe(seconds_between(req.enqueued, t_done) * 1e6);
+    c_served_->inc();
+    if (result.fallback) c_fallbacks_->inc();
+    if (result.degraded) c_degraded_->inc();
+  }
+  const uint64_t tid = req.request.trace.id;
+  if (tid != 0) {
+    const int64_t td = obs::to_us(t_done);
+    if (stage != nullptr) {
+      trace_span(tid, stage->stage, stage->start_us, stage->end_us,
+                 stage->flags);
+    }
+    trace_span(tid, "resolve", td, td, flags);
+    trace_span(tid, "request", obs::to_us(req.enqueued), td, flags);
+  }
+  p.set_value(std::move(result));
+}
+
+void ForecastServer::deliver_hit(const PendingRequest& req,
+                                 std::promise<ForecastResult>& p,
+                                 ForecastCache::Probe& hit, bool take_frames,
+                                 int sharers, clock::time_point assembled) {
+  ForecastResult result;
+  result.frames = take_frames ? std::move(hit.frames) : hit.frames;
+  result.batch_size = 0;  // no forward ran for this request
+  result.sharers = sharers;
+  result.cache_hit = true;
+  result.verdict = hit.verdict;
+  result.verified = hit.verified;
+  // No forward span, by construction: the cache served this one.
+  deliver(req, p, std::move(result), assembled, obs::kCacheHit);
 }
 
 ServerStatsSnapshot ForecastServer::stats() const {

@@ -6,14 +6,19 @@
 ///
 /// Architecture (pacs_bridge-style service layer around the domain core):
 ///
-///   clients ──submit()──▶ input screening ─▶ RequestQueue (bounded)
+///   clients ──submit()──▶ input screening ─▶ cache key (hashed once)
+///                             │ exact cache hit ──▶ resolved in submit()
+///                             │ prefix hit / miss
+///                             ▼
+///                        RequestQueue (bounded)
 ///                             │ pop_batch (max-batch / max-wait)
 ///                        worker pool ──▶ deadline triage
 ///                             │        ──▶ identical-episode collapse
 ///                             │        ──▶ circuit-breaker admit
-///                             │        ──▶ forecast-cache probe (exact
-///                             │            hits return with no forward;
-///                             │            prefix hits resume the chain)
+///                             │        ──▶ forecast-cache probe (hits
+///                             │            inserted while queued return
+///                             │            with no forward; prefix hits
+///                             │            resume the chain)
 ///                             │        ──▶ coalesced surrogate forward
 ///                             │            (retries; one batch in flight
 ///                             │             per model)
@@ -189,11 +194,16 @@ class ForecastServer {
   ForecastServer(const ForecastServer&) = delete;
   ForecastServer& operator=(const ForecastServer&) = delete;
 
-  /// Enqueue one episode.  Returns the result future, or nullopt when the
+  /// Serve one episode.  Returns the result future, or nullopt when the
   /// request was rejected (queue full under Overflow::kReject, or server
   /// shut down).  Validates the window against the slot's spec; a window
   /// containing NaN/Inf resolves the returned future immediately with
-  /// ForecastError::kInvalidInput (when screening is enabled).
+  /// ForecastError::kInvalidInput (when screening is enabled).  With the
+  /// cache on, the window is hashed once into its cache key; when the
+  /// queue is open and the slot's breaker closed, an exact cache hit
+  /// resolves the future before submit() returns (queue_seconds 0,
+  /// batch_size 0, sharers 1) without taking a queue slot.  Prefix hits
+  /// and misses are enqueued, carrying the key to the worker.
   std::optional<std::future<ForecastResult>> submit(ForecastRequest request);
 
   /// Stop accepting requests, drain every queued episode, join workers.
@@ -249,10 +259,32 @@ class ForecastServer {
   /// records stats BEFORE resolving the claimed promise — a client that
   /// observes its outcome must also observe it in stats().
   std::promise<ForecastResult>* claim(InFlightBatch& b, size_t i);
-  /// claim() + count into the failed counter (and optionally one more)
-  /// before setting the exception — the typed-failure fan-out helper.
+  /// claim() + resolve_error() — the typed-failure fan-out helper.
   bool deliver_error(InFlightBatch& b, size_t i, std::exception_ptr error,
                      obs::Counter* extra_counter = nullptr);
+  /// Resolve the claimed promise `p` of `req` with `error`: count it into
+  /// the failed counter (and optionally one more) and record the
+  /// error-tagged spans before setting the exception.
+  void resolve_error(const PendingRequest& req,
+                     std::promise<ForecastResult>& p, std::exception_ptr error,
+                     obs::Counter* extra_counter);
+  /// Resolve the claimed promise `p` of `req` with `result` — the one
+  /// delivery routine for computed entries and cache hits alike: the
+  /// deadline check, queue/service seconds (service began at
+  /// `assembled`), the counters and latency sample, the spans (`stage`
+  /// when given, then resolve/request tagged `flags`), then set_value.
+  void deliver(const PendingRequest& req, std::promise<ForecastResult>& p,
+               ForecastResult result,
+               std::chrono::steady_clock::time_point assembled,
+               uint32_t flags, const obs::TraceSpan* stage = nullptr);
+  /// deliver() the exact cache hit `hit` (batch_size 0, its stored
+  /// verdict) — for hits found at admission and by a worker alike.  An
+  /// admission hit passes its submit time as `assembled`, so it reports
+  /// queue_seconds 0; `take_frames` moves the frames out of `hit` (its
+  /// last sharer) instead of copying them.
+  void deliver_hit(const PendingRequest& req, std::promise<ForecastResult>& p,
+                   ForecastCache::Probe& hit, bool take_frames, int sharers,
+                   std::chrono::steady_clock::time_point assembled);
 
   std::vector<ModelSlot> models_;
   /// timed_mutex so a replacement worker can bound its wait on a slot a

@@ -2,7 +2,10 @@
 /// across kernel thread counts, prefix resume bitwise-equal to a full
 /// rollout (frames AND verdict), LRU eviction order with exact byte
 /// accounting, TTL expiry, the no-admission rules for faulted / fallback
-/// results, and the zero-allocation pin on the hit path.
+/// results, the zero-allocation pin on the hit path, and hits resolved at
+/// admission (inside submit(), with no worker) — including their limits:
+/// a closed queue still rejects, an open breaker still degrades, and every
+/// request still counts exactly one outcome.
 
 #include <gtest/gtest.h>
 
@@ -10,8 +13,10 @@
 #include <cmath>
 #include <future>
 #include <limits>
+#include <map>
 #include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/rollout.hpp"
@@ -360,4 +365,148 @@ TEST(ForecastCache, HitPathAllocatesNothing) {
   EXPECT_EQ(after, before)
       << "cache hits must not touch the tensor heap: the stored frames "
          "live in pooled Storage and are copied into plain vectors";
+}
+
+TEST(ForecastCache, AdmissionHitResolvesWhileEveryWorkerIsParked) {
+  auto& w = CacheWorld::instance();
+  FaultGuard guard;
+  serve::ForecastServer server({{w.model.get(), w.spec}}, w.norm, &w.grid,
+                               w.config());
+  const auto cold = serve_one(server, w.request(0));
+  ASSERT_FALSE(cold.cache_hit);
+
+  // Park the only worker on a cold window's batch.
+  auto& faults = util::FaultInjector::instance();
+  faults.install("serve.worker:hang");
+  auto parked = server.submit(w.request(1));
+  ASSERT_TRUE(parked.has_value());
+  for (int i = 0; i < 10000 && faults.parked() < 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(faults.parked(), 1) << "the worker never reached serve.worker";
+
+  // The cached window resolves inside submit(): its future is ready the
+  // moment submit() returns, though no worker can run.
+  auto hit_future = server.submit(w.request(0));
+  ASSERT_TRUE(hit_future.has_value());
+  ASSERT_EQ(hit_future->wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  const auto hit = hit_future->get();
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(hit.batch_size, 0);
+  EXPECT_EQ(hit.sharers, 1);
+  EXPECT_EQ(hit.queue_seconds, 0.0);
+  expect_frames_bitwise(hit.frames, cold.frames);
+  ASSERT_EQ(hit.verified, cold.verified);
+  ASSERT_EQ(hit.verdict.mean_residual, cold.verdict.mean_residual);
+  ASSERT_EQ(hit.verdict.max_residual, cold.verdict.max_residual);
+  ASSERT_EQ(hit.verdict.pass, cold.verdict.pass);
+
+  faults.clear();  // wakes the parked worker
+  EXPECT_FALSE(parked->get().cache_hit);
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.served, 3u);
+}
+
+TEST(ForecastCache, SubmitAfterShutdownRejectsACachedWindow) {
+  auto& w = CacheWorld::instance();
+  serve::ForecastServer server({{w.model.get(), w.spec}}, w.norm, &w.grid,
+                               w.config());
+  serve_one(server, w.request(0));
+  server.shutdown();
+  EXPECT_FALSE(server.submit(w.request(0)).has_value())
+      << "a closed server serves nothing, cached or not";
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.submitted, 1u);
+  EXPECT_EQ(stats.served, 1u);
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.cache_hits, 0u);
+}
+
+TEST(ForecastCache, OpenBreakerServesACachedWindowDegraded) {
+  auto& w = CacheWorld::instance();
+  FaultGuard guard;
+  serve::ServerConfig cfg = w.config();
+  cfg.batch.max_batch = 1;
+  cfg.fallback = serve::FallbackContext{w.tides, w.params};
+  cfg.reliability.retry.max_attempts = 1;
+  cfg.reliability.breaker.window = 4;
+  cfg.reliability.breaker.min_samples = 2;
+  cfg.reliability.breaker.trip_rate = 0.5;
+  cfg.reliability.breaker.cooldown_us = 60'000'000;  // stays open
+  serve::ForecastServer server({{w.model.get(), w.spec}}, w.norm, &w.grid,
+                               cfg);
+  ASSERT_FALSE(serve_one(server, w.request(0)).cache_hit);  // cached
+
+  // Two failed forwards trip the breaker.
+  util::FaultInjector::instance().install("serve.forward:throw@1x2");
+  serve_one(server, w.request(1));
+  serve_one(server, w.request(2));
+  util::FaultInjector::instance().clear();
+  ASSERT_EQ(server.stats().breaker_open_slots, 1);
+
+  // The open slot must take the numerical route, even for a window the
+  // cache holds: the admission probe is skipped, not just the worker's.
+  const auto r = serve_one(server, w.request(0));
+  EXPECT_FALSE(r.cache_hit);
+  EXPECT_TRUE(r.degraded);
+  EXPECT_TRUE(r.fallback);
+  EXPECT_EQ(server.stats().cache_hits, 0u);
+}
+
+TEST(ForecastCache, MixedStreamCountsOneOutcomePerProbedRequest) {
+  auto& w = CacheWorld::instance();
+  // Serial references for every (start, episodes) the stream asks for.
+  constexpr size_t kStarts = 5;
+  std::map<std::pair<size_t, int>, std::vector<data::CenterFields>> ref;
+  for (size_t s = 0; s < kStarts; ++s) {
+    for (int e = 1; e <= 2; ++e) {
+      ref[{s, e}] = core::rollout(*w.model, w.spec, w.norm, w.window(s, e), e);
+    }
+  }
+  serve::ServerConfig cfg = w.config();
+  cfg.workers = 2;
+  serve::ForecastServer server({{w.model.get(), w.spec}}, w.norm, &w.grid,
+                               cfg);
+  // Warm a few 1-episode windows: the stream then mixes admission hits,
+  // worker hits, misses, in-flight duplicates and prefix resumes.
+  serve_one(server, w.request(0));
+  serve_one(server, w.request(2));
+
+  constexpr int kClients = 3, kPerClient = 12;
+  std::vector<std::thread> clients;
+  std::vector<std::vector<std::pair<std::pair<size_t, int>,
+                                    std::future<serve::ForecastResult>>>>
+      sent(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int k = 0; k < kPerClient; ++k) {
+        const size_t start = static_cast<size_t>(k * 7 + c * 3) % kStarts;
+        const int episodes = k % 3 == 0 ? 2 : 1;
+        auto f = server.submit(w.request(start, episodes));
+        ASSERT_TRUE(f.has_value());
+        sent[c].emplace_back(std::make_pair(start, episodes), std::move(*f));
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  for (auto& client : sent) {
+    for (auto& [key, f] : client) {
+      expect_frames_bitwise(f.get().frames, ref.at(key));
+    }
+  }
+
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.submitted, 2u + kClients * kPerClient);
+  EXPECT_EQ(stats.served + stats.failed + stats.rejected, stats.submitted);
+  // One counted probe outcome per request that was not served by sharing
+  // a coalesced entry: an admission miss goes uncounted, so the worker's
+  // probe of that request is its only outcome.
+  EXPECT_EQ(stats.cache_hits + stats.cache_prefix_hits + stats.cache_misses +
+                stats.coalesced,
+            stats.submitted);
+  EXPECT_GT(stats.cache_hits, 0u);
+  EXPECT_GE(stats.cache_prefix_hits, 1u);
+  EXPECT_GT(stats.cache_misses, 0u);
 }
