@@ -98,31 +98,4 @@ std::vector<data::CenterFields> decode_target(const data::SampleSpec& spec,
                         sample.target_surface.reshape(bss), 0, norm);
 }
 
-void overwrite_initial_condition(const data::SampleSpec& spec,
-                                 data::Sample& sample,
-                                 const data::CenterFields& frame) {
-  COASTAL_CHECK(frame.nx == spec.src_nx && frame.ny == spec.src_ny &&
-                frame.nz == spec.src_nz);
-  const int64_t Tn = spec.T + 1;
-  float* vol = sample.volume.raw();
-  float* surf = sample.surface.raw();
-  auto vol_at = [&](int c, int iy, int ix, int k) -> float& {
-    return vol[((((static_cast<int64_t>(c) * spec.H + iy) * spec.W + ix) *
-                 spec.D + k) * Tn) + 0];
-  };
-  for (int k = 0; k < spec.src_nz; ++k)
-    for (int iy = 0; iy < spec.src_ny; ++iy)
-      for (int ix = 0; ix < spec.src_nx; ++ix) {
-        const size_t src =
-            (static_cast<size_t>(k) * spec.src_ny + iy) * spec.src_nx + ix;
-        vol_at(0, iy, ix, k) = frame.u[src];
-        vol_at(1, iy, ix, k) = frame.v[src];
-        vol_at(2, iy, ix, k) = frame.w[src];
-      }
-  for (int iy = 0; iy < spec.src_ny; ++iy)
-    for (int ix = 0; ix < spec.src_nx; ++ix)
-      surf[((static_cast<int64_t>(iy) * spec.W + ix) * Tn) + 0] =
-          frame.zeta[static_cast<size_t>(iy) * spec.src_nx + ix];
-}
-
 }  // namespace coastal::core

@@ -35,11 +35,4 @@ std::vector<data::CenterFields> decode_target(const data::SampleSpec& spec,
                                               const data::Sample& sample,
                                               const data::Normalizer& norm);
 
-/// Pack a (normalized) frame into the t=0 slot of an existing sample's
-/// input tensors — used by the autoregressive rollout to replace the
-/// initial condition with the previous episode's prediction.
-void overwrite_initial_condition(const data::SampleSpec& spec,
-                                 data::Sample& sample,
-                                 const data::CenterFields& frame_normalized);
-
 }  // namespace coastal::core

@@ -11,44 +11,38 @@
 
 namespace coastal::core {
 
-namespace {
 void poison_fields(data::CenterFields& f) {
   const float nan = std::numeric_limits<float>::quiet_NaN();
-  // Poison every element (not a sample) so wet cells are guaranteed hit
-  // regardless of the grid's land mask.
   std::fill(f.u.begin(), f.u.end(), nan);
   std::fill(f.v.begin(), f.v.end(), nan);
   std::fill(f.w.begin(), f.w.end(), nan);
   std::fill(f.zeta.begin(), f.zeta.end(), nan);
 }
-}  // namespace
 
 std::vector<data::CenterFields> forecast_episode(
     SurrogateModel& model, const data::SampleSpec& spec,
     const data::Normalizer& norm,
     std::span<const data::CenterFields> window,
-    const data::CenterFields* ic_normalized,
-    const CancelHook* cancel) {
+    const data::CenterFields* ic_normalized) {
   COASTAL_CHECK_MSG(window.size() == static_cast<size_t>(spec.T) + 1,
                     "forecast_episode needs T+1 = " << spec.T + 1
                                                     << " frames, got "
                                                     << window.size());
-  if (cancel && *cancel) (*cancel)();
   // Capture the action before the forward: a `throw` aborts the episode
   // here (the cheap point), a `nan` poisons the decoded output below —
   // modeling a surrogate that silently produced garbage.
   const util::FaultAction fa = COASTAL_FAULT_POINT("rollout.step");
-  data::Sample sample = [&] {
+  data::BatchedInput in = [&] {
     obs::ScopedStage stage(obs::Stage::kPack);
     obs::ScopedSpan span("pack");
-    data::Sample s = make_sample(spec, window);
-    if (ic_normalized) overwrite_initial_condition(spec, s, *ic_normalized);
-    return s;
+    const std::span<const data::CenterFields> windows[] = {window};
+    const data::CenterFields* const ics[] = {ic_normalized};
+    return make_batched_input(spec, windows, ics);
   }();
   SurrogateOutput out = [&] {
     obs::ScopedStage stage(obs::Stage::kForward);
     obs::ScopedSpan span("model.forward");
-    return model.forward_sample(sample, false);
+    return model.forward(in.volume, in.surface);
   }();
   auto frames = [&] {
     obs::ScopedStage stage(obs::Stage::kDecode);
@@ -70,49 +64,24 @@ std::vector<data::CenterFields> rollout(
       "rollout needs " << episodes * T + 1 << " frames, got " << truth.size());
   model.set_training(false);
   tensor::NoGradGuard ng;
-  auto predictions = resume_rollout(
-      model, spec, norm, truth.first(static_cast<size_t>(episodes * T) + 1),
-      episodes, /*start_episode=*/0, /*resume_ic=*/nullptr);
-  model.set_training(true);
-  return predictions;
-}
-
-std::vector<data::CenterFields> resume_rollout(
-    SurrogateModel& model, const data::SampleSpec& spec,
-    const data::Normalizer& norm,
-    std::span<const data::CenterFields> window_normalized, int episodes,
-    int start_episode, const data::CenterFields* resume_ic,
-    const CancelHook* cancel) {
-  const int T = spec.T;
-  COASTAL_CHECK_MSG(
-      window_normalized.size() >= static_cast<size_t>(episodes * T + 1),
-      "resume_rollout needs " << episodes * T + 1 << " frames, got "
-                              << window_normalized.size());
-  COASTAL_CHECK_MSG(start_episode >= 0 && start_episode < episodes,
-                    "start_episode " << start_episode << " outside [0, "
-                                     << episodes << ")");
-  COASTAL_CHECK_MSG((start_episode == 0) == (resume_ic == nullptr),
-                    "resume_ic seeds exactly the start_episode > 0 resumes");
-
   std::vector<data::CenterFields> predictions;
-  predictions.reserve(static_cast<size_t>((episodes - start_episode) * T));
+  predictions.reserve(static_cast<size_t>(episodes * T));
   data::CenterFields ic_normalized;  // replaces the window IC after episode 0
-  if (resume_ic) ic_normalized = data::normalized_copy(*resume_ic, norm);
-
-  for (int e = start_episode; e < episodes; ++e) {
-    // All episode activations (sample tensors, the forward graph-free
+  for (int e = 0; e < episodes; ++e) {
+    // All episode activations (input tensors, the forward graph-free
     // intermediates, the decoded output tensors) bump-allocate from one
     // arena and release in bulk here — steady-state episodes perform zero
     // per-op heap allocations.  Everything that outlives the episode
     // (CenterFields frames) is plain vector data, not tensors.
     tensor::ArenaScope arena;
-    std::span<const data::CenterFields> window = window_normalized.subspan(
+    std::span<const data::CenterFields> window = truth.subspan(
         static_cast<size_t>(e * T), static_cast<size_t>(T) + 1);
     auto frames = forecast_episode(model, spec, norm, window,
-                                   e > 0 ? &ic_normalized : nullptr, cancel);
+                                   e > 0 ? &ic_normalized : nullptr);
     ic_normalized = data::normalized_copy(frames.back(), norm);
     for (auto& f : frames) predictions.push_back(std::move(f));
   }
+  model.set_training(true);
   return predictions;
 }
 

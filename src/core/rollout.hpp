@@ -12,7 +12,6 @@
 /// horizon, and each coarse frame seeds a fine episode that fills in the
 /// high-resolution snapshots.
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -21,29 +20,27 @@
 
 namespace coastal::core {
 
-/// Cooperative cancellation: invoked at episode-step granularity (before
-/// the forward, the expensive part).  Implementations abort by throwing —
-/// the serving layer throws its deadline error here.
-using CancelHook = std::function<void()>;
+/// NaN-poison every element of `f` (not a sample, so wet cells are hit
+/// regardless of the grid's land mask) — the `rollout.step` nan action,
+/// shared by forecast_episode and the serving layer's per-entry decode.
+void poison_fields(data::CenterFields& f);
 
 /// One surrogate episode — the building block rollout(), dual_rollout(),
-/// run_workflow(), and the serving layer all share: pack `window` (T+1
-/// normalized frames: IC + per-step boundary conditions) into a sample,
-/// overwrite the initial condition with `ic_normalized` when non-null
-/// (autoregressive chaining), run the surrogate, and decode the T
+/// run_workflow(), and sharded serving share: pack `window` (T+1
+/// normalized frames: IC + per-step boundary conditions) as a batch of
+/// one, with `ic_normalized` in place of the initial condition when
+/// non-null (autoregressive chaining), run the surrogate, and decode the T
 /// predicted frames (denormalized).  Grad/eval state is the caller's
 /// contract: wrap in NoGradGuard + set_training(false) (and an ArenaScope
 /// if episode tensors should bump-allocate) exactly as the callers here
 /// do.
 /// Fault site `rollout.step` fires once per episode (throw aborts it, nan
-/// poisons the first decoded frame); `cancel`, when non-null, is invoked
-/// before the forward so callers can abort past-deadline work cheaply.
+/// poisons the first decoded frame).
 std::vector<data::CenterFields> forecast_episode(
     SurrogateModel& model, const data::SampleSpec& spec,
     const data::Normalizer& norm,
     std::span<const data::CenterFields> window,
-    const data::CenterFields* ic_normalized,
-    const CancelHook* cancel = nullptr);
+    const data::CenterFields* ic_normalized);
 
 /// Chain `episodes` surrogate calls.  `truth_normalized` must hold
 /// episodes*T + 1 normalized frames; frame 0 is the initial condition and
@@ -53,25 +50,6 @@ std::vector<data::CenterFields> rollout(
     SurrogateModel& model, const data::SampleSpec& spec,
     const data::Normalizer& norm,
     std::span<const data::CenterFields> truth_normalized, int episodes);
-
-/// Resume (or start) a chained rollout at an episode boundary — the
-/// serve cache's prefix-reuse entry point.  `window_normalized` holds the
-/// full chain's episodes*T + 1 normalized frames; episodes before
-/// `start_episode` are assumed already computed, and `resume_ic` — the
-/// *denormalized* final frame of episode start_episode-1 (required iff
-/// start_episode > 0) — seeds the chain exactly as rollout()'s
-/// autoregressive hand-off would, so the returned
-/// (episodes - start_episode)*T frames are bitwise identical to the tail
-/// of a full rollout over the same window.  Unlike rollout(), grad/eval
-/// state is the caller's contract (forecast_episode rules): wrap in
-/// NoGradGuard + set_training(false); each episode still gets its own
-/// ArenaScope internally.
-std::vector<data::CenterFields> resume_rollout(
-    SurrogateModel& model, const data::SampleSpec& spec,
-    const data::Normalizer& norm,
-    std::span<const data::CenterFields> window_normalized, int episodes,
-    int start_episode, const data::CenterFields* resume_ic,
-    const CancelHook* cancel = nullptr);
 
 /// Dual-model long-horizon forecast.  The coarse model advances
 /// `coarse_episodes * T_c` coarse steps; each coarse frame (and the

@@ -10,28 +10,50 @@ namespace coastal::core {
 EpisodeOutcome verify_or_fallback(std::vector<data::CenterFields>& frames,
                                   const data::CenterFields& current,
                                   const MassVerifier& verifier,
-                                  const ocean::Grid& grid,
-                                  const ocean::TidalForcing& tides,
-                                  const ocean::PhysicsParams& params,
-                                  double start_time, double snapshot_dt) {
+                                  const NumericalFallback* fallback,
+                                  double start_time, double snapshot_dt,
+                                  const VerificationResult* prefix_verdict,
+                                  size_t prefix_frames) {
+  COASTAL_CHECK(prefix_frames == 0 ||
+                (prefix_verdict != nullptr && prefix_frames < frames.size()));
   EpisodeOutcome outcome;
   const int T = static_cast<int>(frames.size());
 
   // Verify the episode including the transition from the current state.
   util::Timer verify_timer;
-  outcome.verdict = verifier.check_sequence(current, frames, snapshot_dt);
+  outcome.verdict =
+      prefix_frames > 0
+          ? verifier.extend_sequence(
+                *prefix_verdict, frames[prefix_frames - 1],
+                std::span<const data::CenterFields>(frames).subspan(
+                    prefix_frames),
+                snapshot_dt)
+          : verifier.check_sequence(current, frames, snapshot_dt);
   outcome.verify_seconds = verify_timer.seconds();
 
-  if (!outcome.verdict.pass) {
+  if (!outcome.verdict.pass && fallback != nullptr) {
     // Fall back: recompute the episode with the numerical model from the
     // current verified state.
     outcome.fallback = true;
     util::Timer roms_timer;
-    frames =
-        numerical_episode(grid, tides, params, current, start_time, snapshot_dt, T);
+    frames = numerical_episode(fallback->grid, fallback->tides,
+                               fallback->params, current, start_time,
+                               snapshot_dt, T);
     outcome.roms_seconds = roms_timer.seconds();
   }
   return outcome;
+}
+
+EpisodeOutcome verify_or_fallback(std::vector<data::CenterFields>& frames,
+                                  const data::CenterFields& current,
+                                  const MassVerifier& verifier,
+                                  const ocean::Grid& grid,
+                                  const ocean::TidalForcing& tides,
+                                  const ocean::PhysicsParams& params,
+                                  double start_time, double snapshot_dt) {
+  const NumericalFallback fallback{grid, tides, params};
+  return verify_or_fallback(frames, current, verifier, &fallback, start_time,
+                            snapshot_dt);
 }
 
 std::vector<data::CenterFields> numerical_episode(

@@ -47,14 +47,13 @@ struct EpisodeOutcome {
   double roms_seconds = 0.0;
 };
 
-/// The per-episode verification half of the Fig. 1 loop, shared by
-/// run_workflow and the serving layer: check `frames` (T denormalized
-/// surrogate predictions) as a continuation of the verified state
-/// `current` (denormalized); when the mean water-mass residual breaches
-/// the verifier's threshold, recompute the episode with the numerical
-/// model restarted from `current` at `start_time` and replace `frames` in
-/// place.  The returned verdict always describes the *surrogate* episode
-/// (the fallback frames satisfy conservation by construction).
+/// The numerical model (ROMS stand-in) a failed verdict falls back to.
+struct NumericalFallback {
+  const ocean::Grid& grid;
+  const ocean::TidalForcing& tides;
+  const ocean::PhysicsParams& params;
+};
+
 /// Compute one episode (T frames at snapshot_dt) purely with the
 /// numerical model restarted from `current` at `start_time` — the
 /// fallback path of verify_or_fallback, exposed so degraded serving can
@@ -65,6 +64,29 @@ std::vector<data::CenterFields> numerical_episode(
     const ocean::PhysicsParams& params, const data::CenterFields& current,
     double start_time, double snapshot_dt, int T);
 
+/// The verification half of the Fig. 1 loop, shared by run_workflow and
+/// the serving layer: check `frames` (denormalized surrogate predictions,
+/// one episode or a chain) as a continuation of the verified state
+/// `current` (denormalized); when the mean water-mass residual breaches
+/// the verifier's threshold and `fallback` is non-null, recompute all of
+/// `frames` with the numerical model restarted from `current` at
+/// `start_time` and replace them in place.  The returned verdict always
+/// describes the *surrogate* frames (the fallback frames satisfy
+/// conservation by construction).
+///
+/// `prefix_frames` > 0 says the first prefix_frames of `frames` were
+/// already verified as `*prefix_verdict` (a cached chain prefix): the
+/// verdict then extends it across the rest (MassVerifier::
+/// extend_sequence), bitwise what one full pass from `current` yields.
+EpisodeOutcome verify_or_fallback(std::vector<data::CenterFields>& frames,
+                                  const data::CenterFields& current,
+                                  const MassVerifier& verifier,
+                                  const NumericalFallback* fallback,
+                                  double start_time, double snapshot_dt,
+                                  const VerificationResult* prefix_verdict =
+                                      nullptr,
+                                  size_t prefix_frames = 0);
+/// verify_or_fallback with the numerical fallback always on.
 EpisodeOutcome verify_or_fallback(std::vector<data::CenterFields>& frames,
                                   const data::CenterFields& current,
                                   const MassVerifier& verifier,

@@ -117,9 +117,12 @@ Sample make_sample(const SampleSpec& spec,
 
 BatchedInput make_batched_input(
     const SampleSpec& spec,
-    std::span<const std::span<const CenterFields>> windows) {
+    std::span<const std::span<const CenterFields>> windows,
+    std::span<const CenterFields* const> initial_conditions) {
   const int B = static_cast<int>(windows.size());
   COASTAL_CHECK_MSG(B > 0, "batched input needs at least one window");
+  COASTAL_CHECK(initial_conditions.empty() ||
+                initial_conditions.size() == windows.size());
 
   BatchedInput batch;
   batch.volume =
@@ -134,8 +137,11 @@ BatchedInput make_batched_input(
                                             << window.size());
     float* vol = batch.volume.raw() + b * spec.volume_numel();
     float* surf = batch.surface.raw() + b * spec.surface_numel();
+    const CenterFields* ic =
+        initial_conditions.empty() ? nullptr
+                                   : initial_conditions[static_cast<size_t>(b)];
     for (int t = 0; t <= spec.T; ++t) {
-      const auto& f = window[static_cast<size_t>(t)];
+      const auto& f = (t == 0 && ic) ? *ic : window[static_cast<size_t>(t)];
       COASTAL_CHECK(f.nx == spec.src_nx && f.ny == spec.src_ny &&
                     f.nz == spec.src_nz);
       const bool bc_only = (t > 0);

@@ -73,9 +73,13 @@ struct BatchedInput {
 /// stacked batch: request b lands at offset b*volume_numel() /
 /// b*surface_numel(), written by the same packers make_sample uses, so
 /// the bytes are bitwise identical to concatenating per-window samples.
+/// `initial_conditions`, when given, holds one pointer per window; a
+/// non-null one is packed in place of that window's frame 0 (the
+/// autoregressive hand-off: a normalized predicted frame).
 BatchedInput make_batched_input(
     const SampleSpec& spec,
-    std::span<const std::span<const CenterFields>> windows);
+    std::span<const std::span<const CenterFields>> windows,
+    std::span<const CenterFields* const> initial_conditions = {});
 
 /// [H, W] mask: 1 inside the original mesh, 0 in the zero-padding.
 tensor::Tensor valid_mask(const SampleSpec& spec);

@@ -26,9 +26,9 @@
 /// boundary, so digest p is exactly the key a p-episode request would
 /// produce.  A probe first tries the exact key, then walks p = e-1..1:
 /// a prefix hit returns the cached p*T frames plus their verdict, and the
-/// server resumes the chain from the cached final frame
-/// (core::resume_rollout) instead of step 0 — bitwise identical to the
-/// full recompute by rollout determinism.
+/// server resumes the chain from the cached final frame: the chain joins
+/// the batch's stacked forwards at episode step p instead of 0, bitwise
+/// identical to the full recompute by rollout determinism.
 ///
 /// Verdicts.  Entries store the verification verdict (including the raw
 /// pair-sum behind its mean, see VerificationResult::pair_sum) so an

@@ -49,9 +49,9 @@ struct ForecastRequest {
   std::vector<data::CenterFields> window;
   /// Per-request deadline, measured from submit().  0 = no deadline.
   /// Expired requests fail with ForecastError::kDeadlineExceeded; the
-  /// deadline is checked at queue pop, between retry attempts, and at
-  /// fan-out (a computed result past its deadline is still an error —
-  /// the client stopped waiting).
+  /// deadline is checked at queue pop, between retry attempts, between
+  /// episode steps, and at fan-out (a computed result past its deadline
+  /// is still an error — the client stopped waiting).
   int64_t timeout_us = 0;
   /// Per-request trace context; stamped by ForecastServer::submit() when
   /// tracing is enabled and the request is sampled (id 0 = untraced).

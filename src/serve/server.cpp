@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
+#include <iterator>
+#include <numeric>
 #include <unordered_map>
 
 #include "core/decode.hpp"
@@ -123,16 +124,6 @@ std::exception_ptr typed_error(ForecastErrorCode code,
   return std::make_exception_ptr(ForecastError(code, detail));
 }
 
-std::string describe(const std::exception_ptr& e) {
-  try {
-    std::rethrow_exception(e);
-  } catch (const std::exception& ex) {
-    return ex.what();
-  } catch (...) {
-    return "unknown error";
-  }
-}
-
 /// Errors delivered to clients are always ForecastError; anything else is
 /// wrapped as kModelFailure with the cause preserved in the message.
 std::exception_ptr as_model_failure(const std::exception_ptr& e) {
@@ -140,9 +131,11 @@ std::exception_ptr as_model_failure(const std::exception_ptr& e) {
     std::rethrow_exception(e);
   } catch (const ForecastError&) {
     return e;
+  } catch (const std::exception& ex) {
+    return typed_error(ForecastErrorCode::kModelFailure, ex.what());
   } catch (...) {
+    return typed_error(ForecastErrorCode::kModelFailure, "unknown error");
   }
-  return typed_error(ForecastErrorCode::kModelFailure, describe(e));
 }
 
 /// A forward failure worth retrying?  Contract violations (CheckError,
@@ -163,30 +156,42 @@ bool is_transient(const std::exception_ptr& e) {
 /// Take a model slot's forward lock (one batch in flight per model, see
 /// server.hpp).  With the watchdog on (hang_ms > 0) the wait is bounded,
 /// so a replacement worker cannot wedge forever behind a hung predecessor
-/// still holding the slot.
+/// still holding the slot.  The bound is on steady_clock, so a wall-clock
+/// step cannot stretch or cut it short.  ThreadSanitizer builds (where the
+/// compiler defines __SANITIZE_THREAD__) alone wait on system_clock:
+/// libstdc++ waits on it with pthread_mutex_timedlock, which TSan
+/// intercepts, while the steady_clock wait (pthread_mutex_clocklock) is
+/// invisible to it, and every unlock would be reported as unpaired.
+#if defined(__SANITIZE_THREAD__)
+using LockClock = std::chrono::system_clock;
+#else
+using LockClock = std::chrono::steady_clock;
+#endif
 std::unique_lock<std::timed_mutex> lock_model(std::timed_mutex& m,
                                               int64_t hang_ms) {
   std::unique_lock<std::timed_mutex> lock(m, std::defer_lock);
+  const auto bound =
+      std::chrono::milliseconds(std::max<int64_t>(1, hang_ms / 2));
   if (hang_ms <= 0) {
     lock.lock();
-  } else if (!lock.try_lock_for(std::chrono::milliseconds(
-                 std::max<int64_t>(1, hang_ms / 2)))) {
+  } else if (!lock.try_lock_until(LockClock::now() + bound)) {
     throw ForecastError(ForecastErrorCode::kModelFailure,
                         "model slot lock timed out");
   }
   return lock;
 }
 
-/// NaN-poison the first frame of a decoded episode (the `rollout.step`
-/// nan action) — every element, so wet cells are hit regardless of mask.
-void poison_first_frame(std::vector<data::CenterFields>& frames) {
-  if (frames.empty()) return;
-  const float nan = std::numeric_limits<float>::quiet_NaN();
-  auto& f = frames.front();
-  std::fill(f.u.begin(), f.u.end(), nan);
-  std::fill(f.v.begin(), f.v.end(), nan);
-  std::fill(f.w.begin(), f.w.end(), nan);
-  std::fill(f.zeta.begin(), f.zeta.end(), nan);
+/// The result an exact cache hit serves: no forward ran for it
+/// (batch_size 0) and the stored verdict applies as-is.
+ForecastResult hit_result(ForecastCache::Probe&& hit, int sharers) {
+  ForecastResult r;
+  r.frames = std::move(hit.frames);
+  r.batch_size = 0;
+  r.sharers = sharers;
+  r.cache_hit = true;
+  r.verdict = hit.verdict;
+  r.verified = hit.verified;
+  return r;
 }
 
 }  // namespace
@@ -214,6 +219,10 @@ ForecastServer::ForecastServer(std::vector<ModelSlot> models,
   cache_ = std::make_unique<ForecastCache>(config_.cache, &registry_);
   COASTAL_CHECK_MSG(!config_.fallback || (grid_ && config_.verify),
                     "the ROMS fallback requires a grid and verify=true");
+  if (config_.fallback) {
+    fallback_.emplace(core::NumericalFallback{*grid_, config_.fallback->tides,
+                                              config_.fallback->params});
+  }
   for (size_t i = 0; i < models_.size(); ++i) {
     model_mutexes_.push_back(std::make_unique<std::timed_mutex>());
     breakers_.push_back(
@@ -443,8 +452,9 @@ std::optional<std::future<ForecastResult>> ForecastServer::submit(
       trace_span(pending.request.trace.id, "queue", t0, t0);
       trace_span(pending.request.trace.id, "triage", t0, obs::now_us(),
                  obs::kCacheHit);
-      deliver_hit(pending, pending.promise, hit, /*take_frames=*/true, 1,
-                  pending.enqueued);
+      // No forward span, by construction: the cache served this one.
+      deliver(pending, pending.promise, hit_result(std::move(hit), 1),
+              pending.enqueued, obs::kCacheHit);
       return future;
     }
   }
@@ -473,30 +483,24 @@ void ForecastServer::worker_loop(WorkerState* state) {
     }
     state->busy.store(true, std::memory_order_release);
     state->beat.fetch_add(1, std::memory_order_relaxed);
+    std::exception_ptr failure;
     try {
       serve_batch(state, inflight);
     } catch (...) {
-      // A worker never dies with unresolved promises: anything that
-      // escaped serve_batch fails the whole batch (typed).
-      const std::exception_ptr e = as_model_failure(std::current_exception());
-      for (size_t i = 0; i < inflight->reqs.size(); ++i) {
-        deliver_error(*inflight, i, e);
-      }
+      failure = as_model_failure(std::current_exception());
     }
-    {
-      // Defensive sweep: no request of a batch this worker still owns may
-      // be left pending (clients would wait forever).
-      std::lock_guard<std::mutex> lock(inflight->m);
-      if (!inflight->abandoned) {
-        for (size_t i = 0; i < inflight->reqs.size(); ++i) {
-          if (!inflight->resolved[i]) {
-            inflight->resolved[i] = 1;
-            inflight->reqs[i].promise.set_exception(
-                typed_error(ForecastErrorCode::kModelFailure,
-                            "request left unresolved by serve_batch"));
-          }
-        }
+    // A worker never dies with unresolved promises: anything that escaped
+    // serve_batch fails the rest of its batch (typed), and so, defensively,
+    // does any request serve_batch left pending (clients would wait
+    // forever).
+    for (size_t i = 0; i < inflight->reqs.size(); ++i) {
+      std::promise<ForecastResult>* p = claim(*inflight, i);
+      if (p == nullptr) continue;
+      if (!failure) {
+        failure = typed_error(ForecastErrorCode::kModelFailure,
+                              "request left unresolved by serve_batch");
       }
+      resolve_error(inflight->reqs[i], *p, failure, nullptr);
     }
     state->busy.store(false, std::memory_order_release);
     state->beat.fetch_add(1, std::memory_order_relaxed);
@@ -508,570 +512,482 @@ void ForecastServer::worker_loop(WorkerState* state) {
   state->exited.store(true, std::memory_order_release);
 }
 
+/// One distinct episode chain of a popped batch: its requests (those
+/// with owner[i] == its index), what the cache probe found, and what
+/// compute and settle make of it.
+struct ForecastServer::Entry {
+  size_t exemplar = 0;  ///< the entry's first request in the batch
+  int sharers = 0;      ///< requests collapsed into this entry
+  ForecastCache::Probe probe;
+  bool done = false;   ///< resolved (hit, expired, failed): out of the batch
+  int start = 0;       ///< first episode to compute (cached prefix length)
+  int batch_size = 0;  ///< entries stacked in the last forward it rode
+  bool retried = false;  ///< a forward it rode needed another attempt
+  std::vector<data::CenterFields> frames;  ///< cached prefix + decoded steps
+  data::CenterFields ic;  ///< normalized initial condition of the next step
+  /// Decode or forward failure: settle takes the numerical route.
+  std::exception_ptr error;
+  bool forward_failed = false;  ///< `error` is a forward the breaker counted
+};
+
+struct ForecastServer::Batch {
+  WorkerState* state;
+  InFlightBatch& inflight;
+  clock::time_point assembled;
+  size_t model;  ///< slot index
+  int episodes;  ///< uniform: pop_batch keys on (model_id, window length)
+  CircuitBreaker::Mode mode = CircuitBreaker::Mode::kNormal;
+  bool use_cache = false;
+  std::vector<size_t> owner;  ///< request -> entry; SIZE_MAX if expired
+  std::vector<Entry> entries{};
+  int probe_failures = 0;     ///< half-open probe: entries that failed
+  bool forward_ran = false;  ///< some step's forward completed
+
+  /// Has every sharer of entry `u` passed its deadline at `now`?
+  bool expired(size_t u, clock::time_point now) const {
+    for (size_t i = 0; i < owner.size(); ++i) {
+      const PendingRequest& req = inflight.reqs[i];
+      if (owner[i] == u && !(has_deadline(req) && now >= req.deadline)) {
+        return false;
+      }
+    }
+    return true;
+  }
+};
+
 void ForecastServer::serve_batch(
     WorkerState* state, const std::shared_ptr<InFlightBatch>& inflight) {
-  auto& batch = inflight->reqs;
   // The canonical hung-worker injection point: before any lock is held,
   // so a parked worker wedges only itself (and its batch).
   COASTAL_FAULT_POINT("serve.worker");
   if (state->retired.load(std::memory_order_acquire)) return;
+  const ForecastRequest& front = inflight->reqs.front().request;
+  const auto model = static_cast<size_t>(front.model_id);
+  Batch b{.state = state,
+          .inflight = *inflight,
+          .assembled = clock::now(),
+          .model = model,
+          .episodes = static_cast<int>(front.window.size() - 1) /
+                      models_[model].spec.T,
+          .owner = std::vector<size_t>(inflight->reqs.size(), SIZE_MAX)};
+  if (!triage(b) || !compute(b)) return;
+  settle(b);
+}
 
-  const auto t_assembled = clock::now();
-  const int64_t us_assembled = obs::to_us(t_assembled);
+bool ForecastServer::triage(Batch& b) {
+  auto& reqs = b.inflight.reqs;
+  const int64_t us_assembled = obs::to_us(b.assembled);
   const bool profiling = obs::StageProfiler::instance().enabled();
-  // Queue-wait telemetry, per request: the span belongs to the request's
-  // trace, the histogram sample to the global queue-stage profile.
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const int64_t q_us = us_assembled - obs::to_us(batch[i].enqueued);
+  int64_t owned = 0;
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    // Queue-wait telemetry, per request: the span belongs to the
+    // request's trace, the histogram sample to the queue-stage profile.
+    const int64_t q_us = us_assembled - obs::to_us(reqs[i].enqueued);
     if (profiling) {
       obs::StageProfiler::instance().record(
           obs::Stage::kQueue, static_cast<double>(std::max<int64_t>(q_us, 0)));
     }
-    trace_span(batch[i].request.trace.id, "queue", us_assembled - q_us,
+    trace_span(reqs[i].request.trace.id, "queue", us_assembled - q_us,
                us_assembled);
-  }
-  const int model_id = batch.front().request.model_id;
-  auto& slot = models_[static_cast<size_t>(model_id)];
-  const data::SampleSpec& spec = slot.spec;
-  // pop_batch keys on (model_id, window length), so the chain length is
-  // uniform across the batch: 1 episode takes the stacked-forward route,
-  // e > 1 the sequential chain route below.
-  const int episodes =
-      static_cast<int>(batch.front().request.window.size() - 1) / spec.T;
-  CircuitBreaker& breaker = *breakers_[static_cast<size_t>(model_id)];
-  std::timed_mutex& model_mutex =
-      *model_mutexes_[static_cast<size_t>(model_id)];
-  const int64_t hang_ms = config_.reliability.watchdog.hang_timeout_ms;
-  const bool can_degrade = config_.fallback.has_value();
-
-  // Deadline triage: requests already expired at batch assembly fail now,
-  // before any work is spent on them.
-  std::vector<char> dead(batch.size(), 0);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (has_deadline(batch[i]) && t_assembled >= batch[i].deadline) {
-      dead[i] = 1;
-      deliver_error(*inflight, i,
-                    typed_error(ForecastErrorCode::kDeadlineExceeded,
-                                "expired before service began"),
-                    c_deadline_);
-    }
-  }
-
-  // Identical-episode coalescing over the surviving requests: uniques[u]
-  // is the exemplar request of batch entry u; owner[i] maps each request
-  // to its entry.
-  std::vector<size_t> uniques;
-  std::vector<size_t> owner(batch.size(), SIZE_MAX);
-  std::vector<int> sharers;  ///< requests per entry
-  uniques.reserve(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (dead[i]) continue;
-    size_t u = uniques.size();
-    if (config_.batch.coalesce_identical) {
-      for (size_t j = 0; j < uniques.size(); ++j) {
-        if (same_window(batch[uniques[j]], batch[i])) {
-          u = j;
-          break;
-        }
+    // Requests already expired at batch assembly fail now, before any
+    // work is spent on them.
+    if (has_deadline(reqs[i]) && b.assembled >= reqs[i].deadline) {
+      if (auto* p = claim(b.inflight, i)) {
+        resolve_error(reqs[i], *p,
+                      typed_error(ForecastErrorCode::kDeadlineExceeded,
+                                  "expired before service began"),
+                      c_deadline_);
       }
+      continue;
     }
-    if (u == uniques.size()) {
-      uniques.push_back(i);
-      sharers.push_back(0);
+    // Identical-episode coalescing: bitwise-equal windows share an entry.
+    size_t u = b.entries.size();
+    for (size_t j = 0; config_.batch.coalesce_identical && j < u; ++j) {
+      if (same_window(reqs[b.entries[j].exemplar], reqs[i])) u = j;
     }
-    owner[i] = u;
-    ++sharers[u];
+    if (u == b.entries.size()) b.entries.emplace_back().exemplar = i;
+    b.owner[i] = u;
+    ++b.entries[u].sharers;
+    ++owned;
   }
-  if (uniques.empty()) return;
-  // Fail every surviving request (of entry `u` alone, when given), typed.
-  auto fail_live = [&](const std::exception_ptr& e,
-                       obs::Counter* extra = nullptr, size_t u = SIZE_MAX) {
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (!dead[i] && (u == SIZE_MAX || owner[i] == u)) {
-        deliver_error(*inflight, i, e, extra);
-      }
-    }
-  };
+  if (b.entries.empty()) return false;
 
   // Circuit-breaker admission: an open slot serves the verified numerical
   // answer directly (degraded mode); half-open lets one probe batch try
   // the surrogate again.
-  const CircuitBreaker::Mode mode = breaker.admit();
-  const bool probe = mode == CircuitBreaker::Mode::kProbe;
-  bool breaker_degraded = mode == CircuitBreaker::Mode::kDegraded;
-  if (breaker_degraded && !can_degrade) {
-    fail_live(typed_error(ForecastErrorCode::kCircuitOpen,
-                          "slot degraded and no fallback configured"));
-    return;
+  b.mode = breakers_[b.model]->admit();
+  if (b.mode == CircuitBreaker::Mode::kDegraded && !fallback_) {
+    const auto e = typed_error(ForecastErrorCode::kCircuitOpen,
+                               "slot degraded and no fallback configured");
+    for (size_t u = 0; u < b.entries.size(); ++u) fan_out(b, u, {}, e);
+    return false;
+  }
+  {
+    obs::Registry::Group g(registry_);
+    c_coalesced_->add(owned - static_cast<int64_t>(b.entries.size()));
   }
 
   // Content-addressed cache probe (docs/caching.md), after breaker
   // admission so a non-normal slot bypasses the cache entirely: degraded
   // traffic must take the numerical route, and a half-open probe batch
   // exists precisely to exercise the surrogate.
-  std::vector<ForecastCache::Probe> probes(uniques.size());
-  std::vector<char> done(uniques.size(), 0);
-  const bool use_cache = cache_->policy().enabled &&
-                         mode == CircuitBreaker::Mode::kNormal;
-  if (use_cache) {
+  b.use_cache = cache_->policy().enabled &&
+                b.mode == CircuitBreaker::Mode::kNormal;
+  if (b.use_cache) {
     obs::ScopedStage stage(obs::Stage::kCacheProbe);
-    for (size_t u = 0; u < uniques.size(); ++u) {
-      const PendingRequest& ex = batch[uniques[u]];
-      probes[u] = cache_->probe(ex.cache_key, ex.request.window);
+    for (Entry& en : b.entries) {
+      const PendingRequest& ex = reqs[en.exemplar];
+      en.probe = cache_->probe(ex.cache_key, ex.request.window);
     }
   }
   // Triage spans close here: queue pop -> breaker admission -> cache
   // probe, tagged with what the probe found for this request's entry.
   const int64_t us_triaged = obs::now_us();
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (dead[i]) continue;
-    uint32_t tflags = 0;
-    if (probes[owner[i]].hit) tflags |= obs::kCacheHit;
-    else if (probes[owner[i]].prefix) tflags |= obs::kPrefixResume;
-    if (breaker_degraded) tflags |= obs::kDegraded;
-    trace_span(batch[i].request.trace.id, "triage", us_assembled, us_triaged,
-               tflags);
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    if (b.owner[i] == SIZE_MAX) continue;
+    const ForecastCache::Probe& p = b.entries[b.owner[i]].probe;
+    uint32_t flags = p.hit ? obs::kCacheHit
+                           : (p.prefix ? obs::kPrefixResume : 0u);
+    if (b.mode == CircuitBreaker::Mode::kDegraded) flags |= obs::kDegraded;
+    trace_span(reqs[i].request.trace.id, "triage", us_assembled, us_triaged,
+               flags);
   }
   // Exact hits — an identical window was inserted while this one queued —
   // deliver with no forward and no re-verification: by bitwise rollout
-  // determinism the stored frames ARE what a recompute would produce,
-  // and the stored verdict already certified them.  The rest (misses and
-  // prefix hits) are the live entries that need the surrogate.
-  std::vector<size_t> live;
-  live.reserve(uniques.size());
-  size_t live_sharers = 0;
-  for (size_t u = 0; u < uniques.size(); ++u) {
-    if (!probes[u].hit) {
-      live.push_back(u);
-      live_sharers += static_cast<size_t>(sharers[u]);
+  // determinism the stored frames ARE what a recompute would produce, and
+  // the stored verdict already certified them.  A prefix hit starts its
+  // chain at the first uncached episode, seeded by the cached final frame
+  // exactly as rollout()'s autoregressive hand-off would.
+  int live = 0;
+  for (size_t u = 0; u < b.entries.size(); ++u) {
+    Entry& en = b.entries[u];
+    if (en.probe.hit) {
+      fan_out(b, u, hit_result(std::move(en.probe), en.sharers), nullptr,
+              nullptr, obs::kCacheHit);
       continue;
     }
-    done[u] = 1;
-    {
-      obs::Registry::Group g(registry_);
-      c_coalesced_->add(sharers[u] - 1);
-    }
-    int remaining = sharers[u];
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (dead[i] || owner[i] != u) continue;
-      dead[i] = 1;
-      const bool last = --remaining == 0;
-      if (auto* p = claim(*inflight, i)) {
-        deliver_hit(batch[i], *p, probes[u], last, sharers[u], t_assembled);
-      }
+    ++live;
+    if (en.probe.prefix) {
+      en.start = en.probe.episodes;
+      en.frames = std::move(en.probe.frames);
+      en.ic = data::normalized_copy(en.frames.back(), norm_);
     }
   }
-  if (live.empty()) return;
-  const int64_t B = static_cast<int64_t>(live.size());
+  for (Entry& en : b.entries) en.batch_size = live;
+  return live > 0;
+}
 
-  // The coalesced surrogate forward, with bounded deterministic retry for
-  // transient failures.  Skipped entirely in degraded mode.
-  std::vector<std::vector<data::CenterFields>> decoded(uniques.size());
-  std::vector<std::exception_ptr> entry_error(uniques.size());
-  std::vector<int> resumed(uniques.size(), 0);
-  bool forward_ok = false;
-  bool deadline_abort = false;
-  std::exception_ptr forward_error;
-  // Pack/forward intervals and retry count for the batch route's spans
-  // (the chain route records per-entry spans via the ambient binding
-  // inside core::resume_rollout instead).
-  int64_t us_pack0 = 0, us_pack1 = 0, us_fwd0 = 0, us_fwd1 = 0;
-  int fwd_retries = 0;
-  if (!breaker_degraded && episodes == 1) {
-    // Everything tensor-shaped in this block — the per-request samples,
-    // the stacked batch, the forward activations, the batched output —
-    // bump-allocates from the arena and is released in bulk at scope
-    // exit, so a warmed-up server allocates nothing here.  Only the
-    // decoded CenterFields (plain vectors) escape.
-    tensor::ArenaScope arena;
-    tensor::NoGradGuard ng;
+bool ForecastServer::compute(Batch& b) {
+  if (b.mode == CircuitBreaker::Mode::kDegraded) return true;
+  // One stacked forward per episode step over every live entry that has
+  // started: a chain is sequential (episode e's initial condition is
+  // episode e-1's last frame), but distinct chains — and a prefix-resumed
+  // chain joining at its first uncached episode — stack within a step.
+  std::vector<size_t> all(b.entries.size()), riders;
+  std::iota(all.begin(), all.end(), size_t{0});
+  for (int e = 0; e < b.episodes; ++e) {
+    riders.clear();
+    for (size_t u : all) {
+      const Entry& en = b.entries[u];
+      if (!en.done && !en.error && en.start <= e) riders.push_back(u);
+    }
+    if (riders.empty()) continue;
+    if (!run_step(b, e, riders)) return false;
+    // Between steps: an entry whose every sharer has expired leaves the
+    // batch (it never reaches the fallback).  After the last step, settle
+    // still verifies and caches it; deliver() then fails its requests.
+    if (e + 1 < b.episodes) expire(b, all, "expired during the forecast");
+  }
+  return true;
+}
+
+bool ForecastServer::run_step(Batch& b, int e,
+                              std::span<const size_t> riders) {
+  const ModelSlot& slot = models_[b.model];
+  const data::SampleSpec& spec = slot.spec;
+  const auto B = static_cast<int64_t>(riders.size());
+  // Everything tensor-shaped in this step — the stacked input, the
+  // forward activations, the batched output — bump-allocates from the
+  // arena and is released in bulk at scope exit, so a warmed-up server
+  // allocates nothing here.  Only the decoded CenterFields escape.
+  tensor::ArenaScope arena;
+  tensor::NoGradGuard ng;
+  std::exception_ptr error;
+  tensor::Tensor vol, surf;
+  // Pack *before* taking the model mutex: packing touches only request
+  // data and this worker's arena, so another worker's forward overlaps
+  // it.  Each rider contributes its step-e window; past its first
+  // episode, the previous step's last frame replaces frame 0.
+  const int64_t us_pack0 = obs::now_us();
+  try {
+    obs::ScopedStage stage(obs::Stage::kPack);
+    std::vector<std::span<const data::CenterFields>> windows;
+    std::vector<const data::CenterFields*> ics;
+    const auto T = static_cast<size_t>(spec.T);
+    for (size_t u : riders) {
+      Entry& en = b.entries[u];
+      windows.push_back(std::span<const data::CenterFields>(
+                            b.inflight.reqs[en.exemplar].request.window)
+                            .subspan(static_cast<size_t>(e) * T, T + 1));
+      ics.push_back(e > 0 ? &en.ic : nullptr);
+      en.batch_size = static_cast<int>(B);
+    }
+    data::BatchedInput in = data::make_batched_input(spec, windows, ics);
+    vol = std::move(in.volume);
+    surf = std::move(in.surface);
+  } catch (...) {
+    error = std::current_exception();  // no forward ran: a failed step
+  }
+  const bool packed = error == nullptr;
+  const int64_t us_pack1 = obs::now_us();
+  b.state->beat.fetch_add(1, std::memory_order_relaxed);
+
+  // The stacked forward, with bounded deterministic retry for transient
+  // failures; between attempts, entries whose sharers all expired leave.
+  const RetryPolicy& retry = config_.reliability.retry;
+  const int max_attempts = std::max(1, retry.max_attempts);
+  int64_t backoff_us = std::max<int64_t>(0, retry.backoff_us);
+  int retries = 0;
+  size_t alive = riders.size();
+  core::SurrogateOutput out;
+  bool ok = false;
+  const int64_t us_fwd0 = obs::now_us();
+  for (int attempt = 1; packed && !ok && alive > 0; ++attempt) {
     try {
-      // Pack the batch *before* taking the model mutex: sample
-      // construction touches only request data and this worker's arena,
-      // so another worker's forward overlaps it (the pipeline overlap
-      // promised in server.hpp).  The distinct episodes are written
-      // straight into one stacked tensor pair — no per-request target
-      // tensors, no intermediate concat (bitwise-pinned against the old
-      // concat path in tests/test_serve.cpp).
-      tensor::Tensor vol, surf;
-      {
-        obs::ScopedStage stage(obs::Stage::kPack);
-        us_pack0 = obs::now_us();
-        std::vector<std::span<const data::CenterFields>> windows;
-        windows.reserve(live.size());
-        for (size_t u : live) {
-          windows.push_back(batch[uniques[u]].request.window);
-        }
-        data::BatchedInput in = data::make_batched_input(spec, windows);
-        vol = std::move(in.volume);
-        surf = std::move(in.surface);
-        us_pack1 = obs::now_us();
-      }
-      state->beat.fetch_add(1, std::memory_order_relaxed);
-
-      const RetryPolicy& retry = config_.reliability.retry;
-      const int max_attempts = std::max(1, retry.max_attempts);
-      int64_t backoff_us = std::max<int64_t>(0, retry.backoff_us);
-      core::SurrogateOutput out;
-      us_fwd0 = obs::now_us();
-      for (int attempt = 1; !forward_ok; ++attempt) {
-        try {
-          const auto model_lock = lock_model(model_mutex, hang_ms);
-          COASTAL_FAULT_POINT("serve.forward");
-          if (state->retired.load(std::memory_order_acquire)) return;
-          // Grouped BatchNorm statistics (and per-request attention
-          // routing): each coalesced episode is normalized exactly as it
-          // would be served alone, which is what makes the demuxed
-          // results bitwise-serial (see nn::BatchStatScope).
-          nn::BatchStatScope stat_groups(B);
-          out = slot.model->forward(vol, surf);
-          forward_ok = true;
-        } catch (...) {
-          const std::exception_ptr e = std::current_exception();
-          if (!is_transient(e) || attempt >= max_attempts) {
-            forward_error = e;
-            break;
-          }
-          // Abort the retry chain once every remaining request's
-          // deadline has passed — nobody is left to receive the result.
-          bool all_expired = true;
-          const auto now = clock::now();
-          for (size_t i = 0; i < batch.size(); ++i) {
-            if (dead[i]) continue;
-            if (!has_deadline(batch[i]) || now < batch[i].deadline) {
-              all_expired = false;
-              break;
-            }
-          }
-          if (all_expired) {
-            deadline_abort = true;
-            break;
-          }
-          c_retries_->inc();
-          ++fwd_retries;
-          std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
-          backoff_us = static_cast<int64_t>(
-              static_cast<double>(backoff_us) * retry.backoff_mult);
-          state->beat.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      us_fwd1 = obs::now_us();
-      if (profiling) {
-        obs::StageProfiler::instance().record(
-            obs::Stage::kForward, static_cast<double>(us_fwd1 - us_fwd0));
-      }
-      if (forward_ok) {
-        state->beat.fetch_add(1, std::memory_order_relaxed);
-        // Per-entry decode: one entry's failure (or injected fault) must
-        // not fail sharers of healthy entries — the blast radius stays
-        // one episode.
-        obs::ScopedStage decode_stage(obs::Stage::kDecode);
-        for (size_t b = 0; b < live.size(); ++b) {
-          const size_t u = live[b];
-          try {
-            const util::FaultAction fa = COASTAL_FAULT_POINT("rollout.step");
-            decoded[u] = core::decode_prediction_entry(
-                spec, out, static_cast<int64_t>(b), norm_);
-            if (fa == util::FaultAction::kNan) poison_first_frame(decoded[u]);
-          } catch (...) {
-            entry_error[u] = std::current_exception();
-          }
-        }
-      }
+      const auto model_lock =
+          lock_model(*model_mutexes_[b.model],
+                     config_.reliability.watchdog.hang_timeout_ms);
+      COASTAL_FAULT_POINT("serve.forward");
+      if (b.state->retired.load(std::memory_order_acquire)) return false;
+      // Grouped BatchNorm statistics (and per-request attention routing):
+      // each stacked entry is normalized exactly as it would be served
+      // alone, which is what makes the demuxed results bitwise-serial
+      // (see nn::BatchStatScope).
+      nn::BatchStatScope stat_groups(B);
+      out = slot.model->forward(vol, surf);
+      ok = true;
     } catch (...) {
-      // Pack/stack failure: no forward ran; handled like a forward
-      // failure below.
-      forward_error = std::current_exception();
-    }
-  } else if (!breaker_degraded) {
-    // Chain route (e > 1 episodes): a chain is inherently sequential —
-    // episode e's initial condition is episode e-1's last frame — so
-    // there is nothing for a stacked forward to amortize across a chain.
-    // Each distinct window runs one resumed rollout; a prefix hit starts
-    // it at the first uncached episode (core::resume_rollout), which is
-    // where the cache pays off most.
-    tensor::NoGradGuard ng;
-    const RetryPolicy& retry = config_.reliability.retry;
-    const int max_attempts = std::max(1, retry.max_attempts);
-    for (size_t u : live) {
-      const auto& window = batch[uniques[u]].request.window;
-      // Ambient binding: the rollout's own "pack"/"model.forward" spans
-      // attach to the entry's exemplar trace (sharers reuse its tree).
-      obs::TraceBinding trace_bind(batch[uniques[u]].request.trace.id);
-      const int start_episode = probes[u].prefix ? probes[u].episodes : 0;
-      // Cooperative cancel between episode forwards: abort only once
-      // every sharer's deadline has passed (nobody left to deliver to).
-      const core::CancelHook cancel = [&, u] {
-        const auto now = clock::now();
-        for (size_t i = 0; i < batch.size(); ++i) {
-          if (dead[i] || owner[i] != u) continue;
-          if (!has_deadline(batch[i]) || now < batch[i].deadline) return;
-        }
-        throw ForecastError(ForecastErrorCode::kDeadlineExceeded,
-                            "expired during chain rollout");
-      };
-      int64_t backoff_us = std::max<int64_t>(0, retry.backoff_us);
-      for (int attempt = 1; !done[u] && entry_error[u] == nullptr;
-           ++attempt) {
-        try {
-          const auto model_lock = lock_model(model_mutex, hang_ms);
-          COASTAL_FAULT_POINT("serve.forward");
-          if (state->retired.load(std::memory_order_acquire)) return;
-          auto suffix = core::resume_rollout(
-              *slot.model, spec, norm_, window, episodes, start_episode,
-              start_episode > 0 ? &probes[u].frames.back() : nullptr,
-              &cancel);
-          if (start_episode > 0) {
-            // Keep the cached prefix intact across retries: copy it, then
-            // append the freshly computed suffix.
-            decoded[u] = probes[u].frames;
-            decoded[u].reserve(decoded[u].size() + suffix.size());
-            for (auto& f : suffix) decoded[u].push_back(std::move(f));
-            resumed[u] = static_cast<int>(probes[u].frames.size());
-          } else {
-            decoded[u] = std::move(suffix);
-          }
-          break;  // served by the epilogue below
-        } catch (const ForecastError& fe) {
-          if (fe.code() == ForecastErrorCode::kDeadlineExceeded) {
-            // A mid-chain deadline is delivered directly — the request
-            // expired, it did not fail; routing it into the numerical
-            // fallback would burn a full ROMS chain for nobody.
-            fail_live(std::current_exception(), c_deadline_, u);
-            done[u] = 1;
-          } else {
-            entry_error[u] = std::current_exception();  // never transient
-          }
-        } catch (...) {
-          const std::exception_ptr e = std::current_exception();
-          if (!is_transient(e) || attempt >= max_attempts) {
-            entry_error[u] = e;
-            break;
-          }
-          c_retries_->inc();
-          // Zero-length marker in the entry's trace: this chain needed
-          // another forward attempt.
-          const int64_t tr = obs::now_us();
-          trace_span(batch[uniques[u]].request.trace.id, "retry", tr, tr,
-                     obs::kFaultRetry);
-          std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
-          backoff_us = static_cast<int64_t>(
-              static_cast<double>(backoff_us) * retry.backoff_mult);
-        }
+      const std::exception_ptr err = std::current_exception();
+      if (!is_transient(err) || attempt >= max_attempts) {
+        error = err;
+        break;
       }
-      state->beat.fetch_add(1, std::memory_order_relaxed);
-    }
-    // Chain outcomes are per-entry (entry_error / done), never a single
-    // batch-wide forward failure.
-    forward_ok = true;
-  }
-
-  // Batch-route spans: every traced request in the batch shares the one
-  // pack + forward interval its episode rode in.
-  if (us_fwd1 > 0 || us_pack1 > 0) {
-    uint32_t fflags = fwd_retries > 0 ? obs::kFaultRetry : 0u;
-    int fcode = -1;
-    if (!forward_ok && !deadline_abort) {
-      fflags |= obs::kError;
-      fcode = error_code_of(forward_error);
-    }
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (dead[i]) continue;
-      const uint64_t tid = batch[i].request.trace.id;
-      if (tid == 0) continue;
-      if (us_pack1 > 0) trace_span(tid, "pack", us_pack0, us_pack1);
-      if (us_fwd1 > 0) {
-        trace_span(tid, "forward", us_fwd0, us_fwd1, fflags, fcode, B);
-      }
+      alive = expire(b, riders, "expired during forward retries");
+      if (alive == 0) break;
+      c_retries_->inc();
+      ++retries;
+      std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
+      backoff_us = static_cast<int64_t>(static_cast<double>(backoff_us) *
+                                        retry.backoff_mult);
+      b.state->beat.fetch_add(1, std::memory_order_relaxed);
     }
   }
-
-  if (deadline_abort) {
-    fail_live(typed_error(ForecastErrorCode::kDeadlineExceeded,
-                          "expired during forward retries"),
-              c_deadline_);
-    return;
+  const int64_t us_fwd1 = obs::now_us();
+  if (packed && obs::StageProfiler::instance().enabled()) {
+    obs::StageProfiler::instance().record(
+        obs::Stage::kForward, static_cast<double>(us_fwd1 - us_fwd0));
   }
-
-  // Forward failed after retries: report to the breaker, then route the
-  // whole batch to the numerical fallback when one is configured, else
-  // fail every surviving request (typed).
-  bool salvage_numerical = false;
-  if (!breaker_degraded && !forward_ok) {
-    if (probe) {
-      breaker.probe_result(false);
-    } else {
-      breaker.record_failures(static_cast<int>(uniques.size()));
+  // Step spans: every traced request still riding shares the step's one
+  // pack + forward interval.
+  const uint32_t fflags = (retries > 0 ? obs::kFaultRetry : 0u) |
+                          (error ? obs::kError : 0u);
+  int failed = 0;
+  for (size_t u : riders) {
+    Entry& en = b.entries[u];
+    if (en.done) continue;
+    en.retried |= retries > 0;
+    if (error) {
+      en.error = error;
+      en.forward_failed = true;
+      ++failed;
     }
-    if (can_degrade) {
-      salvage_numerical = true;
-    } else {
-      fail_live(as_model_failure(forward_error));
-      return;
+    for (size_t i = 0; packed && i < b.owner.size(); ++i) {
+      const uint64_t tid = b.inflight.reqs[i].request.trace.id;
+      if (b.owner[i] != u || tid == 0) continue;
+      trace_span(tid, "pack", us_pack0, us_pack1);
+      trace_span(tid, "forward", us_fwd0, us_fwd1, fflags,
+                 error_code_of(error), B);
     }
   }
-
-  // Batch-composition stats land before any promise resolves, so a
-  // client that observes its result also observes the batch that carried
-  // it.  Only counted when a forward actually executed.
-  if (forward_ok) {
+  if (error) {
+    // The failed forward's entries take the numerical route in settle (or
+    // fail); the breaker counts exactly them, never a cache hit.
+    if (b.mode == CircuitBreaker::Mode::kProbe) b.probe_failures += failed;
+    else breakers_[b.model]->record_failures(failed);
+    return true;
+  }
+  if (!ok) return true;  // every rider expired between attempts
+  b.forward_ran = true;
+  {
     obs::Registry::Group g(registry_);
     c_batches_->inc();
-    c_coalesced_->add(static_cast<int64_t>(live_sharers - live.size()));
     h_batch_->observe(static_cast<double>(B));
   }
+  b.state->beat.fetch_add(1, std::memory_order_relaxed);
+  // Per-entry decode: one entry's failure (or injected fault) must not
+  // fail sharers of healthy entries — the blast radius stays one entry.
+  obs::ScopedStage decode_stage(obs::Stage::kDecode);
+  for (size_t k = 0; k < riders.size(); ++k) {
+    Entry& en = b.entries[riders[k]];
+    if (en.done) continue;
+    try {
+      const util::FaultAction fa = COASTAL_FAULT_POINT("rollout.step");
+      auto frames = core::decode_prediction_entry(
+          spec, out, static_cast<int64_t>(k), norm_);
+      if (fa == util::FaultAction::kNan) core::poison_fields(frames.front());
+      if (e + 1 < b.episodes) {
+        en.ic = data::normalized_copy(frames.back(), norm_);
+      }
+      std::move(frames.begin(), frames.end(), std::back_inserter(en.frames));
+    } catch (...) {
+      en.error = std::current_exception();
+    }
+  }
+  return true;
+}
 
-  // Per-entry epilogue: verification, fallback, or the numerical route,
-  // once per distinct episode; then fan the outcome out to every sharer.
-  // Outside the arena and the model lock, so other workers' forwards
-  // overlap it.
-  int probe_failures = 0;
-  for (size_t u = 0; u < uniques.size(); ++u) {
-    if (done[u]) continue;  // served from cache or expired mid-chain
-    state->beat.fetch_add(1, std::memory_order_relaxed);
-    const auto& window = batch[uniques[u]].request.window;
-    bool entry_fallback = false, entry_verified = false;
-    bool entry_degraded = false;
-    core::VerificationResult entry_verdict;
-    const bool numerical_route =
-        breaker_degraded || salvage_numerical || entry_error[u] != nullptr;
-    if (numerical_route && !can_degrade) {
-      // Per-entry decode failure with no fallback: isolate it.
-      fail_live(as_model_failure(entry_error[u]), nullptr, u);
-      if (probe) ++probe_failures;
-      else if (forward_ok) breaker.record(false);
+size_t ForecastServer::expire(Batch& b, std::span<const size_t> us,
+                              const char* why) {
+  const auto now = clock::now();
+  size_t alive = 0;
+  for (size_t u : us) {
+    if (b.entries[u].done) continue;
+    if (!b.expired(u, now)) {
+      ++alive;
       continue;
     }
-    const int64_t us_entry0 = obs::now_us();
+    fan_out(b, u, {}, typed_error(ForecastErrorCode::kDeadlineExceeded, why),
+            c_deadline_);
+  }
+  return alive;
+}
+
+void ForecastServer::settle(Batch& b) {
+  const int steps = models_[b.model].spec.T * b.episodes;
+  CircuitBreaker& breaker = *breakers_[b.model];
+  const bool probe = b.mode == CircuitBreaker::Mode::kProbe;
+  const bool degraded = b.mode == CircuitBreaker::Mode::kDegraded;
+  // One breaker outcome per entry that went through the surrogate; a
+  // verification fallback counts as a failure, so a surrogate producing
+  // chronic garbage trips into degraded mode instead of burning forwards.
+  auto note = [&](bool success) {
+    if (!probe) return breaker.record(success);
+    if (!success) ++b.probe_failures;
+  };
+  // Per entry, outside the arena and the model lock (other workers'
+  // forwards overlap it): verify or fall back, fill the cache, fan out.
+  for (size_t u = 0; u < b.entries.size(); ++u) {
+    Entry& en = b.entries[u];
+    if (en.done) continue;
+    b.state->beat.fetch_add(1, std::memory_order_relaxed);
+    const PendingRequest& ex = b.inflight.reqs[en.exemplar];
+    const bool numerical = degraded || en.error != nullptr;
+    if (en.error && !en.forward_failed) note(false);
+    // Every sharer gone: no numerical rerun is spent on it.  A surrogate
+    // result is still verified and cached (a retry of the window is then
+    // an admission hit), and deliver() fails its requests.
+    const bool late = b.expired(u, clock::now());
+    if (numerical && (!fallback_ || late)) {
+      fan_out(b, u, {},
+              fallback_ ? typed_error(ForecastErrorCode::kDeadlineExceeded,
+                                      "expired during the forecast")
+                        : as_model_failure(en.error),
+              fallback_ ? c_deadline_ : nullptr);
+      continue;
+    }
+    ForecastResult r;
+    r.batch_size = en.batch_size;
+    r.sharers = en.sharers;
+    r.degraded = degraded;
+    const int64_t us0 = obs::now_us();
+    bool rejected = false;  ///< the verdict failed where a fallback exists
     try {
-      if (numerical_route) {
-        // Degraded / salvage: compute the episode with the numerical
+      // current.time is the request's own start (copied from the IC
+      // frame), anchoring any numerical restart's tidal phase.
+      const data::CenterFields current =
+          data::denormalized_copy(ex.request.window.front(), norm_);
+      if (numerical) {
+        // Degraded / failed entry: the whole chain from the numerical
         // model — verified by construction, and check_sequence confirms.
         obs::ScopedStage stage(obs::Stage::kFallback);
-        const data::CenterFields current =
-            data::denormalized_copy(window.front(), norm_);
-        decoded[u] = core::numerical_episode(
-            *grid_, config_.fallback->tides, config_.fallback->params,
-            current, current.time, config_.snapshot_dt, spec.T * episodes);
-        entry_verdict = verifier_->check_sequence(current, decoded[u],
-                                                  config_.snapshot_dt);
-        entry_verified = true;
-        entry_fallback = true;
-        entry_degraded = breaker_degraded;
-        if (entry_error[u]) {
-          if (probe) ++probe_failures;
-          else if (forward_ok) breaker.record(false);
+        r.frames = core::numerical_episode(
+            fallback_->grid, fallback_->tides, fallback_->params, current,
+            current.time, config_.snapshot_dt, steps);
+        r.verdict = verifier_->check_sequence(current, r.frames,
+                                              config_.snapshot_dt);
+        r.verified = r.fallback = true;
+      } else {
+        r.frames = std::move(en.frames);
+        r.resumed_frames = en.start * models_[b.model].spec.T;
+        if (verifier_) {
+          obs::ScopedStage stage(obs::Stage::kVerify);
+          const core::EpisodeOutcome o = core::verify_or_fallback(
+              r.frames, current, *verifier_,
+              fallback_ && !late ? &*fallback_ : nullptr, current.time,
+              config_.snapshot_dt, en.start > 0 ? &en.probe.verdict : nullptr,
+              static_cast<size_t>(r.resumed_frames));
+          r.verdict = o.verdict;
+          r.verified = true;
+          r.fallback = o.fallback;
+          if (o.fallback) r.resumed_frames = 0;  // nothing cached survived
+          rejected = fallback_ && !o.verdict.pass;
         }
-      } else if (verifier_) {
-        obs::ScopedStage stage(obs::Stage::kVerify);
-        const data::CenterFields current = data::denormalized_copy(
-            window.front(), norm_);
-        if (resumed[u] > 0) {
-          // Prefix resume: the cached verdict already folded the prefix
-          // pairs; extending it across the fresh suffix continues that
-          // exact left-to-right fold (MassVerifier::extend_sequence), so
-          // the combined verdict is bitwise what a cold full pass yields.
-          const auto nres = static_cast<size_t>(resumed[u]);
-          const std::span<const data::CenterFields> all(decoded[u]);
-          if (probes[u].verified) {
-            entry_verdict = verifier_->extend_sequence(
-                probes[u].verdict, decoded[u][nres - 1], all.subspan(nres),
-                config_.snapshot_dt);
-          } else {
-            entry_verdict = verifier_->check_sequence(current, decoded[u],
-                                                      config_.snapshot_dt);
-          }
-          if (!entry_verdict.pass && config_.fallback) {
-            // Whole-chain numerical rerun, mirroring verify_or_fallback
-            // (the verdict keeps describing the surrogate chain).
-            decoded[u] = core::numerical_episode(
-                *grid_, config_.fallback->tides, config_.fallback->params,
-                current, current.time, config_.snapshot_dt,
-                spec.T * episodes);
-            entry_fallback = true;
-            resumed[u] = 0;  // nothing of the cache survived
-          }
-        } else if (config_.fallback) {
-          // current.time is the request's own episode start (copied from
-          // the IC frame), anchoring the restart's tidal phase.
-          const core::EpisodeOutcome outcome = core::verify_or_fallback(
-              decoded[u], current, *verifier_, *grid_,
-              config_.fallback->tides, config_.fallback->params,
-              current.time, config_.snapshot_dt);
-          entry_verdict = outcome.verdict;
-          entry_fallback = outcome.fallback;
-        } else {
-          entry_verdict = verifier_->check_sequence(current, decoded[u],
-                                                    config_.snapshot_dt);
-        }
-        entry_verified = true;
-      }
-      if (!numerical_route) {
-        if (probe) {
-          if (entry_fallback) ++probe_failures;
-        } else if (forward_ok) {
-          // A verification fallback counts as a slot failure: a surrogate
-          // producing chronic garbage should trip into degraded mode
-          // rather than burn a forward per request.
-          breaker.record(!entry_fallback);
-        }
+        note(!rejected);
       }
     } catch (...) {
-      fail_live(std::current_exception(), nullptr, u);
+      fan_out(b, u, {}, std::current_exception());
       continue;
     }
     // Post-verification cache fill: only the healthy surrogate route in
-    // normal breaker mode is admitted — degraded, fallback, salvaged, and
-    // errored results never enter the cache (and the cache finite-scans
-    // unverified payloads as a last line of defense).  Outside any arena,
-    // as insert() requires: the entry's storage must outlive this batch.
-    if (use_cache && !numerical_route && !entry_fallback &&
-        entry_error[u] == nullptr) {
-      cache_->insert(batch[uniques[u]].cache_key, window, decoded[u],
-                     entry_verdict, entry_verified);
+    // normal breaker mode is admitted — degraded, fallback, and errored
+    // results never enter the cache (which also finite-scans unverified
+    // payloads).  Outside any arena, as insert() requires.
+    if (b.use_cache && !numerical && !rejected) {
+      cache_->insert(ex.cache_key, ex.request.window, r.frames, r.verdict,
+                     r.verified);
     }
-    // Span tags for this entry's outcome; the verify/fallback interval
-    // closed when the try block above finished.
-    obs::TraceSpan stage_span;
-    stage_span.start_us = us_entry0;
-    stage_span.end_us = obs::now_us();
-    stage_span.stage = numerical_route ? "fallback" : "verify";
-    const bool has_stage = numerical_route || verifier_.has_value();
-    uint32_t entry_flags = 0;
-    if (entry_fallback) entry_flags |= obs::kFallback;
-    if (entry_degraded) entry_flags |= obs::kDegraded;
-    if (resumed[u] > 0) entry_flags |= obs::kPrefixResume;
-    if (fwd_retries > 0) entry_flags |= obs::kFaultRetry;
-    if (entry_verified && !entry_verdict.pass) {
-      entry_flags |= obs::kVerifyFailed;
-    }
-    stage_span.flags = entry_flags;
-    if (!numerical_route && entry_fallback) {
-      // The surrogate's verdict failed and the frames were recomputed —
-      // tag the verify span even though the final verdict passed.
-      stage_span.flags |= obs::kVerifyFailed;
-    }
-    int remaining = sharers[u];
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (dead[i] || owner[i] != u) continue;
-      const bool last = --remaining == 0;
-      std::promise<ForecastResult>* p = claim(*inflight, i);
-      if (p == nullptr) continue;
-      ForecastResult result;
-      // The last sharer takes the frames by move; earlier ones copy.
-      result.frames = last ? std::move(decoded[u]) : decoded[u];
-      result.batch_size = static_cast<int>(B);
-      result.sharers = sharers[u];
-      result.resumed_frames = resumed[u];
-      result.verdict = entry_verdict;
-      result.verified = entry_verified;
-      result.fallback = entry_fallback;
-      result.degraded = entry_degraded;
-      deliver(batch[i], *p, std::move(result), t_assembled, entry_flags,
-              has_stage ? &stage_span : nullptr);
+    uint32_t flags = 0;
+    if (r.fallback) flags |= obs::kFallback;
+    if (degraded) flags |= obs::kDegraded;
+    if (r.resumed_frames > 0) flags |= obs::kPrefixResume;
+    if (en.retried) flags |= obs::kFaultRetry;
+    if (r.verified && !r.verdict.pass) flags |= obs::kVerifyFailed;
+    // The verify/fallback interval; a surrogate verdict that failed and
+    // was recomputed still tags the verify span.
+    const obs::TraceSpan stage{
+        .start_us = us0,
+        .end_us = obs::now_us(),
+        .stage = numerical ? "fallback" : "verify",
+        .flags = flags | (!numerical && r.fallback ? obs::kVerifyFailed : 0u)};
+    fan_out(b, u, std::move(r), nullptr, nullptr, flags,
+            numerical || verifier_ ? &stage : nullptr);
+  }
+  // Every probe batch reports, also when all its entries expired: one
+  // whose forward never completed (failed, or every rider expired between
+  // failed attempts) reopens the circuit.
+  if (probe) breaker.probe_result(b.forward_ran && b.probe_failures == 0);
+}
+
+void ForecastServer::fan_out(Batch& b, size_t u, ForecastResult result,
+                             std::exception_ptr error,
+                             obs::Counter* extra_counter, uint32_t flags,
+                             const obs::TraceSpan* stage) {
+  Entry& en = b.entries[u];
+  en.done = true;
+  int remaining = en.sharers;
+  for (size_t i = 0; i < b.owner.size() && remaining > 0; ++i) {
+    if (b.owner[i] != u) continue;
+    const bool last = --remaining == 0;
+    std::promise<ForecastResult>* p = claim(b.inflight, i);
+    if (p == nullptr) continue;
+    const PendingRequest& req = b.inflight.reqs[i];
+    if (error) {
+      resolve_error(req, *p, error, extra_counter);
+    } else {
+      deliver(req, *p, last ? std::move(result) : result, b.assembled, flags,
+              stage);
     }
   }
-  if (probe && forward_ok) breaker.probe_result(probe_failures == 0);
 }
 
 void ForecastServer::watchdog_loop() {
@@ -1127,45 +1043,31 @@ void ForecastServer::watchdog_loop() {
       // the hung worker, should it ever resume, cannot double-resolve),
       // then restart and count, and only then fail them: a client that
       // observes kWorkerLost also observes the restart and the stats.
-      std::vector<std::promise<ForecastResult>*> orphans;
+      std::vector<size_t> orphans;
       if (inflight) {
         std::lock_guard<std::mutex> lock(inflight->m);
         inflight->abandoned = true;
         for (size_t i = 0; i < inflight->reqs.size(); ++i) {
           if (inflight->resolved[i]) continue;
           inflight->resolved[i] = 1;
-          orphans.push_back(&inflight->reqs[i].promise);
-          const uint64_t tid = inflight->reqs[i].request.trace.id;
-          if (tid != 0) {
-            const int64_t t1 = obs::now_us();
-            const uint32_t f = obs::kError | obs::kWorkerLost;
-            const int code =
-                static_cast<int>(ForecastErrorCode::kWorkerLost);
-            trace_span(tid, "resolve", t1, t1, f, code);
-            trace_span(tid, "request",
-                       obs::to_us(inflight->reqs[i].enqueued), t1, f, code);
-          }
+          orphans.push_back(i);
         }
       }
-      bool restarted = false;
       {
         std::lock_guard<std::mutex> lock(workers_mutex_);
         if (restarts_left_ > 0) {
           --restarts_left_;
           spawn_worker_locked();
-          restarted = true;
+          c_worker_restarts_->inc();
         }
       }
-      {
-        obs::Registry::Group g(registry_);
-        c_worker_lost_->add(static_cast<int64_t>(orphans.size()));
-        c_failed_->add(static_cast<int64_t>(orphans.size()));
-        if (restarted) c_worker_restarts_->inc();
-      }
-      for (auto* p : orphans) {
-        p->set_exception(typed_error(
-            ForecastErrorCode::kWorkerLost,
-            "serving worker hung past the heartbeat timeout"));
+      for (size_t i : orphans) {
+        PendingRequest& req = inflight->reqs[i];
+        resolve_error(req, req.promise,
+                      typed_error(ForecastErrorCode::kWorkerLost,
+                                  "serving worker hung past the heartbeat "
+                                  "timeout"),
+                      c_worker_lost_);
       }
       seen.erase(w);
     }
@@ -1181,15 +1083,6 @@ std::promise<ForecastResult>* ForecastServer::claim(InFlightBatch& b,
   // watchdog and every worker path), so the caller may resolve it after
   // dropping b.m.
   return &b.reqs[i].promise;
-}
-
-bool ForecastServer::deliver_error(InFlightBatch& b, size_t i,
-                                   std::exception_ptr error,
-                                   obs::Counter* extra_counter) {
-  std::promise<ForecastResult>* p = claim(b, i);
-  if (p == nullptr) return false;
-  resolve_error(b.reqs[i], *p, std::move(error), extra_counter);
-  return true;
 }
 
 void ForecastServer::resolve_error(const PendingRequest& req,
@@ -1251,21 +1144,6 @@ void ForecastServer::deliver(const PendingRequest& req,
     trace_span(tid, "request", obs::to_us(req.enqueued), td, flags);
   }
   p.set_value(std::move(result));
-}
-
-void ForecastServer::deliver_hit(const PendingRequest& req,
-                                 std::promise<ForecastResult>& p,
-                                 ForecastCache::Probe& hit, bool take_frames,
-                                 int sharers, clock::time_point assembled) {
-  ForecastResult result;
-  result.frames = take_frames ? std::move(hit.frames) : hit.frames;
-  result.batch_size = 0;  // no forward ran for this request
-  result.sharers = sharers;
-  result.cache_hit = true;
-  result.verdict = hit.verdict;
-  result.verified = hit.verified;
-  // No forward span, by construction: the cache served this one.
-  deliver(req, p, std::move(result), assembled, obs::kCacheHit);
 }
 
 ServerStatsSnapshot ForecastServer::stats() const {

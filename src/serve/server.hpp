@@ -12,19 +12,23 @@
 ///                             ▼
 ///                        RequestQueue (bounded)
 ///                             │ pop_batch (max-batch / max-wait)
-///                        worker pool ──▶ deadline triage
-///                             │        ──▶ identical-episode collapse
-///                             │        ──▶ circuit-breaker admit
-///                             │        ──▶ forecast-cache probe (hits
-///                             │            inserted while queued return
-///                             │            with no forward; prefix hits
-///                             │            resume the chain)
-///                             │        ──▶ coalesced surrogate forward
-///                             │            (retries; one batch in flight
-///                             │             per model)
-///                             ├─▶ per-entry decode + verification
-///                             ├─▶ numerical-model fallback / degraded mode
-///                             └─▶ promise fan-out + ServerStats
+///                        worker pool, one batch at a time:
+///                          triage  ──▶ deadline check, identical-episode
+///                             │        collapse, circuit-breaker admit,
+///                             │        forecast-cache probe (hits inserted
+///                             │        while queued resolve here; prefix
+///                             │        hits set the chain's start episode)
+///                          compute ──▶ for each episode step e: one
+///                             │        stacked surrogate forward over every
+///                             │        live entry that starts at or before
+///                             │        e (retries; one forward in flight
+///                             │        per model), per-entry decode;
+///                             │        deadlines checked between attempts
+///                             │        and between steps
+///                          settle  ──▶ core::verify_or_fallback (or the
+///                             │        numerical route when degraded or
+///                             │        the entry failed), cache fill
+///                             └─▶ one sharer fan-out + ServerStats
 ///        watchdog ── heartbeats ──▶ retire hung worker, fail its batch
 ///                                   with kWorkerLost, spawn replacement
 ///
@@ -52,9 +56,9 @@
 /// code, so a run where no fault fires stays bitwise identical too.
 ///
 /// Steady-state serving performs zero heap allocations per episode: each
-/// worker wraps a served batch in a tensor::ArenaScope, so all episode
-/// tensors bump-allocate from recycled pooled chunks (also pinned in
-/// test_serve.cpp via alloc_stats().total_allocs).
+/// episode step's stacked forward runs in a tensor::ArenaScope, so all
+/// episode tensors bump-allocate from recycled pooled chunks (also pinned
+/// in test_serve.cpp via alloc_stats().total_allocs).
 
 #include <array>
 #include <atomic>
@@ -62,6 +66,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -226,7 +231,7 @@ class ForecastServer {
 
  private:
   /// A popped batch whose promises may be taken over by the watchdog.
-  /// All promise resolution goes through deliver_* under `m`, so a hung
+  /// All promise resolution goes through claim() under `m`, so a hung
   /// worker that later resumes can never double-resolve a request the
   /// watchdog already failed.
   struct InFlightBatch {
@@ -247,9 +252,33 @@ class ForecastServer {
     std::shared_ptr<InFlightBatch> inflight;  ///< guarded by m
   };
 
+  struct Entry;  ///< one distinct chain of a popped batch (server.cpp)
+  struct Batch;  ///< a popped batch's per-entry serving state (server.cpp)
+
   void worker_loop(WorkerState* state);
+  /// triage -> compute -> settle over one popped batch.
   void serve_batch(WorkerState* state,
                    const std::shared_ptr<InFlightBatch>& inflight);
+  /// Deadline check, coalescing, breaker admission, cache probe; delivers
+  /// hits and expired requests.  False when no entry needs compute.
+  bool triage(Batch& b);
+  /// The episode-step loop; false when the watchdog retired this worker.
+  bool compute(Batch& b);
+  /// One step's stacked forward (packed, retried, decoded) over `riders`.
+  bool run_step(Batch& b, int e, std::span<const size_t> riders);
+  /// Fail kDeadlineExceeded each unresolved entry of `us` whose every
+  /// sharer has expired; returns how many of `us` are still unresolved.
+  size_t expire(Batch& b, std::span<const size_t> us, const char* why);
+  /// Verify (or fall back), fill the cache, and fan every entry out.  An
+  /// entry whose sharers have all expired gets no numerical rerun.
+  void settle(Batch& b);
+  /// The one sharer fan-out: resolve every request of entry `u` with
+  /// `error` when set, else with `result` (the last sharer takes its
+  /// frames by move), and retire the entry.
+  void fan_out(Batch& b, size_t u, ForecastResult result,
+               std::exception_ptr error = nullptr,
+               obs::Counter* extra_counter = nullptr, uint32_t flags = 0,
+               const obs::TraceSpan* stage = nullptr);
   void watchdog_loop();
   /// Spawn a worker; caller holds workers_mutex_.
   WorkerState* spawn_worker_locked();
@@ -259,9 +288,6 @@ class ForecastServer {
   /// records stats BEFORE resolving the claimed promise — a client that
   /// observes its outcome must also observe it in stats().
   std::promise<ForecastResult>* claim(InFlightBatch& b, size_t i);
-  /// claim() + resolve_error() — the typed-failure fan-out helper.
-  bool deliver_error(InFlightBatch& b, size_t i, std::exception_ptr error,
-                     obs::Counter* extra_counter = nullptr);
   /// Resolve the claimed promise `p` of `req` with `error`: count it into
   /// the failed counter (and optionally one more) and record the
   /// error-tagged spans before setting the exception.
@@ -277,14 +303,6 @@ class ForecastServer {
                ForecastResult result,
                std::chrono::steady_clock::time_point assembled,
                uint32_t flags, const obs::TraceSpan* stage = nullptr);
-  /// deliver() the exact cache hit `hit` (batch_size 0, its stored
-  /// verdict) — for hits found at admission and by a worker alike.  An
-  /// admission hit passes its submit time as `assembled`, so it reports
-  /// queue_seconds 0; `take_frames` moves the frames out of `hit` (its
-  /// last sharer) instead of copying them.
-  void deliver_hit(const PendingRequest& req, std::promise<ForecastResult>& p,
-                   ForecastCache::Probe& hit, bool take_frames, int sharers,
-                   std::chrono::steady_clock::time_point assembled);
 
   std::vector<ModelSlot> models_;
   /// timed_mutex so a replacement worker can bound its wait on a slot a
@@ -296,6 +314,8 @@ class ForecastServer {
   const ocean::Grid* grid_;
   ServerConfig config_;
   std::optional<core::MassVerifier> verifier_;  ///< engaged when grid_ set
+  /// The numerical model behind config_.fallback (engaged with it).
+  std::optional<core::NumericalFallback> fallback_;
 
   /// Metrics registry.  Declared BEFORE cache_: the cache registers its
   /// counters here, so the registry must outlive it.  Mutable because

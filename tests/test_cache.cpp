@@ -510,3 +510,53 @@ TEST(ForecastCache, MixedStreamCountsOneOutcomePerProbedRequest) {
   EXPECT_GE(stats.cache_prefix_hits, 1u);
   EXPECT_GT(stats.cache_misses, 0u);
 }
+
+TEST(ForecastCache, ChainsStackIntoOneForwardPerEpisodeStep) {
+  auto& w = CacheWorld::instance();
+  FaultGuard guard;
+  constexpr int kEpisodes = 2;
+  // Three cold 2-episode chains plus one whose first episode is cached.
+  const std::vector<size_t> starts = {0, 1, 2, 3};
+  const size_t resumed_start = 3;
+  core::MassVerifier verifier(w.grid, /*threshold=*/10.0);
+  std::vector<std::vector<data::CenterFields>> ref;
+  std::vector<core::VerificationResult> ref_verdict;
+  for (size_t s : starts) {
+    ref.push_back(core::rollout(*w.model, w.spec, w.norm,
+                                w.window(s, kEpisodes), kEpisodes));
+    ref_verdict.push_back(verifier.check_sequence(
+        data::denormalized_copy(w.fields_norm[s], w.norm), ref.back(),
+        1800.0));
+  }
+
+  serve::ServerConfig cfg = w.config();
+  cfg.batch.max_batch = static_cast<int>(starts.size());
+  cfg.batch.max_wait_us = 500000;  // the four chains form one batch
+  serve::ForecastServer server({{w.model.get(), w.spec}}, w.norm, &w.grid,
+                               cfg);
+  ASSERT_FALSE(serve_one(server, w.request(resumed_start, 1)).cache_hit);
+
+  // A schedule that never fires, armed only to count serve.forward hits.
+  util::FaultInjector::instance().install("serve.forward:throw@0");
+  std::vector<std::future<serve::ForecastResult>> futures;
+  for (size_t s : starts) {
+    auto f = server.submit(w.request(s, kEpisodes));
+    ASSERT_TRUE(f.has_value());
+    futures.push_back(std::move(*f));
+  }
+  for (size_t k = 0; k < starts.size(); ++k) {
+    const serve::ForecastResult r = futures[k].get();
+    EXPECT_FALSE(r.cache_hit);
+    EXPECT_EQ(r.resumed_frames, starts[k] == resumed_start ? w.spec.T : 0);
+    expect_frames_bitwise(r.frames, ref[k]);
+    ASSERT_TRUE(r.verified);
+    ASSERT_EQ(r.verdict.mean_residual, ref_verdict[k].mean_residual);
+    ASSERT_EQ(r.verdict.max_residual, ref_verdict[k].max_residual);
+    ASSERT_EQ(r.verdict.pass, ref_verdict[k].pass);
+  }
+  // Step 0 stacks the three cold chains, step 1 all four: one forward per
+  // episode step, not one per chain.
+  EXPECT_EQ(util::FaultInjector::instance().site_stats("serve.forward").hits,
+            static_cast<uint64_t>(kEpisodes));
+  EXPECT_EQ(server.stats().cache_prefix_hits, 1u);
+}

@@ -696,3 +696,221 @@ TEST(Reliability, WarmCacheChaosBurstNeverServesPoisonedEntries) {
     expect_frames_bitwise(r.frames, ref[c]);
   }
 }
+
+TEST(Reliability, BreakerCountsOnlyTheEntriesOfAFailedForward) {
+  auto& w = ReliabilityWorld::instance();
+  FaultGuard guard;
+  auto& faults = util::FaultInjector::instance();
+  // The first batch parks at serve.worker; with seed 6, serve.forward
+  // fires on hit 1 alone of hits 0..2, so the first batch's forward
+  // succeeds and the second batch's fails.
+  faults.install("serve.worker:hang@1x1;serve.forward:throw@0.5", 6);
+  serve::ServerConfig cfg = reliable_config(w);
+  cfg.batch.max_batch = 2;
+  cfg.batch.max_wait_us = 200000;
+  cfg.reliability.retry.max_attempts = 1;
+  // One success then one failure stays below min_samples; one success
+  // then two failures (the miss and the hit counted together) trips.
+  cfg.reliability.breaker.window = 8;
+  cfg.reliability.breaker.min_samples = 3;
+  cfg.reliability.breaker.trip_rate = 0.5;
+  cfg.reliability.breaker.cooldown_us = 60'000'000;
+  serve::ForecastServer server({{w.model.get(), w.spec}}, w.norm, &w.grid,
+                               cfg);
+
+  auto first = server.submit(w.request(0));
+  ASSERT_TRUE(first.has_value());
+  for (int i = 0; i < 10000 && faults.parked() < 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(faults.parked(), 1) << "the worker never reached serve.worker";
+  // Queued behind the parked batch: a duplicate of window 0 (an admission
+  // miss, nothing is cached yet) and a cold window.  They form the second
+  // batch, where the duplicate is a worker-side exact hit.
+  auto dup = server.submit(w.request(0));
+  auto cold = server.submit(w.request(1));
+  ASSERT_TRUE(dup.has_value());
+  ASSERT_TRUE(cold.has_value());
+  faults.release_hangs();
+
+  EXPECT_FALSE(first->get().fallback);
+  const serve::ForecastResult hit = dup->get();
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(hit.batch_size, 0);
+  const serve::ForecastResult salvaged = cold->get();
+  EXPECT_TRUE(salvaged.fallback) << "the failed forward is salvaged";
+  EXPECT_FALSE(salvaged.degraded);
+
+  EXPECT_EQ(faults.site_stats("serve.forward").fires, 1u);
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.breaker_trips, 0u)
+      << "the hit never rode the failed forward, so it is no failure";
+  EXPECT_EQ(stats.breaker_open_slots, 0);
+  EXPECT_EQ(stats.served, 3u);
+}
+
+namespace {
+
+/// `episodes`-episode chain request starting at archive frame `start`.
+serve::ForecastRequest chain_request(const ReliabilityWorld& w, size_t start,
+                                     int episodes, int64_t timeout_us = 0) {
+  serve::ForecastRequest r = w.request(start, timeout_us);
+  const size_t frames = static_cast<size_t>(episodes * w.spec.T) + 1;
+  r.window.assign(
+      w.fields_norm.begin() + static_cast<ptrdiff_t>(start),
+      w.fields_norm.begin() + static_cast<ptrdiff_t>(start + frames));
+  return r;
+}
+
+}  // namespace
+
+TEST(Reliability, ChainRetryRerunsOnlyTheFailedStep) {
+  auto& w = ReliabilityWorld::instance();
+  constexpr int kEpisodes = 2;
+  const auto ref = core::rollout(
+      *w.model, w.spec, w.norm,
+      {w.fields_norm.data(), static_cast<size_t>(kEpisodes * w.spec.T) + 1},
+      kEpisodes);  // reference before arming
+
+  FaultGuard guard;
+  util::FaultInjector::instance().install("serve.forward:throw@1x1");
+  serve::ServerConfig cfg = reliable_config(w);
+  cfg.reliability.retry.max_attempts = 3;
+  cfg.reliability.retry.backoff_us = 200;
+  serve::ForecastServer server({{w.model.get(), w.spec}}, w.norm, &w.grid,
+                               cfg);
+  auto f = server.submit(chain_request(w, 0, kEpisodes));
+  ASSERT_TRUE(f.has_value());
+  const serve::ForecastResult r = f->get();
+  EXPECT_FALSE(r.fallback);
+  EXPECT_TRUE(r.verified);
+  expect_frames_bitwise(r.frames, ref);
+  EXPECT_EQ(server.stats().retries, 1u);
+  // Step 0 failed once and ran again, then step 1 ran: the retry re-ran
+  // one step's forward, not the chain.
+  EXPECT_EQ(util::FaultInjector::instance().site_stats("serve.forward").hits,
+            3u);
+}
+
+TEST(Reliability, ChainPastItsDeadlineFailsWithoutReachingTheFallback) {
+  auto& w = ReliabilityWorld::instance();
+  // The delay lands on the first step's forward (`x1`), or, with seed 6,
+  // on the second's alone (hit 1 of hits 0..2).  Either way the deadline
+  // passes inside a step and is caught before the next step or settle.
+  struct Case {
+    const char* schedule;
+    uint64_t seed;
+    uint64_t forwards;
+  };
+  for (const Case& c : {Case{"serve.forward:delay=800ms@1x1", 1, 1},
+                        Case{"serve.forward:delay=800ms@0.5", 6, 2}}) {
+    SCOPED_TRACE(c.schedule);
+    FaultGuard guard;
+    util::FaultInjector::instance().install(c.schedule, c.seed);
+    serve::ServerConfig cfg = reliable_config(w);
+    cfg.threshold = 0.0;  // any verified chain would fall back
+    serve::ForecastServer server({{w.model.get(), w.spec}}, w.norm, &w.grid,
+                                 cfg);
+    auto f = server.submit(chain_request(w, 0, 2, /*timeout_us=*/300000));
+    ASSERT_TRUE(f.has_value());
+    // Drain first, so the worker has dropped its share of the error before
+    // this thread reads it: libstdc++ counts exception references outside
+    // ThreadSanitizer's view, and a worker freeing the error after the read
+    // would be reported as a race.
+    server.shutdown();
+    try {
+      f->get();
+      ADD_FAILURE() << "a chain past its deadline must not resolve a value";
+    } catch (const serve::ForecastError& e) {
+      EXPECT_EQ(e.code(), serve::ForecastErrorCode::kDeadlineExceeded);
+    }
+    EXPECT_EQ(util::FaultInjector::instance().site_stats("serve.forward").hits,
+              c.forwards);
+    const auto stats = server.stats();
+    EXPECT_EQ(stats.fallbacks, 0u);
+    EXPECT_EQ(stats.deadline_expired, 1u);
+    EXPECT_EQ(stats.served, 0u);
+  }
+}
+
+TEST(Reliability, ProbeBatchPastItsDeadlineStillClosesTheBreaker) {
+  auto& w = ReliabilityWorld::instance();
+  // The probe's forward succeeds but its one request expires during it:
+  // on a 1-episode window after the only step, on a 2-episode chain
+  // between the steps (no entry is left to settle).  Either way the
+  // forward was healthy, so the breaker closes instead of staying
+  // half-open and degrading every later batch.
+  for (const int episodes : {1, 2}) {
+    SCOPED_TRACE(episodes);
+    FaultGuard guard;
+    auto& faults = util::FaultInjector::instance();
+    faults.install("serve.forward:throw@1x2");
+    serve::ServerConfig cfg = reliable_config(w);
+    cfg.reliability.retry.max_attempts = 1;
+    cfg.reliability.breaker.window = 4;
+    cfg.reliability.breaker.min_samples = 2;
+    cfg.reliability.breaker.trip_rate = 0.5;
+    cfg.reliability.breaker.cooldown_us = 200'000;
+    serve::ForecastServer server({{w.model.get(), w.spec}}, w.norm, &w.grid,
+                                 cfg);
+    for (size_t i = 0; i < 2; ++i) {
+      auto f = server.submit(w.request(i));
+      ASSERT_TRUE(f.has_value());
+      EXPECT_TRUE(f->get().fallback);
+    }
+    ASSERT_EQ(server.stats().breaker_trips, 1u);
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+    faults.install("serve.forward:delay=600ms@1x1");
+    auto probe =
+        server.submit(chain_request(w, 2, episodes, /*timeout_us=*/200000));
+    ASSERT_TRUE(probe.has_value());
+    probe->wait();
+    // One worker: the next batch starts after the probe batch has settled.
+    auto next = server.submit(w.request(5));
+    ASSERT_TRUE(next.has_value());
+    const serve::ForecastResult r = next->get();
+    EXPECT_FALSE(r.degraded) << "the breaker stayed half-open";
+    EXPECT_FALSE(r.fallback);
+    EXPECT_EQ(faults.site_stats("serve.forward").hits, 2u);
+    server.shutdown();  // see ChainPastItsDeadline: drain before the read
+    try {
+      probe->get();
+      ADD_FAILURE() << "the probe request expired during its forward";
+    } catch (const serve::ForecastError& e) {
+      EXPECT_EQ(e.code(), serve::ForecastErrorCode::kDeadlineExceeded);
+    }
+    const auto stats = server.stats();
+    EXPECT_EQ(stats.breaker_trips, 1u);
+    EXPECT_EQ(stats.breaker_open_slots, 0);
+    EXPECT_EQ(stats.degraded, 0u);
+  }
+}
+
+TEST(Reliability, WindowPastItsDeadlineAfterItsLastStepIsStillCached) {
+  auto& w = ReliabilityWorld::instance();
+  FaultGuard guard;
+  auto& faults = util::FaultInjector::instance();
+  faults.install("serve.forward:delay=600ms@1x1");
+  serve::ForecastServer server({{w.model.get(), w.spec}}, w.norm, &w.grid,
+                               reliable_config(w));
+  auto late = server.submit(w.request(0, /*timeout_us=*/200000));
+  ASSERT_TRUE(late.has_value());
+  late->wait();
+  // The finished forecast was verified and cached before delivery failed,
+  // so the client's retry of the same window is an admission hit.
+  auto retry = server.submit(w.request(0));
+  ASSERT_TRUE(retry.has_value());
+  const serve::ForecastResult r = retry->get();
+  EXPECT_TRUE(r.cache_hit);
+  EXPECT_TRUE(r.verified);
+  EXPECT_EQ(faults.site_stats("serve.forward").hits, 1u);
+  server.shutdown();  // see ChainPastItsDeadline: drain before the read
+  try {
+    late->get();
+    ADD_FAILURE() << "the first request expired during its forward";
+  } catch (const serve::ForecastError& e) {
+    EXPECT_EQ(e.code(), serve::ForecastErrorCode::kDeadlineExceeded);
+  }
+  EXPECT_EQ(server.stats().fallbacks, 0u);
+}
