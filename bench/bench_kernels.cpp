@@ -98,6 +98,39 @@ static void BM_BroadcastAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_BroadcastAdd)->Arg(128);
 
+// The decoder's non-GEMM hot spots at the surrogate's real shapes (patch
+// 5×5×2 on the 20×20×6 mesh, embed 8): the full-resolution GELU after
+// recover3d/bn3d, BatchNorm's move to channels-last, and its per-channel
+// [rows, C] ∘ [C] affine arithmetic.
+static void BM_Gelu(benchmark::State& state) {
+  util::Rng rng(10);
+  Tensor x = Tensor::randn({state.range(0)}, rng, 2.0f);
+  tensor::NoGradGuard ng;
+  for (auto _ : state) benchmark::DoNotOptimize(x.gelu().raw());
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Gelu)->Arg(76800);
+
+static void BM_PermuteToChannelsLast(benchmark::State& state) {
+  util::Rng rng(11);
+  Tensor x = Tensor::randn({4, 8, 20, 20, 6}, rng);
+  tensor::NoGradGuard ng;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(x.permute({0, 2, 3, 4, 1}).raw());
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_PermuteToChannelsLast);
+
+static void BM_BroadcastRowVector(benchmark::State& state) {
+  util::Rng rng(12);
+  Tensor x = Tensor::randn({9600, 8}, rng);
+  Tensor v = Tensor::randn({8}, rng);
+  tensor::NoGradGuard ng;
+  for (auto _ : state) benchmark::DoNotOptimize(x.sub(v).raw());
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_BroadcastRowVector);
+
 static void BM_SoftmaxLastDim(benchmark::State& state) {
   util::Rng rng(2);
   Tensor x = Tensor::randn({256, state.range(0)}, rng);

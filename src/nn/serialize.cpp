@@ -1,5 +1,6 @@
 #include "nn/serialize.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <map>
@@ -55,9 +56,18 @@ void load_parameters(Module& module, const std::string& path) {
   COASTAL_CHECK_MSG(magic == kMagic, path << " is not a parameter file");
   uint64_t count = 0;
   read_pod(in, count);
+  COASTAL_CHECK_MSG(in.good(), "truncated parameter file " << path);
 
+  // Sizes read from the file are bounded by the live model before they
+  // size an allocation: a corrupt header must fail with CheckError, not
+  // request gigabytes or throw bad_alloc.
   std::map<std::string, Tensor> live;
-  for (auto& [name, t] : all_state(module)) live.emplace(name, t);
+  size_t max_name = 0, max_rank = 0;
+  for (auto& [name, t] : all_state(module)) {
+    max_name = std::max(max_name, name.size());
+    max_rank = std::max(max_rank, t.ndim());
+    live.emplace(name, t);
+  }
   COASTAL_CHECK_MSG(count == live.size(),
                     "checkpoint has " << count << " entries, model has "
                                       << live.size());
@@ -65,12 +75,24 @@ void load_parameters(Module& module, const std::string& path) {
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t name_len = 0;
     read_pod(in, name_len);
+    COASTAL_CHECK_MSG(in.good(), "truncated parameter file " << path);
+    COASTAL_CHECK_MSG(name_len <= max_name,
+                      path << ": parameter name length " << name_len
+                           << " exceeds the longest model name ("
+                           << max_name << ")");
     std::string name(name_len, '\0');
     in.read(name.data(), static_cast<std::streamsize>(name_len));
+    COASTAL_CHECK_MSG(in.good(), "truncated parameter file " << path);
     uint64_t ndim = 0;
     read_pod(in, ndim);
+    COASTAL_CHECK_MSG(in.good(), "truncated parameter file " << path);
+    COASTAL_CHECK_MSG(ndim <= max_rank, path << ": rank " << ndim << " of "
+                                             << name
+                                             << " exceeds the model's largest ("
+                                             << max_rank << ")");
     tensor::Shape shape(ndim);
     for (auto& d : shape) read_pod(in, d);
+    COASTAL_CHECK_MSG(in.good(), "truncated parameter file " << path);
 
     auto it = live.find(name);
     COASTAL_CHECK_MSG(it != live.end(), "unknown parameter " << name);

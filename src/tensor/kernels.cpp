@@ -436,6 +436,39 @@ inline float fast_expf(float x) {
   return x != x ? x : r;       // preserve NaN
 }
 
+/// Branch-free erff for the GELU kernels, the erf counterpart of
+/// fast_expf: erf(x) = x·P(x²)/Q(x²) on the clamp [−4, 4], with an odd
+/// degree-13 numerator and an even degree-8 denominator (the rational
+/// minimax form Eigen and XLA use for float erf).  Absolute error ≲ 3e−7
+/// against double-precision erf, which bounds GELU's absolute error by
+/// 2e−6 on [−12, 12].  libm's erff is a call with range branches, which
+/// kept the whole GELU loop scalar; this vectorizes.
+///
+/// Semantics:
+///  * |x| ≥ 4 → exactly ±1 (erf(4) rounds to 1 in float), so ±Inf give
+///    ±1 and GELU(−Inf) = −Inf·0 = NaN, as with std::erf.
+///  * ±0 → ±0 (the odd numerator keeps the sign).
+///  * NaN → NaN (std::max/min keep a NaN first operand through both
+///    clamps, and the saturation select is false for NaN).
+inline float fast_erff(float x) {
+  const float c = std::min(std::max(x, -4.0f), 4.0f);
+  const float c2 = c * c;
+  float p = -2.72614225801306e-10f;
+  p = p * c2 + 2.77068142495902e-08f;
+  p = p * c2 - 2.10102402082508e-06f;
+  p = p * c2 - 5.69250639462346e-05f;
+  p = p * c2 - 7.34990630326855e-04f;
+  p = p * c2 - 2.95459980854025e-03f;
+  p = p * c2 - 1.60960333262415e-02f;
+  float q = -1.45660718464996e-05f;
+  q = q * c2 - 2.13374055278905e-04f;
+  q = q * c2 - 1.68282697438203e-03f;
+  q = q * c2 - 7.37332916720468e-03f;
+  q = q * c2 - 1.42647390514189e-02f;
+  const float r = std::min(std::max(c * p / q, -1.0f), 1.0f);
+  return std::fabs(x) >= 4.0f ? std::copysign(1.0f, x) : r;
+}
+
 /// Reduction lane count for the block max / row sum below — one AVX-512
 /// vector of floats.  Lane decomposition is fixed at compile time, so the
 /// (re)association pattern is identical on every host and thread count.
@@ -961,6 +994,60 @@ void layer_norm_backward_rows(const float* g, const float* gamma,
 // Data movement
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Eight floats as one generic vector: GCC/Clang lower the shuffles below
+/// to the target's permute instructions (AVX: one register per row) or to
+/// narrower pieces elsewhere, with no target-specific code here.
+typedef float Vec8 __attribute__((vector_size(32)));
+
+// Vec8 crosses these helpers by reference: by value its ABI depends on
+// whether AVX is enabled (GCC's -Wpsabi warning on portable builds).
+inline void load8(Vec8& v, const float* p) { std::memcpy(&v, p, sizeof(v)); }
+
+inline void store8(float* p, const Vec8& v) { std::memcpy(p, &v, sizeof(v)); }
+
+/// d[j·ld + i] = s[i·ls + j] for an 8×8 block: eight row loads, three
+/// rounds of two-input shuffles (interleave pairs, then quads, then
+/// halves), eight row stores.
+inline void transpose8x8(const float* s, int64_t ls, float* d, int64_t ld) {
+  Vec8 r0, r1, r2, r3, r4, r5, r6, r7;
+  load8(r0, s);
+  load8(r1, s + ls);
+  load8(r2, s + 2 * ls);
+  load8(r3, s + 3 * ls);
+  load8(r4, s + 4 * ls);
+  load8(r5, s + 5 * ls);
+  load8(r6, s + 6 * ls);
+  load8(r7, s + 7 * ls);
+  const Vec8 t0 = __builtin_shufflevector(r0, r1, 0, 8, 1, 9, 4, 12, 5, 13);
+  const Vec8 t1 = __builtin_shufflevector(r0, r1, 2, 10, 3, 11, 6, 14, 7, 15);
+  const Vec8 t2 = __builtin_shufflevector(r2, r3, 0, 8, 1, 9, 4, 12, 5, 13);
+  const Vec8 t3 = __builtin_shufflevector(r2, r3, 2, 10, 3, 11, 6, 14, 7, 15);
+  const Vec8 t4 = __builtin_shufflevector(r4, r5, 0, 8, 1, 9, 4, 12, 5, 13);
+  const Vec8 t5 = __builtin_shufflevector(r4, r5, 2, 10, 3, 11, 6, 14, 7, 15);
+  const Vec8 t6 = __builtin_shufflevector(r6, r7, 0, 8, 1, 9, 4, 12, 5, 13);
+  const Vec8 t7 = __builtin_shufflevector(r6, r7, 2, 10, 3, 11, 6, 14, 7, 15);
+  const Vec8 u0 = __builtin_shufflevector(t0, t2, 0, 1, 8, 9, 4, 5, 12, 13);
+  const Vec8 u1 = __builtin_shufflevector(t0, t2, 2, 3, 10, 11, 6, 7, 14, 15);
+  const Vec8 u2 = __builtin_shufflevector(t1, t3, 0, 1, 8, 9, 4, 5, 12, 13);
+  const Vec8 u3 = __builtin_shufflevector(t1, t3, 2, 3, 10, 11, 6, 7, 14, 15);
+  const Vec8 u4 = __builtin_shufflevector(t4, t6, 0, 1, 8, 9, 4, 5, 12, 13);
+  const Vec8 u5 = __builtin_shufflevector(t4, t6, 2, 3, 10, 11, 6, 7, 14, 15);
+  const Vec8 u6 = __builtin_shufflevector(t5, t7, 0, 1, 8, 9, 4, 5, 12, 13);
+  const Vec8 u7 = __builtin_shufflevector(t5, t7, 2, 3, 10, 11, 6, 7, 14, 15);
+  store8(d, __builtin_shufflevector(u0, u4, 0, 1, 2, 3, 8, 9, 10, 11));
+  store8(d + ld, __builtin_shufflevector(u1, u5, 0, 1, 2, 3, 8, 9, 10, 11));
+  store8(d + 2 * ld, __builtin_shufflevector(u2, u6, 0, 1, 2, 3, 8, 9, 10, 11));
+  store8(d + 3 * ld, __builtin_shufflevector(u3, u7, 0, 1, 2, 3, 8, 9, 10, 11));
+  store8(d + 4 * ld, __builtin_shufflevector(u0, u4, 4, 5, 6, 7, 12, 13, 14, 15));
+  store8(d + 5 * ld, __builtin_shufflevector(u1, u5, 4, 5, 6, 7, 12, 13, 14, 15));
+  store8(d + 6 * ld, __builtin_shufflevector(u2, u6, 4, 5, 6, 7, 12, 13, 14, 15));
+  store8(d + 7 * ld, __builtin_shufflevector(u3, u7, 4, 5, 6, 7, 12, 13, 14, 15));
+}
+
+}  // namespace
+
 void transpose_last2(const float* src, float* dst, int64_t nbatch,
                      int64_t rows, int64_t cols) {
   constexpr int64_t kTile = 32;
@@ -974,7 +1061,17 @@ void transpose_last2(const float* src, float* dst, int64_t nbatch,
       float* d = dst + b * rows * cols;
       for (int64_t j0 = 0; j0 < cols; j0 += kTile) {
         const int64_t j1 = std::min(cols, j0 + kTile);
-        for (int64_t i = i0; i < i1; ++i)
+        // 8×8 register blocks, then the ragged column and row edges.
+        int64_t i = i0;
+        for (; i + 8 <= i1; i += 8) {
+          int64_t j = j0;
+          for (; j + 8 <= j1; j += 8)
+            transpose8x8(s + i * cols + j, cols, d + j * rows + i, rows);
+          for (; j < j1; ++j)
+            for (int64_t ii = i; ii < i + 8; ++ii)
+              d[j * rows + ii] = s[ii * cols + j];
+        }
+        for (; i < i1; ++i)
           for (int64_t j = j0; j < j1; ++j) d[j * rows + i] = s[i * cols + j];
       }
     }
@@ -983,35 +1080,53 @@ void transpose_last2(const float* src, float* dst, int64_t nbatch,
 
 namespace {
 
-/// Incremental odometer over `shape` tracking a strided offset; O(1)
-/// amortized per step with no per-element stride dot product.
-struct StridedCursor {
-  const Shape& shape;
-  const Shape& strides;
-  std::vector<int64_t> coords;
-  int64_t offset = 0;
-
-  StridedCursor(const Shape& s, const Shape& st, int64_t linear)
-      : shape(s), strides(st), coords(s.size(), 0) {
-    for (size_t i = s.size(); i-- > 0;) {
-      if (linear == 0) break;
-      coords[i] = linear % s[i];
-      linear /= s[i];
-      offset += coords[i] * st[i];
+/// Coalesces `shape` under one stride set (`sb` null) or two: drops
+/// size-1 axes, then merges each axis into its predecessor wherever every
+/// stride set steps contiguously across the pair (s[i−1] == s[i]·d[i]), so
+/// the merged axis visits the same addresses in the same order.  The
+/// results go into `dims` / `ca` / `cb` (workspace vectors: no allocation
+/// once warm).  A row-major output stays row-major under both rules, so
+/// linear output indices are unchanged.
+void coalesce_axes(const Shape& shape, const Shape& sa, const Shape* sb,
+                   std::vector<int64_t>& dims, std::vector<int64_t>& ca,
+                   std::vector<int64_t>& cb) {
+  dims.clear();
+  ca.clear();
+  cb.clear();
+  for (size_t i = 0; i < shape.size(); ++i) {
+    const int64_t d = shape[i];
+    if (d == 1) continue;
+    const int64_t b = sb ? (*sb)[i] : 0;
+    if (!dims.empty() && ca.back() == sa[i] * d &&
+        (!sb || cb.back() == b * d)) {
+      dims.back() *= d;
+      ca.back() = sa[i];
+      if (sb) cb.back() = b;
+      continue;
     }
+    dims.push_back(d);
+    ca.push_back(sa[i]);
+    if (sb) cb.push_back(b);
   }
+}
 
-  /// Advance by one position over the axes [0, naxes) — callers that
-  /// handle the last axis with an inner loop pass naxes = ndim-1.
-  void next(size_t naxes) {
-    for (size_t i = naxes; i-- > 0;) {
-      offset += strides[i];
-      if (++coords[i] < shape[i]) return;
-      offset -= strides[i] * shape[i];
-      coords[i] = 0;
-    }
+/// Offset of outer index `o` over axes [0, k) of `dims` under `strides`.
+inline int64_t outer_offset(int64_t o, const int64_t* dims,
+                            const int64_t* strides, size_t k) {
+  int64_t off = 0;
+  for (size_t i = k; i-- > 0;) {
+    off += (o % dims[i]) * strides[i];
+    o /= dims[i];
   }
-};
+  return off;
+}
+
+/// An innermost contiguous run at least this long is copied as a row
+/// (memcpy); shorter or strided ones (the model's 2–8-float rows,
+/// channels-last moves) are gathered per element.
+constexpr int64_t kRunMin = 16;
+/// Entries of permute_gather's offset table: 16 KB, L1-resident.
+constexpr int64_t kTableMax = 2048;
 
 }  // namespace
 
@@ -1019,26 +1134,74 @@ void permute_gather(const float* src, float* dst, const Shape& out_shape,
                     const Shape& gather_strides) {
   const int64_t total = tensor::numel(out_shape);
   if (total == 0) return;
-  if (out_shape.empty()) {
-    dst[0] = src[0];
+  Workspace& ws = workspace();
+  std::vector<int64_t>& d = ws.move_dims;
+  std::vector<int64_t>& s = ws.move_sa;
+  coalesce_axes(out_shape, gather_strides, nullptr, d, s, ws.move_sb);
+  const size_t n = d.size();
+
+  // Identity: one contiguous run (or a single element).
+  if (n == 0 || (n == 1 && s[0] == 1)) {
+    std::memcpy(dst, src, static_cast<size_t>(total) * sizeof(float));
     return;
   }
-  const size_t nd = out_shape.size();
-  const int64_t inner = out_shape[nd - 1];
-  const int64_t s_last = gather_strides[nd - 1];
-  const int64_t outer = total / std::max<int64_t>(1, inner);
-  parallel_for(outer, inner, [&](int64_t lo, int64_t hi) {
-    StridedCursor cur(out_shape, gather_strides, lo * inner);
-    float* out = dst + lo * inner;
+  // Batched 2-D transpose [nb, Y, X] <- dense [nb, X, Y]: the tiled kernel.
+  if (n == 2 && s[0] == 1 && s[1] == d[0]) {
+    transpose_last2(src, dst, 1, d[1], d[0]);
+    return;
+  }
+  if (n == 3 && s[1] == 1 && s[2] == d[1] && s[0] == d[1] * d[2]) {
+    transpose_last2(src, dst, d[0], d[2], d[1]);
+    return;
+  }
+
+  // General gather.  A trailing block of axes is laid out once as a table
+  // of source offsets and each outer index copies a whole block through
+  // it, so short innermost rows (the model's are 2–8 floats) cost one
+  // table load per element and no per-row index arithmetic.  A long
+  // contiguous innermost run, or one too long for the table, is copied as
+  // a row instead (`rows`): the table then holds row offsets.
+  const int64_t row_stride = s[n - 1];
+  const bool rows = (row_stride == 1 && d[n - 1] >= kRunMin) ||
+                    d[n - 1] > kTableMax;
+  const size_t end = rows ? n - 1 : n;
+  size_t k = end;
+  for (int64_t entries = 1; k > 0 && entries * d[k - 1] <= kTableMax; --k)
+    entries *= d[k - 1];
+  std::vector<int64_t>& table = ws.move_table;
+  table.assign(1, 0);
+  for (size_t i = end; i-- > k;) {
+    // Prepend axis i: entry c·m + j = c·s[i] + entry j.
+    const size_t m = table.size();
+    table.resize(m * static_cast<size_t>(d[i]));
+    for (int64_t c = 1; c < d[i]; ++c)
+      for (size_t j = 0; j < m; ++j)
+        table[static_cast<size_t>(c) * m + j] = table[j] + c * s[i];
+  }
+
+  const int64_t row_len = rows ? d[n - 1] : 1;
+  const int64_t entries = static_cast<int64_t>(table.size());
+  const int64_t block = entries * row_len;
+  const int64_t* tab = table.data();
+  const int64_t* dd = d.data();
+  const int64_t* ss = s.data();
+  parallel_for(total / block, block, [&](int64_t lo, int64_t hi) {
     for (int64_t o = lo; o < hi; ++o) {
-      const float* base = src + cur.offset;
-      if (s_last == 1) {
-        std::memcpy(out, base, static_cast<size_t>(inner) * sizeof(float));
+      const float* base = src + outer_offset(o, dd, ss, k);
+      float* out = dst + o * block;
+      if (!rows) {
+        for (int64_t t = 0; t < entries; ++t) out[t] = base[tab[t]];
+      } else if (row_stride == 1) {
+        for (int64_t t = 0; t < entries; ++t)
+          std::memcpy(out + t * row_len, base + tab[t],
+                      static_cast<size_t>(row_len) * sizeof(float));
       } else {
-        for (int64_t c = 0; c < inner; ++c) out[c] = base[c * s_last];
+        for (int64_t t = 0; t < entries; ++t) {
+          const float* row = base + tab[t];
+          float* o_row = out + t * row_len;
+          for (int64_t c = 0; c < row_len; ++c) o_row[c] = row[c * row_stride];
+        }
       }
-      out += inner;
-      cur.next(nd - 1);
     }
   });
 }
@@ -1057,40 +1220,83 @@ void binary_same_apply(const float* a, const float* b, float* out, int64_t n,
   });
 }
 
+/// Elements one broadcast task covers: whole rows of the inner 2-D block
+/// up to this size, or column chunks of it when a row is longer.
+constexpr int64_t kTileElems = 1024;
+
+/// Broadcast over the coalesced axes: the last two form an inner [R, C]
+/// block, the rest are outer.  Tasks are (outer index, row tile, column
+/// chunk) triples, each locating its operands by index arithmetic once.
+/// Every output element is `fn` of the same two inputs as under the
+/// uncoalesced walk, so the results are bitwise those of the reference
+/// loop.
 template <typename Fn>
 void binary_broadcast_apply(const float* a, const float* b, float* out,
                             const Shape& out_shape, const Shape& sa,
                             const Shape& sb, Fn fn) {
   const int64_t total = tensor::numel(out_shape);
   if (total == 0) return;
-  const size_t nd = out_shape.size();
-  const int64_t inner = nd ? out_shape[nd - 1] : 1;
-  const int64_t sa_last = nd ? sa[nd - 1] : 0;
-  const int64_t sb_last = nd ? sb[nd - 1] : 0;
-  const int64_t outer = total / std::max<int64_t>(1, inner);
-  parallel_for(outer, inner, [&](int64_t lo, int64_t hi) {
-    StridedCursor ca(out_shape, sa, lo * inner);
-    StridedCursor cb(out_shape, sb, lo * inner);
-    float* o = out + lo * inner;
-    for (int64_t r = lo; r < hi; ++r) {
-      const float* pa = a + ca.offset;
-      const float* pb = b + cb.offset;
-      if (sa_last == 1 && sb_last == 1) {
-        for (int64_t c = 0; c < inner; ++c) o[c] = fn(pa[c], pb[c]);
-      } else if (sa_last == 1 && sb_last == 0) {
-        const float bv = pb[0];
-        for (int64_t c = 0; c < inner; ++c) o[c] = fn(pa[c], bv);
-      } else if (sa_last == 0 && sb_last == 1) {
-        const float av = pa[0];
-        for (int64_t c = 0; c < inner; ++c) o[c] = fn(av, pb[c]);
-      } else {
-        for (int64_t c = 0; c < inner; ++c)
-          o[c] = fn(pa[c * sa_last], pb[c * sb_last]);
+  Workspace& ws = workspace();
+  std::vector<int64_t>& d = ws.move_dims;
+  std::vector<int64_t>& da = ws.move_sa;
+  std::vector<int64_t>& db = ws.move_sb;
+  coalesce_axes(out_shape, sa, &sb, d, da, db);
+  const size_t n = d.size();
+  const int64_t C = n >= 1 ? d[n - 1] : 1;
+  const int64_t a_c = n >= 1 ? da[n - 1] : 0, b_c = n >= 1 ? db[n - 1] : 0;
+  const int64_t R = n >= 2 ? d[n - 2] : 1;
+  const int64_t a_r = n >= 2 ? da[n - 2] : 0, b_r = n >= 2 ? db[n - 2] : 0;
+  const size_t k = n >= 2 ? n - 2 : 0;
+  const int64_t tile = std::clamp<int64_t>(kTileElems / C, 1, R);
+  const int64_t ccols = std::min(C, kTileElems);
+  const int64_t rtiles = ceil_div(R, tile), ctiles = ceil_div(C, ccols);
+
+  // Contiguous rows ∘ one row vector shared by every row (BatchNorm's
+  // [rows, C] ∘ [C]): the vector is replicated `tile` times into the
+  // workspace so a whole tile is one flat loop the compiler vectorizes,
+  // where a C-long loop per row would pay loop overhead every 2–8 floats.
+  bool row_vec = tile > 1 && a_c == 1 && a_r == C && b_c == 1 && b_r == 0;
+  for (size_t i = 0; i < k && row_vec; ++i) row_vec = db[i] == 0;
+  if (row_vec) {
+    ws.move_row.resize(static_cast<size_t>(tile * C));
+    for (int64_t r = 0; r < tile; ++r)
+      std::memcpy(ws.move_row.data() + r * C, b,
+                  static_cast<size_t>(C) * sizeof(float));
+  }
+  const float* rep = ws.move_row.data();
+
+  const int64_t* dd = d.data();
+  const int64_t* pda = da.data();
+  const int64_t* pdb = db.data();
+  const int64_t tasks = total / (R * C) * rtiles * ctiles;
+  parallel_for(tasks, tile * ccols, [&](int64_t lo, int64_t hi) {
+    for (int64_t t = lo; t < hi; ++t) {
+      const int64_t c0 = (t % ctiles) * ccols;
+      const int64_t c1 = std::min(C, c0 + ccols);
+      const int64_t r0 = (t / ctiles % rtiles) * tile;
+      const int64_t r1 = std::min(R, r0 + tile);
+      const int64_t o = t / (ctiles * rtiles);
+      const float* pa = a + outer_offset(o, dd, pda, k) + r0 * a_r + c0 * a_c;
+      const float* pb = b + outer_offset(o, dd, pdb, k) + r0 * b_r + c0 * b_c;
+      float* po = out + (o * R + r0) * C + c0;
+      if (row_vec) {
+        const int64_t m = (r1 - r0) * C;
+        for (int64_t j = 0; j < m; ++j) po[j] = fn(pa[j], rep[j]);
+        continue;
       }
-      o += inner;
-      if (nd) {
-        ca.next(nd - 1);
-        cb.next(nd - 1);
+      const int64_t w = c1 - c0;
+      for (int64_t r = r0; r < r1; ++r, pa += a_r, pb += b_r, po += C) {
+        if (a_c == 1 && b_c == 1) {
+          for (int64_t c = 0; c < w; ++c) po[c] = fn(pa[c], pb[c]);
+        } else if (a_c == 1 && b_c == 0) {
+          const float bv = pb[0];
+          for (int64_t c = 0; c < w; ++c) po[c] = fn(pa[c], bv);
+        } else if (a_c == 0 && b_c == 1) {
+          const float av = pa[0];
+          for (int64_t c = 0; c < w; ++c) po[c] = fn(av, pb[c]);
+        } else {
+          for (int64_t c = 0; c < w; ++c) po[c] = fn(pa[c * a_c], pb[c * b_c]);
+        }
       }
     }
   });
@@ -1143,6 +1349,33 @@ void map(const float* x, float* out, int64_t n, int64_t cost,
          const std::function<void(const float*, float*, int64_t)>& fn) {
   parallel_for(n, cost, [&](int64_t lo, int64_t hi) {
     fn(x + lo, out + lo, hi - lo);
+  });
+}
+
+namespace {
+
+constexpr float kInvSqrt2 = 0.7071067811865475f;
+constexpr float kInvSqrt2Pi = 0.3989422804014327f;
+/// Per-element cost hint of the GELU loops (as for the unary maps).
+constexpr int64_t kGeluCost = 8;
+
+}  // namespace
+
+void gelu(const float* x, float* y, int64_t n) {
+  parallel_for(n, kGeluCost, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i)
+      y[i] = 0.5f * x[i] * (1.0f + fast_erff(x[i] * kInvSqrt2));
+  });
+}
+
+void gelu_backward(const float* g, const float* x, float* gx, int64_t n) {
+  parallel_for(n, kGeluCost, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      const float v = x[i];
+      const float cdf = 0.5f * (1.0f + fast_erff(v * kInvSqrt2));
+      const float pdf = kInvSqrt2Pi * fast_expf(-0.5f * v * v);
+      gx[i] = g[i] * (cdf + v * pdf);
+    }
   });
 }
 

@@ -51,7 +51,7 @@ inline Shape broadcast_shapes(const Shape& a, const Shape& b) {
     COASTAL_CHECK_MSG(da == db || da == 1 || db == 1,
                       "cannot broadcast " << shape_str(a) << " with "
                                           << shape_str(b));
-    out[i] = std::max(da, db);
+    out[i] = da == 1 ? db : da;  // a size-1 axis stretches, even to 0
   }
   return out;
 }

@@ -191,6 +191,15 @@ struct Workspace {
   std::vector<int64_t> off_a;
   std::vector<int64_t> off_b;
   std::vector<int64_t> mask_off;
+  // Data movement (permute_gather / binary_broadcast): the coalesced axis
+  // extents and strides, permute_gather's block offset table, and
+  // binary_broadcast's replicated row operand.  Filled by the calling
+  // thread and only read by the parallel tasks it dispatches.
+  std::vector<int64_t> move_dims;
+  std::vector<int64_t> move_sa;
+  std::vector<int64_t> move_sb;
+  std::vector<int64_t> move_table;
+  std::vector<float> move_row;
 
   /// Bytes currently retained by this thread's workspace.
   size_t bytes() const;

@@ -434,18 +434,16 @@ Tensor Tensor::relu() const {
 }
 
 Tensor Tensor::gelu() const {
-  constexpr float kInvSqrt2 = 0.7071067811865475f;
-  constexpr float kInvSqrt2Pi = 0.3989422804014327f;
-  return unary_op(
-      *this, "gelu",
-      [](float x) {
-        return 0.5f * x * (1.0f + std::erf(x * kInvSqrt2));
-      },
-      [](float g, float x) {
-        const float cdf = 0.5f * (1.0f + std::erf(x * kInvSqrt2));
-        const float pdf = kInvSqrt2Pi * std::exp(-0.5f * x * x);
-        return g * (cdf + x * pdf);
-      });
+  Storage out = Storage::uninit(numel());
+  kernels::gelu(raw(), out.data(), numel());
+  Tensor x = *this;
+  return make_result(shape(), std::move(out), "gelu", {x},
+                     [x](const Tensor& g) -> std::vector<Tensor> {
+                       Storage gx = Storage::uninit(g.numel());
+                       kernels::gelu_backward(g.raw(), x.raw(), gx.data(),
+                                              g.numel());
+                       return {Tensor::from_storage(x.shape(), std::move(gx))};
+                     });
 }
 
 Tensor Tensor::abs() const {
@@ -670,25 +668,9 @@ Tensor Tensor::permute(const std::vector<size_t>& perm) const {
   Shape gather_str(ndim());
   for (size_t i = 0; i < ndim(); ++i) gather_str[i] = in_str[perm[i]];
 
-  // Last-two-axes swap (the transpose_last pattern dominating attention)
-  // gets a blocked tile transpose; anything else takes the generic
-  // incremental gather.
-  bool last_two_swap = ndim() >= 2;
-  for (size_t i = 0; last_two_swap && i + 2 < ndim(); ++i)
-    last_two_swap = perm[i] == i;
-  last_two_swap = last_two_swap && ndim() >= 2 &&
-                  perm[ndim() - 2] == ndim() - 1 &&
-                  perm[ndim() - 1] == ndim() - 2;
-
+  // The kernel picks the route (memcpy, tiled transpose, table gather).
   Storage out = Storage::uninit(numel());
-  if (last_two_swap && numel() > 0) {
-    const int64_t rows = shape()[ndim() - 2];
-    const int64_t cols = shape()[ndim() - 1];
-    kernels::transpose_last2(raw(), out.data(), numel() / (rows * cols),
-                             rows, cols);
-  } else {
-    kernels::permute_gather(raw(), out.data(), out_shape, gather_str);
-  }
+  kernels::permute_gather(raw(), out.data(), out_shape, gather_str);
 
   std::vector<size_t> inv(ndim());
   for (size_t i = 0; i < ndim(); ++i) inv[perm[i]] = i;

@@ -8,6 +8,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <vector>
 
 #include "nn/attention.hpp"
 #include "nn/checkpoint.hpp"
@@ -143,6 +145,9 @@ TEST(Kernels, SerialAndParallelResultsAreBitwiseIdentical) {
   Tensor beta = Tensor::randn({130}, rng);
   Tensor big = Tensor::randn({5, 33, 65}, rng);
   Tensor bias = Tensor::randn({1, 33, 1}, rng);
+  Tensor tokens = Tensor::randn({4, 4, 4, 3, 8, 5, 5, 2}, rng);
+  Tensor rows = Tensor::randn({9600, 8}, rng);
+  Tensor channel = Tensor::randn({8}, rng);
   tensor::NoGradGuard ng;
 
   auto run_all = [&] {
@@ -154,6 +159,8 @@ TEST(Kernels, SerialAndParallelResultsAreBitwiseIdentical) {
     r.push_back(big.permute({2, 0, 1}));
     r.push_back(big.add(bias));
     r.push_back(big.exp());
+    r.push_back(tokens.permute({0, 4, 1, 5, 2, 6, 3, 7}));  // tokens_to_blocks
+    r.push_back(rows.add(channel));                        // BatchNorm affine
     return r;
   };
 
@@ -937,4 +944,255 @@ TEST(Kernels, MatmulGradcheckThroughBlockedKernel) {
       [&](const Tensor& t) { return t.matmul(b).sum(); }, a);
   coastal::testing::gradcheck(
       [&](const Tensor& t) { return a.matmul(t).mul_scalar(0.5f).sum(); }, b);
+}
+
+namespace {
+
+/// CoordIter reference for permute_gather: out[k] = src[coords(k)·strides].
+std::vector<float> reference_gather(const float* src, const Shape& out_shape,
+                                    const Shape& strides) {
+  std::vector<float> out;
+  if (tensor::numel(out_shape) == 0) return out;
+  tensor::CoordIter it(out_shape);
+  do {
+    out.push_back(src[tensor::dot_strides(it.coords(), strides)]);
+  } while (it.next());
+  return out;
+}
+
+/// CoordIter reference for binary_broadcast.
+std::vector<float> reference_broadcast(ker::BinOp op, const float* a,
+                                       const float* b, const Shape& out_shape,
+                                       const Shape& sa, const Shape& sb) {
+  std::vector<float> out;
+  if (tensor::numel(out_shape) == 0) return out;
+  tensor::CoordIter it(out_shape);
+  do {
+    const float x = a[tensor::dot_strides(it.coords(), sa)];
+    const float y = b[tensor::dot_strides(it.coords(), sb)];
+    switch (op) {
+      case ker::BinOp::kAdd: out.push_back(x + y); break;
+      case ker::BinOp::kSub: out.push_back(x - y); break;
+      case ker::BinOp::kMul: out.push_back(x * y); break;
+      case ker::BinOp::kDiv: out.push_back(x / y); break;
+    }
+  } while (it.next());
+  return out;
+}
+
+bool bitwise_equal(const std::vector<float>& want, const float* got) {
+  return want.empty() ||
+         std::memcmp(want.data(), got, want.size() * sizeof(float)) == 0;
+}
+
+/// permute_gather of a dense tensor of `in_shape` under `perm`, checked
+/// bit for bit against the reference.
+void expect_permute_matches(const Shape& in_shape,
+                            const std::vector<size_t>& perm, util::Rng& rng) {
+  std::vector<float> src(static_cast<size_t>(tensor::numel(in_shape)));
+  for (auto& x : src) x = static_cast<float>(rng.normal());
+  const Shape in_str = tensor::strides_of(in_shape);
+  Shape out_shape(perm.size()), gstr(perm.size());
+  for (size_t i = 0; i < perm.size(); ++i) {
+    out_shape[i] = in_shape[perm[i]];
+    gstr[i] = in_str[perm[i]];
+  }
+  const std::vector<float> want = reference_gather(src.data(), out_shape, gstr);
+  std::vector<float> got(want.size() + 1, -7.0f);  // +1: overrun sentinel
+  ker::permute_gather(src.data(), got.data(), out_shape, gstr);
+  EXPECT_TRUE(bitwise_equal(want, got.data()))
+      << "permute of " << tensor::shape_str(in_shape);
+  EXPECT_EQ(got.back(), -7.0f) << "wrote past " << tensor::shape_str(out_shape);
+}
+
+/// binary_broadcast of a ∘ b (numpy broadcast), all four ops, checked bit
+/// for bit against the reference.
+void expect_broadcast_matches(const Shape& a_shape, const Shape& b_shape,
+                              util::Rng& rng) {
+  Tensor a = Tensor::randn(a_shape, rng);
+  Tensor b = Tensor::randn(b_shape, rng);
+  const Shape out_shape = tensor::broadcast_shapes(a_shape, b_shape);
+  const Shape sa = tensor::broadcast_strides(a_shape, out_shape);
+  const Shape sb = tensor::broadcast_strides(b_shape, out_shape);
+  for (ker::BinOp op : {ker::BinOp::kAdd, ker::BinOp::kSub, ker::BinOp::kMul,
+                        ker::BinOp::kDiv}) {
+    const std::vector<float> want =
+        reference_broadcast(op, a.raw(), b.raw(), out_shape, sa, sb);
+    std::vector<float> got(want.size() + 1, -7.0f);
+    ker::binary_broadcast(op, a.raw(), b.raw(), got.data(), out_shape, sa, sb);
+    EXPECT_TRUE(bitwise_equal(want, got.data()))
+        << tensor::shape_str(a_shape) << " op" << static_cast<int>(op) << " "
+        << tensor::shape_str(b_shape);
+    EXPECT_EQ(got.back(), -7.0f);
+  }
+}
+
+}  // namespace
+
+TEST(Kernels, PermuteGatherMatchesCoordIterBitwiseOnModelShapes) {
+  util::Rng rng(60);
+  // tokens_to_blocks' 8-axis scatter and its inverse (patch 5×5×2 over
+  // the 20×20×6 mesh, embed 8, B·T = 4).
+  expect_permute_matches({4, 4, 4, 3, 8, 5, 5, 2}, {0, 4, 1, 5, 2, 6, 3, 7},
+                         rng);
+  expect_permute_matches({4, 8, 4, 5, 4, 5, 3, 2}, {0, 2, 4, 6, 1, 3, 5, 7},
+                         rng);
+  // BatchNorm's move to channels-last and back (batched 2-D transposes).
+  expect_permute_matches({4, 8, 20, 20, 6}, {0, 2, 3, 4, 1}, rng);
+  expect_permute_matches({4, 20, 20, 6, 8}, {0, 4, 1, 2, 3}, rng);
+  // window_partition's and window_reverse's 10-axis permutes.
+  expect_permute_matches({1, 16, 2, 4, 2, 4, 2, 2, 2, 2},
+                         {0, 2, 4, 6, 8, 3, 5, 7, 9, 1}, rng);
+  expect_permute_matches({1, 2, 2, 2, 2, 4, 4, 2, 2, 16},
+                         {0, 9, 1, 5, 2, 6, 3, 7, 4, 8}, rng);
+  // transpose_last on ragged tiles, a plain identity, and rank 0.
+  expect_permute_matches({3, 33, 65}, {0, 2, 1}, rng);
+  expect_permute_matches({7, 9}, {1, 0}, rng);
+  expect_permute_matches({5, 1, 6}, {1, 0, 2}, rng);
+  expect_permute_matches({}, {}, rng);
+
+  // split_qkv_head's strided gather from a [B, N, 3C] buffer, and a
+  // gather whose long innermost run is copied row by row.
+  const int64_t B = 2, N = 64, C = 16, heads = 2, hd = 8;
+  std::vector<float> qkv(static_cast<size_t>(B * N * 3 * C));
+  for (auto& x : qkv) x = static_cast<float>(rng.normal());
+  for (int64_t which = 0; which < 3; ++which) {
+    const Shape out{B, heads, N, hd}, st{N * 3 * C, hd, 3 * C, 1};
+    const auto want = reference_gather(qkv.data() + which * C, out, st);
+    std::vector<float> got(want.size());
+    ker::permute_gather(qkv.data() + which * C, got.data(), out, st);
+    EXPECT_TRUE(bitwise_equal(want, got.data())) << "qkv slice " << which;
+  }
+  // A gather whose long innermost run is copied row by row, transposes
+  // whose batches sit apart in the source (not the dense [nb, X, Y] the
+  // tiled route requires), and a strided innermost axis too long for the
+  // offset table.
+  struct Strided {
+    Shape out, strides;
+    int64_t src_len;
+  };
+  const Strided strided[] = {{{3, 4, 40}, {40, 120, 1}, 480},
+                             {{3, 5, 7}, {40, 1, 5}, 120},
+                             {{3, 5, 7}, {35, 1, 6}, 147},
+                             {{5, 7}, {1, 6}, 42},
+                             {{2, 3000}, {1, 3}, 9000}};
+  for (const auto& c : strided) {
+    std::vector<float> src(static_cast<size_t>(c.src_len));
+    for (auto& x : src) x = static_cast<float>(rng.normal());
+    const auto want = reference_gather(src.data(), c.out, c.strides);
+    std::vector<float> got(want.size());
+    ker::permute_gather(src.data(), got.data(), c.out, c.strides);
+    EXPECT_TRUE(bitwise_equal(want, got.data()))
+        << tensor::shape_str(c.out) << " strides "
+        << tensor::shape_str(c.strides);
+  }
+}
+
+TEST(Kernels, PermuteGatherMatchesCoordIterBitwiseOnRandomShapes) {
+  util::Rng rng(61);
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t rank = rng.uniform_index(11);  // 0–10
+    Shape shape(rank);
+    int64_t budget = 20000;
+    for (auto& d : shape) {
+      // Mostly small extents, with size-1 axes common and size-0 rare.
+      const uint64_t r = rng.uniform_index(20);
+      d = r == 0 ? 0 : r < 6 ? 1 : static_cast<int64_t>(2 + rng.uniform_index(7));
+      if (d > 1 && budget / d < 1) d = 1;
+      if (d > 1) budget /= d;
+    }
+    std::vector<size_t> perm(rank);
+    for (size_t i = 0; i < rank; ++i) perm[i] = i;
+    for (size_t i = rank; i > 1; --i)
+      std::swap(perm[i - 1], perm[rng.uniform_index(i)]);
+    expect_permute_matches(shape, perm, rng);
+  }
+}
+
+TEST(Kernels, BinaryBroadcastMatchesCoordIterBitwise) {
+  util::Rng rng(62);
+  // The model's shapes: BatchNorm's [rows, C] ∘ [C] (both orders), the
+  // grouped eval statistics [G, R, C] ∘ [G, 1, C], per-row scalars, and
+  // a row long enough to be split into column chunks.
+  expect_broadcast_matches({9600, 8}, {8}, rng);
+  expect_broadcast_matches({8}, {9600, 8}, rng);
+  expect_broadcast_matches({1, 8}, {9600, 8}, rng);
+  expect_broadcast_matches({4, 2400, 8}, {4, 1, 8}, rng);
+  expect_broadcast_matches({37, 130}, {37, 1}, rng);
+  expect_broadcast_matches({3, 3000}, {3000}, rng);
+  expect_broadcast_matches({5, 33, 65}, {1, 33, 1}, rng);
+  expect_broadcast_matches({}, {}, rng);
+  expect_broadcast_matches({4, 0, 3}, {3}, rng);
+
+  // Random shapes broadcasting on every axis: each axis is full on both
+  // sides, or 1 on a, or 1 on b, or 1 on both; either side may also drop
+  // leading axes.
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t rank = rng.uniform_index(11);
+    Shape a(rank), b(rank);
+    int64_t budget = 20000;
+    for (size_t i = 0; i < rank; ++i) {
+      int64_t d = static_cast<int64_t>(1 + rng.uniform_index(6));
+      if (rng.uniform_index(40) == 0) d = 0;
+      if (d > 1 && budget / d < 1) d = 1;
+      if (d > 1) budget /= d;
+      const uint64_t mode = rng.uniform_index(4);
+      a[i] = (mode == 1 || mode == 3) ? 1 : d;
+      b[i] = (mode == 2 || mode == 3) ? 1 : d;
+    }
+    if (rank > 0 && rng.uniform_index(3) == 0)
+      a.erase(a.begin(), a.begin() + static_cast<int64_t>(rng.uniform_index(rank + 1)));
+    else if (rank > 0 && rng.uniform_index(2) == 0)
+      b.erase(b.begin(), b.begin() + static_cast<int64_t>(rng.uniform_index(rank + 1)));
+    expect_broadcast_matches(a, b, rng);
+  }
+}
+
+TEST(Kernels, GeluPolynomialErfStaysWithinTolerance) {
+  // kernels::gelu runs a branch-free rational erf; pin its absolute error
+  // against the double-precision erf form on a dense sweep of [-12, 12],
+  // and its IEEE special values against std::erf's.
+  constexpr int64_t kN = 2400001;
+  std::vector<float> x(kN), y(kN), g(kN, 1.0f), gx(kN);
+  for (int64_t i = 0; i < kN; ++i)
+    x[i] = -12.0f + 24.0f * static_cast<float>(i) / static_cast<float>(kN - 1);
+  ker::gelu(x.data(), y.data(), kN);
+  ker::gelu_backward(g.data(), x.data(), gx.data(), kN);
+  double worst = 0.0, worst_grad = 0.0;
+  for (int64_t i = 0; i < kN; ++i) {
+    const double v = x[i];
+    const double cdf = 0.5 * (1.0 + std::erf(v / std::sqrt(2.0)));
+    const double pdf = std::exp(-0.5 * v * v) / std::sqrt(2.0 * 3.14159265358979323846);
+    worst = std::max(worst, std::abs(y[i] - v * cdf));
+    worst_grad = std::max(worst_grad, std::abs(gx[i] - (cdf + v * pdf)));
+  }
+  EXPECT_LE(worst, 2e-6);
+  EXPECT_LE(worst_grad, 1e-5);
+
+  auto reference = [](float v) {
+    return 0.5f * v * (1.0f + std::erf(v * 0.7071067811865475f));
+  };
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(), 0.0f,
+                            -0.0f, std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()};
+  float out[5];
+  ker::gelu(specials, out, 5);
+  EXPECT_TRUE(std::isnan(out[0]));
+  EXPECT_EQ(out[1], 0.0f);
+  EXPECT_FALSE(std::signbit(out[1]));
+  EXPECT_EQ(out[2], 0.0f);
+  EXPECT_TRUE(std::signbit(out[2]));
+  EXPECT_EQ(out[3], std::numeric_limits<float>::infinity());
+  const float want_neg_inf = reference(specials[4]);
+  if (std::isnan(want_neg_inf))
+    EXPECT_TRUE(std::isnan(out[4]));
+  else
+    EXPECT_EQ(out[4], want_neg_inf);
+
+  // Tensor::gelu is this kernel.
+  Tensor t = Tensor::from_vector({5}, {-3.0f, -0.5f, 0.0f, 0.7f, 4.0f});
+  Tensor tg = t.gelu();
+  float direct[5];
+  ker::gelu(t.raw(), direct, 5);
+  EXPECT_EQ(std::memcmp(tg.raw(), direct, sizeof(direct)), 0);
 }

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "nn/attention.hpp"
 #include "nn/checkpoint.hpp"
@@ -332,6 +335,52 @@ TEST(Serialize, RejectsShapeMismatch) {
   nn::save_parameters(a, path);
   EXPECT_THROW(nn::load_parameters(b, path), coastal::util::CheckError);
   std::remove(path.c_str());
+}
+
+TEST(Serialize, CorruptOrTruncatedHeadersThrowCheckError) {
+  Rng rng(24);
+  nn::Linear saved(3, 2, rng), target(3, 2, rng);
+  const auto dir = std::filesystem::temp_directory_path();
+  const std::string good = (dir / "serialize_headers_good.bin").string();
+  const std::string bad = (dir / "serialize_headers_bad.bin").string();
+  nn::save_parameters(saved, good);
+  std::vector<char> bytes;
+  {
+    std::ifstream in(good, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  auto write_bad = [&](const std::vector<char>& b, size_t len) {
+    std::ofstream out(bad, std::ios::binary | std::ios::trunc);
+    out.write(b.data(), static_cast<std::streamsize>(len));
+  };
+  ASSERT_NO_THROW(nn::load_parameters(target, good));
+
+  // Layout: magic u32, count u64, then per entry name_len u64, name,
+  // ndim u64, dims i64[ndim], data.  Flipping the top byte of the first
+  // name_len (or ndim) asks for an absurd size, which must be refused
+  // before anything is allocated for it.
+  const size_t name_len_at = 4 + 8;
+  uint64_t name_len = 0;
+  std::memcpy(&name_len, bytes.data() + name_len_at, sizeof(name_len));
+  const size_t ndim_at = name_len_at + 8 + name_len;
+  for (size_t field : {name_len_at, ndim_at}) {
+    std::vector<char> flipped = bytes;
+    flipped[field + 7] = static_cast<char>(flipped[field + 7] ^ 0xFF);
+    write_bad(flipped, flipped.size());
+    EXPECT_THROW(nn::load_parameters(target, bad), coastal::util::CheckError)
+        << "top byte flipped in the u64 at offset " << field;
+  }
+
+  // Cut at every offset, which covers every header field boundary and
+  // every byte inside one: always a CheckError, never a short read that
+  // is silently accepted.
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    write_bad(bytes, len);
+    EXPECT_THROW(nn::load_parameters(target, bad), coastal::util::CheckError)
+        << "file truncated to " << len << " of " << bytes.size() << " bytes";
+  }
+  std::remove(good.c_str());
+  std::remove(bad.c_str());
 }
 
 TEST(Module, NamedParametersUseDottedPaths) {
