@@ -40,9 +40,9 @@ Tensor checkpoint(const std::function<Tensor(const std::vector<Tensor>&)>& fn,
 /// fast path may ignore this guard **iff it is recompute-consistent** —
 /// its route depends only on problem size/config, never on whether
 /// recording is on, and both modes run the same kernel bitwise.  Fused
-/// attention satisfies this since the flash backward landed: the initial
-/// pass and the recompute both call `kernels::attention_fused` under the
-/// same `attn_fused_min_n` gate, so it no longer consults this guard.
+/// attention satisfies this: the initial pass and the recompute route on
+/// the same explicit `attn_fused_min_n` threshold (N alone, never the
+/// recording state), so it does not consult this guard.
 /// Only a fast path whose recording-mode equivalent diverges numerically
 /// from its inference form must check this and fall back to its reference
 /// implementation inside regions.

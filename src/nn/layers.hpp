@@ -64,13 +64,10 @@ class LayerNorm : public Module {
 /// forward is bitwise identical per request to B separate forwards (the
 /// per-group reductions visit the same values in the same order as the
 /// B == 1 reduction).  Without this, batching would leak one request's
-/// tidal phase into another's normalization.  The attention modules also
-/// consult the scope: the memory-aware fused-routing gate divides the
-/// stacked batch back out, so a request's kernel path never depends on
-/// what it was coalesced with.  The serving scheduler wraps every
-/// coalesced forward in one; single-request paths need nothing
+/// tidal phase into another's normalization.  The serving scheduler wraps
+/// every coalesced forward in one; single-request paths need nothing
 /// (groups == 1 is the historic behavior).  Training is unaffected —
-/// modules read the scope only in eval mode.
+/// BatchNorm reads the scope only in eval mode.
 class BatchStatScope {
  public:
   explicit BatchStatScope(int64_t groups);

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "util/env.hpp"
+
 namespace coastal::obs {
 
 namespace {
@@ -53,9 +55,8 @@ TraceConfig trace_config_from_env(TraceConfig base) {
       base.sample_rate = std::min(rate, 1.0);
     }
   }
-  if (const char* v = std::getenv("COASTAL_TRACE_RING"); v && *v) {
-    const int n = std::atoi(v);
-    if (n > 0) base.ring_spans = n;
+  if (const auto n = util::env_int("COASTAL_TRACE_RING", 1, 1 << 20)) {
+    base.ring_spans = static_cast<int>(*n);
   }
   return base;
 }

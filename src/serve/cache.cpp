@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "util/check.hpp"
+#include "util/env.hpp"
 #include "util/hash.hpp"
 
 namespace coastal::serve {
@@ -111,21 +112,17 @@ ForecastCache::ForecastCache(const CachePolicy& policy,
 ForecastCache::~ForecastCache() = default;
 
 CachePolicy cache_policy_from_env(CachePolicy base) {
-  auto get = [](const char* name) -> const char* {
-    const char* v = std::getenv(name);
-    return (v && *v) ? v : nullptr;
-  };
-  if (const char* v = get("COASTAL_CACHE")) {
+  if (const char* v = std::getenv("COASTAL_CACHE"); v && *v) {
     base.enabled = std::strcmp(v, "0") != 0;
   }
-  if (const char* v = get("COASTAL_CACHE_BYTES")) {
-    base.max_bytes = std::strtoull(v, nullptr, 10);
+  if (const auto v =
+          util::env_int("COASTAL_CACHE_BYTES", 0, int64_t{1} << 40)) {
+    base.max_bytes = static_cast<uint64_t>(*v);
   }
-  if (const char* v = get("COASTAL_CACHE_TTL_US")) {
-    base.ttl_us = std::strtoll(v, nullptr, 10);
-  }
-  if (const char* v = get("COASTAL_CACHE_PREFIX")) {
-    base.prefix_reuse = std::strcmp(v, "0") != 0;
+  // Bounded so the TTL stays representable in steady_clock nanoseconds.
+  if (const auto v =
+          util::env_int("COASTAL_CACHE_TTL_US", 0, int64_t{1} << 43)) {
+    base.ttl_us = *v;
   }
   return base;
 }
@@ -247,7 +244,7 @@ ForecastCache::Probe ForecastCache::probe(
   // Exact key first, then every shorter episode-boundary prefix.
   for (size_t p = digests.size(); p >= 1; --p) {
     const bool exact = p == digests.size();
-    if (!exact && (exact_only || !policy_.prefix_reuse)) break;
+    if (!exact && exact_only) break;
     const uint64_t digest = digests[p - 1];
     auto it = entries_.find(digest);
     if (it == entries_.end()) continue;

@@ -65,7 +65,8 @@ namespace coastal::serve {
 
 /// Cache knobs (ServerConfig::cache).  Env overrides via
 /// cache_policy_from_env: COASTAL_CACHE=0 disables, COASTAL_CACHE_BYTES,
-/// COASTAL_CACHE_TTL_US, COASTAL_CACHE_PREFIX=0.
+/// COASTAL_CACHE_TTL_US.  A p-episode entry always serves as a resume point
+/// for requests longer than p episodes (prefix reuse).
 struct CachePolicy {
   bool enabled = true;
   /// Byte budget over cached payloads (stored window + result frames,
@@ -73,8 +74,6 @@ struct CachePolicy {
   uint64_t max_bytes = 256ull << 20;
   /// Entry lifetime in microseconds; 0 = no expiry.
   int64_t ttl_us = 0;
-  /// Serve p-episode entries as resume points for e>p-episode requests.
-  bool prefix_reuse = true;
 };
 
 /// Apply COASTAL_CACHE* environment overrides on top of `base`.

@@ -52,8 +52,7 @@ class ForecastError : public std::runtime_error {
 /// transients.
 struct RetryPolicy {
   int max_attempts = 3;      ///< total tries, including the first
-  int64_t backoff_us = 500;  ///< sleep before retry k is backoff*mult^(k-1)
-  double backoff_mult = 2.0;
+  int64_t backoff_us = 500;  ///< sleep before retry k is backoff_us*2^(k-1)
 };
 
 /// Per-model-slot circuit breaker.  Outcomes are per distinct episode:
@@ -85,7 +84,6 @@ struct ReliabilityConfig {
   RetryPolicy retry;
   BreakerPolicy breaker;
   WatchdogPolicy watchdog;
-  bool screen_inputs = true;  ///< reject NaN/Inf IC windows at submit()
 };
 
 /// Sliding-window failure-rate breaker for one model slot.

@@ -97,17 +97,6 @@ struct PendingRequest {
 struct BatchPolicy {
   int max_batch = 8;         ///< hard cap on coalesced episodes per forward
   int64_t max_wait_us = 2000;  ///< collection window after the first pop
-
-  /// Collapse *identical* in-flight episodes (same model, bitwise-equal
-  /// window) into one batch entry whose result fans out to every
-  /// requester — the request-collapsing idiom of serving systems.  Public
-  /// forecast traffic is dominated by clients asking for the *current*
-  /// forecast of the same region, so at k-fold duplication this
-  /// multiplies throughput by k on any host (it removes whole forwards,
-  /// where plain micro-batching only amortizes their fan-out).  Results
-  /// are bitwise identical to serving each duplicate separately, by
-  /// construction.
-  bool coalesce_identical = true;
 };
 
 /// Thread-safe bounded MPMC queue with keyed micro-batch pops.

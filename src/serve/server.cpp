@@ -6,6 +6,7 @@
 #include <iterator>
 #include <numeric>
 #include <unordered_map>
+#include <utility>
 
 #include "core/decode.hpp"
 #include "core/rollout.hpp"
@@ -394,20 +395,18 @@ std::optional<std::future<ForecastResult>> ForecastServer::submit(
                                              << f.nz
                                              << ") do not match the spec");
   }
-  if (config_.reliability.screen_inputs) {
-    // Admission-time screening: a NaN/Inf initial condition can only burn
-    // a forward and fail verification later, so refuse it with a typed
-    // error now.  Shape violations above stay hard CHECK failures — they
-    // are caller bugs, not data quality.
-    for (size_t t = 0; t < request.window.size(); ++t) {
-      if (!fields_finite(request.window[t])) {
-        c_invalid_->inc();
-        std::promise<ForecastResult> p;
-        p.set_exception(typed_error(
-            ForecastErrorCode::kInvalidInput,
-            "non-finite values in window frame " + std::to_string(t)));
-        return p.get_future();
-      }
+  // Admission-time screening: a NaN/Inf initial condition can only burn a
+  // forward and fail verification later, so refuse it with a typed error
+  // now.  Shape violations above stay hard CHECK failures — they are
+  // caller bugs, not data quality.
+  for (size_t t = 0; t < request.window.size(); ++t) {
+    if (!fields_finite(request.window[t])) {
+      c_invalid_->inc();
+      std::promise<ForecastResult> p;
+      p.set_exception(typed_error(
+          ForecastErrorCode::kInvalidInput,
+          "non-finite values in window frame " + std::to_string(t)));
+      return p.get_future();
     }
   }
 
@@ -489,6 +488,9 @@ void ForecastServer::worker_loop(WorkerState* state) {
     } catch (...) {
       failure = as_model_failure(std::current_exception());
     }
+    // A probe batch that ended without settling (an escaped exception, or
+    // a retirement the watchdog raced) failed.
+    report_probe(*inflight, false);
     // A worker never dies with unresolved promises: anything that escaped
     // serve_batch fails the rest of its batch (typed), and so, defensively,
     // does any request serve_batch left pending (clients would wait
@@ -602,7 +604,7 @@ bool ForecastServer::triage(Batch& b) {
     }
     // Identical-episode coalescing: bitwise-equal windows share an entry.
     size_t u = b.entries.size();
-    for (size_t j = 0; config_.batch.coalesce_identical && j < u; ++j) {
+    for (size_t j = 0; j < u; ++j) {
       if (same_window(reqs[b.entries[j].exemplar], reqs[i])) u = j;
     }
     if (u == b.entries.size()) b.entries.emplace_back().exemplar = i;
@@ -616,6 +618,10 @@ bool ForecastServer::triage(Batch& b) {
   // answer directly (degraded mode); half-open lets one probe batch try
   // the surrogate again.
   b.mode = breakers_[b.model]->admit();
+  if (b.mode == CircuitBreaker::Mode::kProbe) {
+    std::lock_guard<std::mutex> lock(b.inflight.m);
+    b.inflight.probe_slot = static_cast<int>(b.model);
+  }
   if (b.mode == CircuitBreaker::Mode::kDegraded && !fallback_) {
     const auto e = typed_error(ForecastErrorCode::kCircuitOpen,
                                "slot degraded and no fallback configured");
@@ -759,10 +765,9 @@ bool ForecastServer::run_step(Batch& b, int e,
                      config_.reliability.watchdog.hang_timeout_ms);
       COASTAL_FAULT_POINT("serve.forward");
       if (b.state->retired.load(std::memory_order_acquire)) return false;
-      // Grouped BatchNorm statistics (and per-request attention routing):
-      // each stacked entry is normalized exactly as it would be served
-      // alone, which is what makes the demuxed results bitwise-serial
-      // (see nn::BatchStatScope).
+      // Grouped BatchNorm statistics: each stacked entry is normalized
+      // exactly as it would be served alone, which is what makes the
+      // demuxed results bitwise-serial (see nn::BatchStatScope).
       nn::BatchStatScope stat_groups(B);
       out = slot.model->forward(vol, surf);
       ok = true;
@@ -777,8 +782,7 @@ bool ForecastServer::run_step(Batch& b, int e,
       c_retries_->inc();
       ++retries;
       std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
-      backoff_us = static_cast<int64_t>(static_cast<double>(backoff_us) *
-                                        retry.backoff_mult);
+      backoff_us *= 2;
       b.state->beat.fetch_add(1, std::memory_order_relaxed);
     }
   }
@@ -965,7 +969,16 @@ void ForecastServer::settle(Batch& b) {
   // Every probe batch reports, also when all its entries expired: one
   // whose forward never completed (failed, or every rider expired between
   // failed attempts) reopens the circuit.
-  if (probe) breaker.probe_result(b.forward_ran && b.probe_failures == 0);
+  if (probe) report_probe(b.inflight, b.forward_ran && b.probe_failures == 0);
+}
+
+void ForecastServer::report_probe(InFlightBatch& b, bool success) {
+  int slot;
+  {
+    std::lock_guard<std::mutex> lock(b.m);
+    slot = std::exchange(b.probe_slot, -1);
+  }
+  if (slot >= 0) breakers_[static_cast<size_t>(slot)]->probe_result(success);
 }
 
 void ForecastServer::fan_out(Batch& b, size_t u, ForecastResult result,
@@ -1053,6 +1066,9 @@ void ForecastServer::watchdog_loop() {
           orphans.push_back(i);
         }
       }
+      // A retired half-open probe never reaches settle: it failed, so the
+      // circuit reopens and a later cooldown admits a fresh probe.
+      if (inflight) report_probe(*inflight, false);
       {
         std::lock_guard<std::mutex> lock(workers_mutex_);
         if (restarts_left_ > 0) {

@@ -123,7 +123,7 @@ struct ServerConfig {
 
   std::optional<FallbackContext> fallback;  ///< enable the ROMS rerun
 
-  ReliabilityConfig reliability;  ///< retries, breaker, watchdog, screening
+  ReliabilityConfig reliability;  ///< retries, breaker, watchdog
 
   /// Content-addressed forecast cache (docs/caching.md).  Environment
   /// overrides (COASTAL_CACHE*) are applied at server construction; the
@@ -239,6 +239,9 @@ class ForecastServer {
     bool abandoned = false;  ///< watchdog owns the unresolved promises now
     std::vector<PendingRequest> reqs;
     std::vector<char> resolved;  ///< per request, guarded by m
+    /// Model slot whose half-open probe this batch is, until the probe
+    /// reports (-1 otherwise); guarded by m.
+    int probe_slot = -1;
   };
 
   /// One serving worker: the thread plus its heartbeat telemetry.
@@ -279,6 +282,10 @@ class ForecastServer {
                std::exception_ptr error = nullptr,
                obs::Counter* extra_counter = nullptr, uint32_t flags = 0,
                const obs::TraceSpan* stage = nullptr);
+  /// Report the probe outcome of `b` to its slot's breaker, once: the
+  /// first caller (settle, the watchdog retiring the worker, or the
+  /// worker loop after a batch that ended early) takes the slot.
+  void report_probe(InFlightBatch& b, bool success);
   void watchdog_loop();
   /// Spawn a worker; caller holds workers_mutex_.
   WorkerState* spawn_worker_locked();

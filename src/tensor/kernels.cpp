@@ -37,43 +37,6 @@ int resolved_threads() {
   return hw;
 }
 
-int64_t fused_attention_min_n(int64_t head_dim) {
-  const int64_t v = config().attn_fused_min_n;
-  if (v > 0) return v;
-  // Measured on the 1-CPU reference host (PR 4), module-level
-  // MultiHeadSelfAttention forward and forward+backward, fused vs
-  // unfused, sweeping N per head dim (B=8, 4 heads).  The storage pool
-  // moved these crossovers *up* dramatically: the unfused path used to be
-  // allocation-bound (PR 3 notes called it bimodal), and with its [N, N]
-  // tensors now recycled it beats the streaming kernel on raw speed until
-  // the materialized nbatch·N² score working set falls out of cache
-  // (observed as a 4-6x unfused collapse between N=512 and N=768).
-  // Per-dim structure: d=16 pays for a weak register tiling in the
-  // templated task (ROADMAP follow-up), and d=64's unfused GEMMs run near
-  // peak (k=64 inner dim) so its crossover is far higher.  Above the
-  // threshold the fused path also wins on memory by construction — it
-  // never materializes the score tensor.
-  if (head_dim >= 64) return 1280;
-  if (head_dim >= 32) return 576;
-  if (head_dim >= 16) return 768;
-  return 640;
-}
-
-bool fused_attention_wins(int64_t nbatch, int64_t n, int64_t head_dim) {
-  const int64_t v = config().attn_fused_min_n;
-  if (v > 0) return n >= v;
-  // Auto: the table entry N_ref marks where the unfused path's
-  // materialized [ref_batch, N, N] score working set collapses out of
-  // cache.  The collapse tracks total score bytes, not N, so compare
-  // nbatch·n² with ref_batch·N_ref² (in double — both products overflow
-  // int64 at servable shapes).  Equality at nbatch == ref_batch reduces
-  // this to the historic `n >= N_ref` gate exactly.
-  const int64_t n_ref = fused_attention_min_n(head_dim);
-  const int64_t ref_b = std::max<int64_t>(1, config().attn_fused_ref_batch);
-  return static_cast<double>(nbatch) * static_cast<double>(n) * n >=
-         static_cast<double>(ref_b) * static_cast<double>(n_ref) * n_ref;
-}
-
 void parallel_for(int64_t total, int64_t cost_per_item,
                   const std::function<void(int64_t, int64_t)>& fn) {
   if (total <= 0) return;

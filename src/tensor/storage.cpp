@@ -9,6 +9,7 @@
 #include <mutex>
 
 #include "util/check.hpp"
+#include "util/env.hpp"
 
 namespace coastal::tensor {
 
@@ -227,13 +228,9 @@ thread_local std::vector<std::shared_ptr<detail::ArenaState>> t_arena_stack;
 
 int64_t default_arena_chunk_floats() {
   static const int64_t v = [] {
-    constexpr int64_t kDefault = int64_t{8} << 20;  // 8 MB
-    const char* env = std::getenv("COASTAL_ARENA_CHUNK_MB");
-    if (env != nullptr && env[0] != '\0') {
-      const long long mb = std::atoll(env);
-      if (mb > 0) return (static_cast<int64_t>(mb) << 20) / 4;
-    }
-    return kDefault / 4;
+    const int64_t mb =
+        util::env_int("COASTAL_ARENA_CHUNK_MB", 1, 4096).value_or(8);
+    return (mb << 20) / 4;
   }();
   return v;
 }

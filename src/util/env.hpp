@@ -1,0 +1,33 @@
+#pragma once
+
+/// \file env.hpp
+/// Checked parsing of the integer `COASTAL_*` environment knobs.
+
+#include <cerrno>
+#include <cstdint>
+#include <cstdlib>
+#include <optional>
+
+#include "util/check.hpp"
+
+namespace coastal::util {
+
+/// The integer value of environment variable `name`, or nullopt when it is
+/// unset or empty.  The whole string must be a base-10 integer in
+/// [lo, hi]; anything else (garbage, trailing text, out of range) throws
+/// CheckError naming the variable.
+inline std::optional<int64_t> env_int(const char* name, int64_t lo,
+                                      int64_t hi) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return std::nullopt;
+  errno = 0;
+  char* end = nullptr;
+  const long long x = std::strtoll(v, &end, 10);
+  COASTAL_CHECK_MSG(errno == 0 && end != v && *end == '\0' && x >= lo &&
+                        x <= hi,
+                    name << "=\"" << v << "\" is not an integer in [" << lo
+                         << ", " << hi << "]");
+  return static_cast<int64_t>(x);
+}
+
+}  // namespace coastal::util

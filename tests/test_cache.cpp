@@ -310,6 +310,38 @@ TEST(ForecastCache, TtlExpiresEntriesAtProbeTime) {
   EXPECT_EQ(stats.bytes, 0u);
 }
 
+TEST(ForecastCache, EnvKnobsParseWholeBoundedIntegers) {
+  using coastal::testing::ScopedEnv;
+  using coastal::testing::expect_check_error_naming;
+  ScopedEnv bytes("COASTAL_CACHE_BYTES", "1048576");
+  ScopedEnv ttl("COASTAL_CACHE_TTL_US", "250");
+  serve::CachePolicy p = serve::cache_policy_from_env({});
+  EXPECT_EQ(p.max_bytes, 1048576u);
+  EXPECT_EQ(p.ttl_us, 250);
+  // Empty means unset: the base value stands.
+  bytes.set("");
+  ttl.set("");
+  p = serve::cache_policy_from_env({});
+  EXPECT_EQ(p.max_bytes, serve::CachePolicy{}.max_bytes);
+  EXPECT_EQ(p.ttl_us, 0);
+  // Garbage, trailing text, negatives and out-of-range values are typed
+  // errors naming the variable, never a silent 0 or a wrapped value.
+  for (const char* bad : {"abc", "12MB", "-1", " ", "1099511627777",
+                          "99999999999999999999"}) {
+    SCOPED_TRACE(bad);
+    bytes.set(bad);
+    expect_check_error_naming([] { serve::cache_policy_from_env({}); },
+                              "COASTAL_CACHE_BYTES");
+  }
+  bytes.set(nullptr);
+  for (const char* bad : {"soon", "10us", "-5", "9223372036854775807"}) {
+    SCOPED_TRACE(bad);
+    ttl.set(bad);
+    expect_check_error_naming([] { serve::cache_policy_from_env({}); },
+                              "COASTAL_CACHE_TTL_US");
+  }
+}
+
 TEST(ForecastCache, FaultedAndFallbackResultsAreNeverAdmitted) {
   auto& w = CacheWorld::instance();
   FaultGuard guard;

@@ -7,11 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <functional>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "tensor/kernels.hpp"
 #include "tensor/tensor.hpp"
+#include "util/check.hpp"
 
 namespace coastal::testing {
 
@@ -23,6 +27,43 @@ struct KernelConfigOverride {
   tensor::kernels::KernelConfig saved = tensor::kernels::config();
   ~KernelConfigOverride() { tensor::kernels::config() = saved; }
 };
+
+/// RAII environment override: sets `name` to `value` (unsets it when
+/// `value` is null) and restores the previous state on scope exit.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* v = std::getenv(name)) saved_ = v;
+    set(value);
+  }
+  ~ScopedEnv() { set(saved_ ? saved_->c_str() : nullptr); }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+  void set(const char* value) const {
+    if (value) {
+      setenv(name_, value, 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> saved_;
+};
+
+/// Expect `fn` to throw util::CheckError whose message names `what`.
+template <typename Fn>
+void expect_check_error_naming(Fn&& fn, const std::string& what) {
+  try {
+    fn();
+    ADD_FAILURE() << "expected a CheckError naming " << what;
+  } catch (const util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
 
 /// Max absolute elementwise difference.
 inline double max_abs_diff(const Tensor& a, const Tensor& b) {

@@ -372,6 +372,21 @@ TEST(ObsTrace, RingRetainsOnlyTheConfiguredSpanCount) {
 // Stage profiler
 // ---------------------------------------------------------------------------
 
+TEST(ObsTrace, RingEnvKnobParsesAWholeBoundedInteger) {
+  coastal::testing::ScopedEnv ring("COASTAL_TRACE_RING", "64");
+  EXPECT_EQ(obs::trace_config_from_env({}).ring_spans, 64);
+  ring.set(nullptr);
+  EXPECT_EQ(obs::trace_config_from_env({}).ring_spans,
+            obs::TraceConfig{}.ring_spans);
+  for (const char* bad :
+       {"0", "-3", "4k", "lots", "1048577", "2147483648"}) {
+    SCOPED_TRACE(bad);
+    ring.set(bad);
+    coastal::testing::expect_check_error_naming(
+        [] { obs::trace_config_from_env({}); }, "COASTAL_TRACE_RING");
+  }
+}
+
 TEST(ObsProfiler, ScopedStagesFeedPerStageHistograms) {
   auto& prof = obs::StageProfiler::instance();
   const bool was = prof.enabled();

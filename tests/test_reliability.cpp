@@ -422,6 +422,58 @@ TEST(Reliability, WatchdogReplacesHungWorkerAndFailsItsBatch) {
   // Destructor shutdown releases the parked thread and joins everything.
 }
 
+TEST(Reliability, ProbeRetiredByTheWatchdogReopensTheBreaker) {
+  auto& w = ReliabilityWorld::instance();
+  FaultGuard guard;
+  auto& faults = util::FaultInjector::instance();
+  faults.install("serve.forward:throw@1x2");
+  serve::ServerConfig cfg = reliable_config(w);
+  cfg.reliability.retry.max_attempts = 1;
+  cfg.reliability.breaker.window = 4;
+  cfg.reliability.breaker.min_samples = 2;
+  cfg.reliability.breaker.trip_rate = 0.5;
+  cfg.reliability.breaker.cooldown_us = 900'000;
+  cfg.reliability.watchdog.hang_timeout_ms = 600;
+  cfg.reliability.watchdog.poll_ms = 25;
+  serve::ForecastServer server({{w.model.get(), w.spec}}, w.norm, &w.grid,
+                               cfg);
+  for (size_t i = 0; i < 2; ++i) {
+    auto f = server.submit(w.request(i));
+    ASSERT_TRUE(f.has_value());
+    EXPECT_TRUE(f->get().fallback);
+  }
+  ASSERT_EQ(server.stats().breaker_trips, 1u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(1000));
+
+  // The probe's forward stalls (holding the model lock) past the hang
+  // timeout, so the watchdog retires its worker and fails its request.
+  faults.install("serve.forward:delay=1800ms@1x1");
+  auto probe = server.submit(w.request(2));
+  ASSERT_TRUE(probe.has_value());
+  probe->wait();
+  // The retirement reopened the circuit.  Past the stalled forward (which
+  // then releases the model lock) and a fresh cooldown, the replacement
+  // worker's probe runs the healthy surrogate and closes it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+  auto next = server.submit(w.request(3));
+  ASSERT_TRUE(next.has_value());
+  const serve::ForecastResult r = next->get();
+  EXPECT_FALSE(r.degraded) << "the breaker stayed half-open";
+  EXPECT_FALSE(r.fallback);
+  // Drain first: the probe reports after its delivery, and see
+  // ChainPastItsDeadline for reading an error a worker also holds.
+  server.shutdown();
+  try {
+    probe->get();
+    ADD_FAILURE() << "the retired probe's request must fail";
+  } catch (const serve::ForecastError& e) {
+    EXPECT_EQ(e.code(), serve::ForecastErrorCode::kWorkerLost);
+  }
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.worker_lost, 1u);
+  EXPECT_EQ(stats.breaker_open_slots, 0);
+}
+
 TEST(ShardedForecast, CommFaultFailsOverToSingleRank) {
   auto& w = ReliabilityWorld::instance();
   serve::ShardConfig cfg;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "core/decode.hpp"
@@ -100,6 +101,33 @@ TEST(Verification, CorruptedVelocitiesFail) {
   auto bad = verifier.check_pair(p.fields[6], corrupted, 1800.0);
   EXPECT_FALSE(bad.pass);
   EXPECT_GT(bad.mean_residual, good.mean_residual * 3);
+}
+
+TEST(Verification, UniformRiseAtRestTripsTheThresholdExactly) {
+  // At rest (zeta = 0, u = v = 0) every face transport vanishes, so a
+  // uniform rise delta on the wet cells leaves a residual of exactly
+  // delta/dt in each of them, and in their mean.
+  auto& p = Pipeline::instance();
+  const double threshold = 2e-4, dt = 1800.0;
+  core::MassVerifier verifier(p.grid, threshold);
+  data::CenterFields rest = p.fields[0];
+  for (auto* v : {&rest.u, &rest.v, &rest.w, &rest.zeta}) {
+    std::fill(v->begin(), v->end(), 0.0f);
+  }
+  for (const double frac : {0.999, 1.001}) {
+    SCOPED_TRACE(frac);
+    // delta as stored: the float nearest frac·threshold·dt.
+    const float delta = static_cast<float>(frac * threshold * dt);
+    data::CenterFields next = rest;
+    for (int iy = 0; iy < p.grid.ny(); ++iy) {
+      for (int ix = 0; ix < p.grid.nx(); ++ix) {
+        if (p.grid.wet(ix, iy)) next.zeta[next.cell2(iy, ix)] = delta;
+      }
+    }
+    const auto r = verifier.check_pair(rest, next, dt);
+    EXPECT_EQ(r.pass, frac < 1.0);
+    EXPECT_NEAR(r.mean_residual, delta / dt, 1e-9 * (delta / dt));
+  }
 }
 
 TEST(Verification, SequenceAggregatesWorstCase) {
