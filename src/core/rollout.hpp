@@ -25,15 +25,14 @@ namespace coastal::core {
 /// shared by forecast_episode and the serving layer's per-entry decode.
 void poison_fields(data::CenterFields& f);
 
-/// One surrogate episode — the building block rollout(), dual_rollout(),
-/// run_workflow(), and sharded serving share: pack `window` (T+1
-/// normalized frames: IC + per-step boundary conditions) as a batch of
-/// one, with `ic_normalized` in place of the initial condition when
-/// non-null (autoregressive chaining), run the surrogate, and decode the T
-/// predicted frames (denormalized).  Grad/eval state is the caller's
-/// contract: wrap in NoGradGuard + set_training(false) (and an ArenaScope
-/// if episode tensors should bump-allocate) exactly as the callers here
-/// do.
+/// One surrogate episode — the building block rollout(), dual_rollout()
+/// and run_workflow() share: pack `window` (T+1 normalized frames: IC +
+/// per-step boundary conditions) as a batch of one, with `ic_normalized`
+/// in place of the initial condition when non-null (autoregressive
+/// chaining), run the surrogate, and decode the T predicted frames
+/// (denormalized).  Grad/eval state is the caller's contract: wrap in
+/// NoGradGuard + set_training(false) (and an ArenaScope if episode
+/// tensors should bump-allocate) exactly as the callers here do.
 /// Fault site `rollout.step` fires once per episode (throw aborts it, nan
 /// poisons the first decoded frame).
 std::vector<data::CenterFields> forecast_episode(

@@ -12,7 +12,6 @@
 /// residuals below ~5e-4 m/s at the paper's scale; thresholds here are in
 /// the same unit and swept by the Fig. 7/8 benches.
 
-#include <cmath>
 #include <span>
 
 #include "data/center_fields.hpp"
@@ -20,61 +19,6 @@
 #include "ocean/grid.hpp"
 
 namespace coastal::core {
-
-/// The per-cell water-mass residual |dζ/dt + ∇·(H ū)| of Eq. 5 at wet
-/// cell (ix, iy), with field access indirected through `F`:
-///   float u(int k, int ix, int iy), v(k, ix, iy)  — layered velocities
-///   float zeta(int ix, int iy), zeta_prev(int ix, int iy)
-///   int nz()
-/// all by *global* grid indices.  The one stencil implementation is
-/// shared by MassVerifier::check_pair (whole-domain frames) and the
-/// sharded per-rank partials (halo-padded tiles, serve/shard.cpp), so
-/// the serial and the allreduce-reduced verdicts can never drift.
-/// Accessors return float on purpose: ζ differences and depth sums
-/// promote exactly where the historic inline code promoted, keeping
-/// results bit-for-bit.
-template <class F>
-double cell_residual(const ocean::Grid& grid, const F& f, int ix, int iy,
-                     double dt_seconds) {
-  const int nx = grid.nx(), ny = grid.ny();
-  auto davg_u = [&](int cx, int cy) {
-    double avg = 0.0;
-    for (int k = 0; k < f.nz(); ++k)
-      avg += f.u(k, cx, cy) * grid.sigma_thickness()[static_cast<size_t>(k)];
-    return avg;
-  };
-  auto davg_v = [&](int cx, int cy) {
-    double avg = 0.0;
-    for (int k = 0; k < f.nz(); ++k)
-      avg += f.v(k, cx, cy) * grid.sigma_thickness()[static_cast<size_t>(k)];
-    return avg;
-  };
-  auto depth = [&](int cx, int cy) { return grid.h(cx, cy) + f.zeta(cx, cy); };
-
-  // Face transport from cell-centered values: average the two adjacent
-  // centers (both depth and velocity), zero across land and domain edges
-  // except the open west boundary where the one-sided value is used.
-  auto flux_x = [&](int face) -> double {  // positive eastward
-    if (face == 0) {
-      return grid.wet(0, iy) ? depth(0, iy) * davg_u(0, iy) : 0.0;
-    }
-    if (face == nx) return 0.0;
-    if (!grid.wet(face - 1, iy) || !grid.wet(face, iy)) return 0.0;
-    return 0.5 * (depth(face - 1, iy) + depth(face, iy)) * 0.5 *
-           (davg_u(face - 1, iy) + davg_u(face, iy));
-  };
-  auto flux_y = [&](int face) -> double {
-    if (face == 0 || face == ny) return 0.0;
-    if (!grid.wet(ix, face - 1) || !grid.wet(ix, face)) return 0.0;
-    return 0.5 * (depth(ix, face - 1) + depth(ix, face)) * 0.5 *
-           (davg_v(ix, face - 1) + davg_v(ix, face));
-  };
-
-  const double div = (flux_x(ix + 1) - flux_x(ix)) / grid.dx(ix) +
-                     (flux_y(iy + 1) - flux_y(iy)) / grid.dy(iy);
-  const double dzdt = (f.zeta(ix, iy) - f.zeta_prev(ix, iy)) / dt_seconds;
-  return std::abs(dzdt + div);
-}
 
 struct VerificationResult {
   double mean_residual = 0.0;  ///< m/s, averaged over wet cells

@@ -17,9 +17,9 @@ namespace coastal::data {
 class Normalizer;
 
 /// Value-returning frame conversions — the episode-chaining idiom shared
-/// by rollout, the workflow, the serving layer, and the sharded path:
-/// a prediction is denormalized for verification/output, and
-/// renormalized when it seeds the next episode's initial condition.
+/// by rollout, the workflow and the serving layer: a prediction is
+/// denormalized for verification/output, and renormalized when it seeds
+/// the next episode's initial condition.
 CenterFields normalized_copy(const CenterFields& denormalized,
                              const Normalizer& norm);
 CenterFields denormalized_copy(const CenterFields& normalized,

@@ -23,8 +23,6 @@ const char* stage_name(Stage s) {
       return "verify";
     case Stage::kFallback:
       return "fallback";
-    case Stage::kHalo:
-      return "halo_exchange";
     case Stage::kDecode:
       return "decode";
     case Stage::kCount:

@@ -3,15 +3,15 @@
 /// \file profile.hpp
 /// Scoped stage profiler: RAII timers on the named stages of the
 /// serving pipeline (queue wait, sample packing, GEMM, attention,
-/// verification, cache probe, halo exchange, ...) feeding geometric
-/// registry histograms — so a bench_diff-style regression can be
-/// localized to *which stage* moved, not just which benchmark.
+/// verification, cache probe, ...) feeding geometric registry
+/// histograms — so a bench_diff-style regression can be localized to
+/// *which stage* moved, not just which benchmark.
 ///
 /// The profiler is a process-wide singleton because its instrumentation
 /// points live in layers that know nothing about servers (tensor
-/// kernels, the halo exchange).  When disabled, an instrumented scope
-/// costs one relaxed atomic load; when enabled, two steady_clock reads
-/// plus one sharded histogram observe.  ForecastServer construction
+/// kernels, the rollout).  When disabled, an instrumented scope costs
+/// one relaxed atomic load; when enabled, two steady_clock reads plus
+/// one sharded histogram observe.  ForecastServer construction
 /// applies ServerConfig::obs.profile_stages (overridable via the
 /// COASTAL_PROFILE environment variable); stage histograms are exported
 /// into the server's registry snapshot as
@@ -35,7 +35,6 @@ enum class Stage : int {
   kAttention,   ///< fused attention forward / backward
   kVerify,      ///< physics verification of one entry
   kFallback,    ///< numerical-model episode (degraded / salvage)
-  kHalo,        ///< one halo-exchange round of a sharded forecast
   kDecode,      ///< prediction decode to CenterFields
   kCount
 };

@@ -41,9 +41,6 @@ int64_t now_us() { return to_us(std::chrono::steady_clock::now()); }
 
 uint64_t current_trace() { return tl_trace; }
 void bind_trace(uint64_t id) { tl_trace = id; }
-void adopt_trace(uint64_t id) {
-  if (tl_trace == 0 && id != 0) tl_trace = id;
-}
 
 TraceConfig trace_config_from_env(TraceConfig base) {
   if (const char* v = std::getenv("COASTAL_TRACE"); v && *v) {
@@ -79,8 +76,9 @@ TraceRecorder& TraceRecorder::instance() {
 namespace {
 
 /// Returns the thread's ring to the recorder's free list at thread exit
-/// so churning threads (shard ranks spawn fresh ones per call) reuse
-/// rings instead of growing the list without bound.
+/// so churning threads (replaced workers, the rank threads every
+/// par::World::run spawns) reuse rings instead of growing the list
+/// without bound.
 struct TlRing {
   TraceRecorder::Ring* ring = nullptr;
   std::vector<TraceRecorder::Ring*>* free_list = nullptr;
@@ -217,7 +215,6 @@ void append_span_json(std::string& out, const TraceSpan& s, int depth,
     append_flags_json(out, s.flags);
   }
   if (s.code >= 0) out += ", \"code\": " + std::to_string(s.code);
-  if (s.rank >= 0) out += ", \"rank\": " + std::to_string(s.rank);
   if (s.extra != 0) out += ", \"extra\": " + std::to_string(s.extra);
   if (open_children) out += ", \"children\": [";
 }
@@ -229,7 +226,7 @@ std::string TraceRecorder::dump_json() const {
   // Group by trace, then nest by time containment: sorting by
   // (start, -end) makes every span's parent the nearest still-open
   // enclosing interval — no parent ids needed, and it works for spans
-  // written by different threads (queue vs halo ranks).
+  // written by different threads (submitter vs worker).
   std::stable_sort(all.begin(), all.end(),
                    [](const TraceSpan& a, const TraceSpan& b) {
                      if (a.trace_id != b.trace_id)

@@ -7,8 +7,7 @@
 /// gets a TraceContext (one 64-bit id) carried on ForecastRequest from
 /// submit() through queue wait, breaker/cache triage, batch assembly,
 /// forward (with retries), verification, fallback, and promise
-/// resolution — and across shard ranks via the trace id stamped into the
-/// halo-exchange message envelope (par::World::Message::trace).
+/// resolution.
 ///
 /// Recording model: spans are fixed-size PODs (static-lifetime stage
 /// string, no heap members) written into per-thread ring buffers owned
@@ -20,8 +19,8 @@
 ///
 /// There are no parent-span ids: trees are reconstructed at dump time by
 /// time-interval containment within a trace, which works across threads
-/// (a request's queue span is written by a worker, its halo spans by
-/// rank threads) without threading parent state through the stack.
+/// (one request's spans may come from the submitting thread and from a
+/// worker) without threading parent state through the stack.
 ///
 /// Env knobs: COASTAL_TRACE ("0"/unset off, "1" all requests, a float in
 /// (0,1) samples that fraction deterministically by id hash) and
@@ -76,7 +75,6 @@ struct TraceSpan {
   const char* stage = "";  ///< static-lifetime stage name
   uint32_t flags = 0;      ///< TraceFlag bitmask
   int32_t code = -1;       ///< ForecastErrorCode when kError, else -1
-  int32_t rank = -1;       ///< shard rank, -1 off the shard path
   int64_t extra = 0;       ///< stage-specific (batch size, attempts, ...)
 };
 
@@ -85,14 +83,10 @@ int64_t now_us();
 int64_t to_us(std::chrono::steady_clock::time_point tp);
 
 /// The calling thread's ambient trace id (0 = unbound).  Deep layers
-/// (rollout, halo exchange) attach spans to it without plumbing ids
-/// through their signatures; Comm::send stamps it into the message
-/// envelope.
+/// (rollout) attach spans to it without plumbing ids through their
+/// signatures.
 uint64_t current_trace();
 void bind_trace(uint64_t id);
-/// Bind only when currently unbound and `id` != 0 — how a shard rank
-/// picks up the trace from the first halo envelope it receives.
-void adopt_trace(uint64_t id);
 
 /// RAII ambient binding (restores the previous id).
 class TraceBinding {
@@ -162,7 +156,6 @@ class ScopedSpan {
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
   void set_flags(uint32_t f) { span_.flags |= f; }
-  void set_rank(int r) { span_.rank = r; }
   void set_extra(int64_t e) { span_.extra = e; }
 
  private:

@@ -1,13 +1,8 @@
 #include "parallel/communicator.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <exception>
-#include <limits>
 #include <thread>
-
-#include "util/fault.hpp"
 
 namespace coastal::par {
 
@@ -16,22 +11,8 @@ int Comm::size() const { return world_->size(); }
 void Comm::send(int dest, int tag, std::span<const float> data) {
   COASTAL_CHECK_MSG(dest >= 0 && dest < world_->size(),
                     "send: bad destination rank " << dest);
-  const util::FaultAction fa = COASTAL_FAULT_POINT("comm.send");
-  if (fa == util::FaultAction::kDrop) {
-    // Message lost in flight: accounting still sees the attempt so the
-    // cost model matches what the sender believed it did.
-    bytes_sent_ += data.size() * sizeof(float);
-    ++messages_sent_;
-    return;
-  }
   bytes_sent_ += data.size() * sizeof(float);
   ++messages_sent_;
-  if (fa == util::FaultAction::kNan) {
-    std::vector<float> poisoned(data.size(),
-                                std::numeric_limits<float>::quiet_NaN());
-    world_->push_message(dest, rank_, tag, poisoned);
-    return;
-  }
   world_->push_message(dest, rank_, tag, data);
 }
 
@@ -39,13 +20,6 @@ void Comm::recv(int source, int tag, std::span<float> out) {
   COASTAL_CHECK_MSG(source >= 0 && source < world_->size(),
                     "recv: bad source rank " << source);
   world_->pop_message(rank_, source, tag, out);
-}
-
-bool Comm::recv_for(int source, int tag, std::span<float> out,
-                    int64_t timeout_us) {
-  COASTAL_CHECK_MSG(source >= 0 && source < world_->size(),
-                    "recv: bad source rank " << source);
-  return world_->pop_message_for(rank_, source, tag, out, timeout_us);
 }
 
 void Comm::barrier() { world_->barrier_wait(); }
@@ -73,105 +47,6 @@ void Comm::allreduce_sum(std::span<float> data) {
   barrier();
 }
 
-void Comm::allreduce_max(std::span<float> data) {
-  bytes_sent_ += 2 * data.size() * sizeof(float);
-  ++messages_sent_;
-  if (rank_ == 0) {
-    world_->reduce_buf_.assign(data.size(),
-                               -std::numeric_limits<float>::infinity());
-    world_->reduce_len_ = data.size();
-  }
-  barrier();
-  COASTAL_CHECK_MSG(world_->reduce_len_ == data.size(),
-                    "allreduce size mismatch across ranks");
-  {
-    std::lock_guard<std::mutex> lock(world_->reduce_mutex_);
-    for (size_t i = 0; i < data.size(); ++i)
-      world_->reduce_buf_[i] = std::max(world_->reduce_buf_[i], data[i]);
-  }
-  barrier();
-  std::copy(world_->reduce_buf_.begin(), world_->reduce_buf_.end(),
-            data.begin());
-  barrier();
-}
-
-void Comm::allreduce_sum(std::span<double> data) {
-  bytes_sent_ += 2 * data.size() * sizeof(double);
-  ++messages_sent_;
-  if (rank_ == 0) {
-    world_->reduce_buf64_.assign(data.size(), 0.0);
-    world_->reduce_len64_ = data.size();
-  }
-  barrier();
-  COASTAL_CHECK_MSG(world_->reduce_len64_ == data.size(),
-                    "allreduce size mismatch across ranks");
-  {
-    std::lock_guard<std::mutex> lock(world_->reduce_mutex_);
-    for (size_t i = 0; i < data.size(); ++i)
-      world_->reduce_buf64_[i] += data[i];
-  }
-  barrier();
-  std::copy(world_->reduce_buf64_.begin(), world_->reduce_buf64_.end(),
-            data.begin());
-  barrier();
-}
-
-void Comm::allreduce_max(std::span<double> data) {
-  bytes_sent_ += 2 * data.size() * sizeof(double);
-  ++messages_sent_;
-  if (rank_ == 0) {
-    world_->reduce_buf64_.assign(data.size(),
-                                 -std::numeric_limits<double>::infinity());
-    world_->reduce_len64_ = data.size();
-  }
-  barrier();
-  COASTAL_CHECK_MSG(world_->reduce_len64_ == data.size(),
-                    "allreduce size mismatch across ranks");
-  {
-    std::lock_guard<std::mutex> lock(world_->reduce_mutex_);
-    for (size_t i = 0; i < data.size(); ++i)
-      world_->reduce_buf64_[i] = std::max(world_->reduce_buf64_[i], data[i]);
-  }
-  barrier();
-  std::copy(world_->reduce_buf64_.begin(), world_->reduce_buf64_.end(),
-            data.begin());
-  barrier();
-}
-
-void Comm::broadcast(int root, std::span<float> data) {
-  if (rank_ == root) {
-    world_->reduce_buf_.assign(data.begin(), data.end());
-    world_->reduce_len_ = data.size();
-  }
-  barrier();
-  COASTAL_CHECK_MSG(world_->reduce_len_ == data.size(),
-                    "broadcast size mismatch across ranks");
-  if (rank_ != root) {
-    std::copy(world_->reduce_buf_.begin(), world_->reduce_buf_.end(),
-              data.begin());
-  }
-  barrier();
-}
-
-void Comm::gather(int root, std::span<const float> local,
-                  std::vector<float>& out) {
-  if (rank_ == root) {
-    world_->reduce_buf_.assign(local.size() * world_->size(), 0.0f);
-    world_->reduce_len_ = local.size();
-  }
-  barrier();
-  COASTAL_CHECK_MSG(world_->reduce_len_ == local.size(),
-                    "gather size mismatch across ranks");
-  std::copy(local.begin(), local.end(),
-            world_->reduce_buf_.begin() +
-                static_cast<ptrdiff_t>(rank_ * local.size()));
-  barrier();
-  if (rank_ == root) {
-    out.assign(world_->reduce_buf_.begin(), world_->reduce_buf_.end());
-  }
-  barrier();
-}
-
 World::World(int size) : size_(size) {
   COASTAL_CHECK_MSG(size >= 1, "World needs at least one rank");
   mailboxes_.reserve(static_cast<size_t>(size));
@@ -181,12 +56,17 @@ World::World(int size) : size_(size) {
 }
 
 void World::run(const std::function<void(Comm&)>& fn) {
-  // Fresh epoch: clear any abort left by a previous failed run so the
-  // World object is reusable (the failover path reruns on it).
+  // Fresh epoch: clear the abort, the barrier count and every mailbox a
+  // previous failed run left behind, so the World object is reusable and
+  // no message of an aborted run is delivered to the next one.
   {
     std::lock_guard<std::mutex> lock(barrier_mutex_);
     aborted_.store(false, std::memory_order_release);
     barrier_count_ = 0;
+  }
+  for (auto& box : mailboxes_) {
+    std::lock_guard<std::mutex> lock(box->mutex);
+    box->slots.clear();
   }
   std::vector<std::thread> threads;
   threads.reserve(static_cast<size_t>(size_));
@@ -200,7 +80,7 @@ void World::run(const std::function<void(Comm&)>& fn) {
         fn(comm);
       } catch (const CommAborted&) {
         // Collateral unwinding of a sibling's failure: only report it if
-        // no root cause ever surfaces (e.g. an external abort()).
+        // no root cause ever surfaces.
         std::lock_guard<std::mutex> lock(err_mutex);
         if (!first_error) {
           first_error = std::current_exception();
@@ -259,24 +139,14 @@ void World::barrier_wait() {
 void World::push_message(int dest, int source, int tag,
                          std::span<const float> data) {
   Mailbox& box = *mailboxes_[static_cast<size_t>(dest)];
-  // Stamp the sender's ambient trace id on the envelope; push_message
-  // runs on the sending rank's thread, so this reads the right binding.
-  const uint64_t trace = obs::current_trace();
   {
     std::lock_guard<std::mutex> lock(box.mutex);
-    box.slots[{source, tag}].push(
-        Message{std::vector<float>(data.begin(), data.end()), trace});
+    box.slots[{source, tag}].emplace(data.begin(), data.end());
   }
   box.cv.notify_all();
 }
 
 void World::pop_message(int self, int source, int tag, std::span<float> out) {
-  const bool ok = pop_message_for(self, source, tag, out, 0);
-  COASTAL_CHECK_MSG(ok, "recv: untimed pop returned without a message");
-}
-
-bool World::pop_message_for(int self, int source, int tag,
-                            std::span<float> out, int64_t timeout_us) {
   Mailbox& box = *mailboxes_[static_cast<size_t>(self)];
   std::unique_lock<std::mutex> lock(box.mutex);
   const auto key = std::make_pair(source, tag);
@@ -284,26 +154,15 @@ bool World::pop_message_for(int self, int source, int tag,
     auto it = box.slots.find(key);
     return it != box.slots.end() && !it->second.empty();
   };
-  const auto wake = [&] { return ready() || aborted(); };
-  if (timeout_us <= 0) {
-    box.cv.wait(lock, wake);
-  } else {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::microseconds(timeout_us);
-    if (!box.cv.wait_until(lock, deadline, wake)) return false;
-  }
+  box.cv.wait(lock, [&] { return ready() || aborted(); });
   if (!ready()) throw CommAborted();
   auto& q = box.slots[key];
-  Message msg = std::move(q.front());
+  const std::vector<float> payload = std::move(q.front());
   q.pop();
-  // First traced envelope binds this rank's thread to the sender's trace
-  // (no-op if already bound or the envelope is untraced).
-  obs::adopt_trace(msg.trace);
-  COASTAL_CHECK_MSG(msg.payload.size() == out.size(),
-                    "recv: message length " << msg.payload.size()
-                                            << " != buffer " << out.size());
-  std::copy(msg.payload.begin(), msg.payload.end(), out.begin());
-  return true;
+  COASTAL_CHECK_MSG(payload.size() == out.size(),
+                    "recv: message length " << payload.size() << " != buffer "
+                                            << out.size());
+  std::copy(payload.begin(), payload.end(), out.begin());
 }
 
 }  // namespace coastal::par

@@ -13,9 +13,7 @@
 ///
 /// Failure semantics: a rank that throws aborts the world, which wakes
 /// every sibling blocked in a recv or collective with `CommAborted` —
-/// no rank is ever left deadlocked because a peer died.  `recv_for`
-/// additionally bounds a single receive with a timeout, the building
-/// block for the serving layer's exchange deadline.
+/// no rank is ever left deadlocked because a peer died.
 ///
 /// Usage:
 ///   par::World world(4);
@@ -36,14 +34,13 @@
 #include <stdexcept>
 #include <vector>
 
-#include "obs/trace.hpp"
 #include "util/check.hpp"
 
 namespace coastal::par {
 
 class World;
 
-/// Base for communication failures (timeouts, aborted worlds).
+/// Base for communication failures.
 class CommError : public std::runtime_error {
  public:
   explicit CommError(const std::string& what) : std::runtime_error(what) {}
@@ -66,34 +63,15 @@ class Comm {
 
   /// Blocking two-sided send/recv of a float buffer, matched by
   /// (source, tag) like MPI_Send/MPI_Recv with explicit tags.
-  /// Fault site `comm.send`: throw raises before delivery, drop
-  /// suppresses the message, nan poisons the payload, delay stalls it.
   void send(int dest, int tag, std::span<const float> data);
   /// Receives into `out`; the matched message must have exactly
   /// `out.size()` elements.
   void recv(int source, int tag, std::span<float> out);
-  /// recv with a timeout: returns false if no matching message arrived
-  /// within `timeout_us` (buffer untouched).  0 means wait forever.
-  bool recv_for(int source, int tag, std::span<float> out,
-                int64_t timeout_us);
 
   /// Collectives (all block until every rank participates).
   void barrier();
   /// In-place sum-allreduce over all ranks.
   void allreduce_sum(std::span<float> data);
-  /// In-place max-allreduce.
-  void allreduce_max(std::span<float> data);
-  /// Double-precision variants (MPI_DOUBLE reductions): verification
-  /// verdicts accumulate residuals in double per rank, and truncating
-  /// the partials to float could flip a near-threshold pass/fail
-  /// between sharded and serial runs.
-  void allreduce_sum(std::span<double> data);
-  void allreduce_max(std::span<double> data);
-  /// Broadcast from `root` into `data` on every rank.
-  void broadcast(int root, std::span<float> data);
-  /// Gather each rank's buffer (equal sizes) to `root`; out is resized
-  /// rank-major on root, untouched elsewhere.
-  void gather(int root, std::span<const float> local, std::vector<float>& out);
 
   /// Message accounting for the halo-cost model (bytes sent by this rank).
   uint64_t bytes_sent() const { return bytes_sent_; }
@@ -119,35 +97,27 @@ class World {
   /// Spawn one thread per rank, run `fn(comm)` on each, join all.
   /// If any rank throws, the world is aborted — every sibling blocked in
   /// a recv or collective unwinds with CommAborted — and the originating
-  /// exception (never the collateral CommAborted) is rethrown.
+  /// exception (never the collateral CommAborted) is rethrown.  Each run
+  /// starts from empty mailboxes, so a World is reusable after a failure.
   void run(const std::function<void(Comm&)>& fn);
-
-  /// Sticky until the next run(): wakes all blocked ranks with
-  /// CommAborted.  Called automatically when a rank throws.
-  void abort();
-  bool aborted() const;
 
  private:
   friend class Comm;
 
-  struct Message {
-    std::vector<float> payload;
-    /// Trace envelope: the sender's ambient trace id (0 = untraced).
-    /// Receivers adopt it if they have no trace bound, so a traced
-    /// request's halo exchanges land in one span tree across ranks.
-    uint64_t trace = 0;
-  };
   struct Mailbox {
     std::mutex mutex;
     std::condition_variable cv;
     // keyed by (source, tag)
-    std::map<std::pair<int, int>, std::queue<Message>> slots;
+    std::map<std::pair<int, int>, std::queue<std::vector<float>>> slots;
   };
+
+  /// Sticky until the next run(): wakes all blocked ranks with
+  /// CommAborted.  Called when a rank throws.
+  void abort();
+  bool aborted() const;
 
   void push_message(int dest, int source, int tag, std::span<const float> data);
   void pop_message(int self, int source, int tag, std::span<float> out);
-  bool pop_message_for(int self, int source, int tag, std::span<float> out,
-                       int64_t timeout_us);
   void barrier_wait();
 
   int size_;
@@ -161,14 +131,10 @@ class World {
   uint64_t barrier_generation_ = 0;
   std::atomic<bool> aborted_{false};
 
-  // Collective scratch: double-buffered reduction area guarded by a
-  // barrier on each side.  Float and double collectives keep separate
-  // buffers (a rank sequence may interleave them).
+  // Collective scratch: reduction area guarded by a barrier on each side.
   std::mutex reduce_mutex_;
   std::vector<float> reduce_buf_;
   size_t reduce_len_ = 0;
-  std::vector<double> reduce_buf64_;
-  size_t reduce_len64_ = 0;
 };
 
 }  // namespace coastal::par

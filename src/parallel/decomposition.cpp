@@ -1,29 +1,8 @@
 #include "parallel/decomposition.hpp"
 
-#include <cmath>
-#include <limits>
+#include <algorithm>
 
 namespace coastal::par {
-
-std::array<int, 2> choose_grid(int nranks, int nx, int ny) {
-  COASTAL_CHECK(nranks >= 1);
-  int best_px = 1, best_py = nranks;
-  double best_score = std::numeric_limits<double>::infinity();
-  for (int px = 1; px <= nranks; ++px) {
-    if (nranks % px != 0) continue;
-    const int py = nranks / px;
-    // Perimeter-to-area proxy: halo traffic per tile.
-    const double tx = static_cast<double>(nx) / px;
-    const double ty = static_cast<double>(ny) / py;
-    const double score = 2.0 * (tx + ty) / (tx * ty);
-    if (score < best_score) {
-      best_score = score;
-      best_px = px;
-      best_py = py;
-    }
-  }
-  return {best_px, best_py};
-}
 
 Tile make_tile(int rank, int px, int py, int nx, int ny, int halo) {
   COASTAL_CHECK(px >= 1 && py >= 1 && halo >= 0);

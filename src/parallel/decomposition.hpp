@@ -16,10 +16,6 @@
 
 namespace coastal::par {
 
-/// Factor `nranks` into (px, py) as close to the aspect ratio nx:ny as
-/// possible, so tiles stay near-square (minimizing halo perimeter).
-std::array<int, 2> choose_grid(int nranks, int nx, int ny);
-
 /// A rank's tile of the global domain.
 struct Tile {
   int px, py;        ///< process-grid dimensions

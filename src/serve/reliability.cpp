@@ -18,8 +18,6 @@ const char* forecast_error_name(ForecastErrorCode code) {
       return "model failure";
     case ForecastErrorCode::kCircuitOpen:
       return "circuit open";
-    case ForecastErrorCode::kCommFailure:
-      return "communication failure";
   }
   return "unknown";
 }

@@ -28,7 +28,6 @@ enum class ForecastErrorCode {
   kWorkerLost,        ///< serving worker hung; watchdog failed the batch
   kModelFailure,      ///< forward failed after retries, no fallback route
   kCircuitOpen,       ///< slot degraded and no numerical fallback configured
-  kCommFailure,       ///< sharded exchange failed and failover disabled
 };
 
 const char* forecast_error_name(ForecastErrorCode code);

@@ -12,7 +12,7 @@
 /// `COASTAL_FAULTS` environment variable — decides per *hit* whether the
 /// site fires and what happens:
 ///
-///   serve.forward:throw@0.05;rollout.step:nan@0.01;comm.send:delay=20ms@0.1;serve.worker:hang@1x1
+///   serve.forward:throw@0.05;rollout.step:nan@0.01;serve.worker:hang@1x1
 ///
 /// Grammar, per `;`-separated entry:
 ///

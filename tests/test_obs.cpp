@@ -327,30 +327,16 @@ TEST(ObsTrace, ScopedSpansAttachToTheAmbientTrace) {
     obs::TraceBinding bind(id);
     obs::ScopedSpan s("unit.stage");
     s.set_flags(obs::kDegraded);
-    s.set_rank(2);
     s.set_extra(17);
   }
   const auto spans = obs::TraceRecorder::instance().spans_for(id);
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_STREQ(spans[0].stage, "unit.stage");
   EXPECT_EQ(spans[0].flags & obs::kDegraded, uint32_t{obs::kDegraded});
-  EXPECT_EQ(spans[0].rank, 2);
   EXPECT_EQ(spans[0].extra, 17);
   EXPECT_GE(spans[0].end_us, spans[0].start_us);
   EXPECT_NE(obs::TraceRecorder::instance().dump_json().find("unit.stage"),
             std::string::npos);
-}
-
-TEST(ObsTrace, AdoptBindsOnlyWhenUnbound) {
-  TraceGuard guard;
-  EXPECT_EQ(obs::current_trace(), 0u);
-  obs::adopt_trace(42);
-  EXPECT_EQ(obs::current_trace(), 42u);
-  obs::adopt_trace(7);  // already bound: ignored
-  EXPECT_EQ(obs::current_trace(), 42u);
-  obs::bind_trace(0);
-  obs::adopt_trace(0);  // id 0 never binds
-  EXPECT_EQ(obs::current_trace(), 0u);
 }
 
 TEST(ObsTrace, RingRetainsOnlyTheConfiguredSpanCount) {

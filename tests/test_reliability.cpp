@@ -1,10 +1,10 @@
 /// Fault-matrix tests for the reliability layer: the deterministic
 /// fault-injection DSL, typed request failures (deadline, invalid input,
 /// worker lost), bounded retry, circuit-breaker degradation and recovery,
-/// the hung-worker watchdog, sharded single-rank failover, and the
-/// no-fault bitwise + zero-allocation pins with every reliability feature
-/// armed.  The chaos pin at the end runs the ISSUE's mixed schedule
-/// against a client burst and asserts 100% request completion.
+/// the hung-worker watchdog, and the no-fault bitwise + zero-allocation
+/// pins with every reliability feature armed.  The chaos pin at the end
+/// runs a mixed fault schedule against a client burst and asserts 100%
+/// request completion.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +24,6 @@
 #include "ocean/bathymetry.hpp"
 #include "serve/reliability.hpp"
 #include "serve/server.hpp"
-#include "serve/shard.hpp"
 #include "tensor/storage.hpp"
 #include "tensor/tensor.hpp"
 #include "util/check.hpp"
@@ -472,88 +471,6 @@ TEST(Reliability, ProbeRetiredByTheWatchdogReopensTheBreaker) {
   const auto stats = server.stats();
   EXPECT_EQ(stats.worker_lost, 1u);
   EXPECT_EQ(stats.breaker_open_slots, 0);
-}
-
-TEST(ShardedForecast, CommFaultFailsOverToSingleRank) {
-  auto& w = ReliabilityWorld::instance();
-  serve::ShardConfig cfg;
-  cfg.ranks = 2;
-  cfg.halo = 1;
-  cfg.multiple_hw = 20;
-  cfg.multiple_d = 2;
-  cfg.verify = true;
-  cfg.threshold = 10.0;
-  cfg.snapshot_dt = 1800.0;
-  const auto specs = serve::sharded_tile_specs(w.spec, cfg);
-  ASSERT_EQ(specs.size(), 2u);
-  std::vector<std::unique_ptr<core::SurrogateModel>> tile_models;
-  std::vector<core::SurrogateModel*> ptrs;
-  for (size_t r = 0; r < specs.size(); ++r) {
-    Rng rng(100 + static_cast<uint64_t>(r));
-    tile_models.push_back(
-        std::make_unique<core::SurrogateModel>(model_config(specs[r]), rng));
-    ptrs.push_back(tile_models.back().get());
-  }
-  const int episodes = 2;
-  std::span<const data::CenterFields> truth(
-      w.fields_norm.data(), static_cast<size_t>(episodes * 3 + 1));
-  const auto reference =
-      core::rollout(*w.model, w.spec, w.norm, truth, episodes);
-
-  FaultGuard guard;
-  util::FaultInjector::instance().install("comm.send:throw@1x1");
-  auto sharded = serve::run_sharded_forecast(ptrs, w.spec, w.norm, &w.grid,
-                                             truth, episodes, cfg,
-                                             /*failover_model=*/w.model.get());
-  EXPECT_TRUE(sharded.failed_over);
-  EXPECT_EQ(sharded.attempted_ranks, 2);
-  EXPECT_EQ(sharded.process_grid[0] * sharded.process_grid[1], 1);
-  // Single-rank failover on the global model is exactly a serial run.
-  expect_frames_bitwise(sharded.frames, reference);
-  EXPECT_TRUE(sharded.verified);
-  EXPECT_TRUE(sharded.verdict.pass);
-
-  // Without a failover model the fault propagates instead.
-  util::FaultInjector::instance().install("comm.send:throw@1x1");
-  EXPECT_THROW(serve::run_sharded_forecast(ptrs, w.spec, w.norm, &w.grid,
-                                           truth, episodes, cfg),
-               util::FaultInjectedError);
-}
-
-TEST(ShardedForecast, DroppedHaloTimesOutAndFailsOver) {
-  auto& w = ReliabilityWorld::instance();
-  serve::ShardConfig cfg;
-  cfg.ranks = 2;
-  cfg.halo = 1;
-  cfg.multiple_hw = 20;
-  cfg.multiple_d = 2;
-  cfg.verify = false;
-  cfg.snapshot_dt = 1800.0;
-  cfg.exchange_timeout_us = 150000;  // a dropped message must not block
-  const auto specs = serve::sharded_tile_specs(w.spec, cfg);
-  std::vector<std::unique_ptr<core::SurrogateModel>> tile_models;
-  std::vector<core::SurrogateModel*> ptrs;
-  for (size_t r = 0; r < specs.size(); ++r) {
-    Rng rng(100 + static_cast<uint64_t>(r));
-    tile_models.push_back(
-        std::make_unique<core::SurrogateModel>(model_config(specs[r]), rng));
-    ptrs.push_back(tile_models.back().get());
-  }
-  const int episodes = 1;
-  std::span<const data::CenterFields> truth(
-      w.fields_norm.data(), static_cast<size_t>(episodes * 3 + 1));
-  const auto reference =
-      core::rollout(*w.model, w.spec, w.norm, truth, episodes);
-
-  FaultGuard guard;
-  // The message is silently lost; only the receiver's timeout notices.
-  util::FaultInjector::instance().install("comm.send:drop@1x1");
-  auto sharded = serve::run_sharded_forecast(ptrs, w.spec, w.norm, nullptr,
-                                             truth, episodes, cfg,
-                                             /*failover_model=*/w.model.get());
-  EXPECT_TRUE(sharded.failed_over);
-  EXPECT_EQ(sharded.attempted_ranks, 2);
-  expect_frames_bitwise(sharded.frames, reference);
 }
 
 TEST(Reliability, NoFaultPathStaysBitwiseAndAllocationFree) {

@@ -1,8 +1,7 @@
 /// Serving-subsystem tests: micro-batched results bitwise-equal to serial
 /// execution, grouped BatchNorm statistics, backpressure and shutdown
-/// semantics, the numerical fallback through the server, domain-sharded
-/// execution (1-rank bitwise equality, multi-rank halo coupling and
-/// verdict reduction), and the steady-state zero-allocation pin.
+/// semantics, the numerical fallback through the server, and the
+/// steady-state zero-allocation pin.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +19,6 @@
 #include "ocean/archive.hpp"
 #include "ocean/bathymetry.hpp"
 #include "serve/server.hpp"
-#include "serve/shard.hpp"
 #include "tensor/storage.hpp"
 #include "tensor/tensor.hpp"
 #include "test_helpers.hpp"
@@ -342,92 +340,6 @@ TEST(ForecastServer, StrictThresholdRoutesThroughRomsFallback) {
   for (const auto& fr : r.frames) seq.push_back(fr);
   EXPECT_LT(verifier.check_sequence(seq, 1800.0).mean_residual, 5e-4);
   EXPECT_GT(server.stats().fallbacks, 0u);
-}
-
-TEST(ShardedForecast, OneRankMatchesRolloutBitwise) {
-  auto& w = ServeWorld::instance();
-  serve::ShardConfig cfg;
-  cfg.ranks = 1;
-  cfg.multiple_hw = 4;
-  cfg.multiple_d = 2;
-  cfg.verify = true;
-  cfg.threshold = 10.0;
-  cfg.snapshot_dt = 1800.0;
-  const auto specs = serve::sharded_tile_specs(w.spec, cfg);
-  ASSERT_EQ(specs.size(), 1u);
-  EXPECT_EQ(specs[0], w.spec);
-
-  const int episodes = 2;
-  std::span<const data::CenterFields> truth(w.fields_norm.data(),
-                                            static_cast<size_t>(episodes * 3 + 1));
-  auto reference =
-      core::rollout(*w.model, w.spec, w.norm, truth, episodes);
-
-  core::SurrogateModel* models[] = {w.model.get()};
-  auto sharded = serve::run_sharded_forecast(models, w.spec, w.norm, &w.grid,
-                                             truth, episodes, cfg);
-  ASSERT_EQ(sharded.frames.size(), reference.size());
-  expect_frames_bitwise(sharded.frames, reference);
-  EXPECT_EQ(sharded.process_grid[0] * sharded.process_grid[1], 1);
-  EXPECT_EQ(sharded.halo_bytes, 0u);  // one tile: no ring to exchange
-  EXPECT_TRUE(sharded.verified);
-  EXPECT_TRUE(sharded.verdict.pass);
-}
-
-TEST(ShardedForecast, TwoRanksCoupleThroughHalosAndReduceOneVerdict) {
-  auto& w = ServeWorld::instance();
-  serve::ShardConfig cfg;
-  cfg.ranks = 2;
-  cfg.halo = 1;
-  cfg.multiple_hw = 20;  // tile W must stay patchable by 5 with 3 stages
-  cfg.multiple_d = 2;
-  cfg.verify = true;
-  cfg.threshold = 10.0;
-  cfg.snapshot_dt = 1800.0;
-  const auto specs = serve::sharded_tile_specs(w.spec, cfg);
-  ASSERT_EQ(specs.size(), 2u);
-
-  std::vector<std::unique_ptr<core::SurrogateModel>> tile_models;
-  std::vector<core::SurrogateModel*> ptrs;
-  for (size_t r = 0; r < specs.size(); ++r) {
-    Rng rng(100 + static_cast<uint64_t>(r));
-    tile_models.push_back(std::make_unique<core::SurrogateModel>(
-        model_config(specs[r]), rng));
-    ptrs.push_back(tile_models.back().get());
-  }
-
-  const int episodes = 2;
-  std::span<const data::CenterFields> truth(w.fields_norm.data(),
-                                            static_cast<size_t>(episodes * 3 + 1));
-  auto sharded = serve::run_sharded_forecast(ptrs, w.spec, w.norm, &w.grid,
-                                             truth, episodes, cfg);
-
-  EXPECT_EQ(sharded.process_grid[0] * sharded.process_grid[1], 2);
-  ASSERT_EQ(sharded.frames.size(), static_cast<size_t>(episodes * 3));
-  for (const auto& f : sharded.frames) {
-    for (float v : f.zeta) ASSERT_TRUE(std::isfinite(v));
-    for (float v : f.u) ASSERT_TRUE(std::isfinite(v));
-  }
-  // Ring traffic flowed: per frame, each rank sends one strip of
-  // (3*nz + 1) * ny floats to its single neighbour.
-  EXPECT_GT(sharded.halo_bytes, 0u);
-  EXPECT_GT(sharded.halo_messages, 0u);
-
-  // The allreduce-reduced verdict must agree with a serial verification
-  // of the stitched chain: same stencil, double accumulation end to end
-  // (Comm's double allreduce), so only cross-rank summation association
-  // differs.
-  ASSERT_TRUE(sharded.verified);
-  core::MassVerifier verifier(w.grid, cfg.threshold);
-  std::vector<data::CenterFields> chain;
-  chain.push_back(w.fields[0]);
-  for (const auto& f : sharded.frames) chain.push_back(f);
-  const auto serial = verifier.check_sequence(chain, cfg.snapshot_dt);
-  EXPECT_EQ(sharded.verdict.pass, serial.pass);
-  EXPECT_NEAR(sharded.verdict.mean_residual, serial.mean_residual,
-              std::max(1e-15, serial.mean_residual * 1e-7));
-  EXPECT_NEAR(sharded.verdict.max_residual, serial.max_residual,
-              std::max(1e-15, serial.max_residual * 1e-7));
 }
 
 TEST(BatchedInput, DirectPackMatchesConcatOfSamplesBitwise) {

@@ -45,8 +45,6 @@ def span_tags(span):
         tags.append(f"[{flag}]")
     if "code" in span:
         tags.append(f"code={span['code']}")
-    if "rank" in span:
-        tags.append(f"rank={span['rank']}")
     if span.get("extra"):
         tags.append(f"B={span['extra']}")
     return " ".join(tags)
