@@ -610,7 +610,7 @@ static void BM_SolverStep(benchmark::State& state) {
   for (auto _ : state) model.step();
   state.SetItemsProcessed(state.iterations() * n * n);
 }
-BENCHMARK(BM_SolverStep)->Arg(32)->Arg(64)->Arg(128);
+BENCHMARK(BM_SolverStep)->Arg(20)->Arg(32)->Arg(64)->Arg(128);
 
 static void BM_HaloExchange(benchmark::State& state) {
   // Two ranks trading one ghost ring via the in-process communicator.

@@ -68,8 +68,9 @@ Sample SampleStore::read(size_t index, DeviceSim* device) const {
   uint32_t magic = 0;
   in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
   COASTAL_CHECK_MSG(magic == kMagic, path << " is not a sample file");
-  int32_t hdr[7];
+  int32_t hdr[7] = {};
   in.read(reinterpret_cast<char*>(hdr), sizeof(hdr));
+  COASTAL_CHECK_MSG(in.good(), "truncated sample header in " << path);
   COASTAL_CHECK_MSG(hdr[0] == spec_.H && hdr[1] == spec_.W &&
                         hdr[2] == spec_.D && hdr[3] == spec_.T,
                     "sample spec mismatch in " << path);

@@ -20,6 +20,7 @@
 /// (src/parallel): exactly ROMS's tiling strategy, in the 1-D tile
 /// configuration.
 
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <vector>
@@ -40,6 +41,12 @@ struct PhysicsParams {
 /// Solves the slab [y0, y1) of the grid.  For multi-rank runs the driver
 /// wires `ExchangeHooks` to halo sends/recvs; serially the hooks are
 /// no-ops (physical boundaries need no ghosts).
+///
+/// The solver reads the grid's geometry (masks, depths, spacing) once, at
+/// construction, into its own tables, so a grid changed afterwards is not
+/// seen; every caller finishes building the grid before that.  The updates
+/// are branch-free row kernels whose results test_ocean_solver pins bit
+/// for bit (docs/kernels.md, "ROMS fallback solver").
 class SlabSolver {
  public:
   struct ExchangeHooks {
@@ -85,6 +92,8 @@ class SlabSolver {
   void update_zeta();
   void update_u();
   void update_v();
+  const uint32_t* wet_row(int jy) const;  ///< jy in [-1, nyl]
+  const float* h_row(int jy) const;       ///< jy in [-1, nyl]
 
   const Grid& grid_;
   const TidalForcing& tides_;
@@ -97,6 +106,22 @@ class SlabSolver {
   std::vector<float> zeta_old_;  ///< scratch copy read during the update
   std::vector<float> u_;         ///< (nyl + 2) x (nx + 1)
   std::vector<float> v_;         ///< (nyl + 1) x nx
+
+  // Geometry read from the grid at construction.  The masks are 32-bit so
+  // the row kernels vectorize at the width of their float loads.
+  struct WetSpan {
+    int lo = 0, hi = 0;  ///< first wet cell, last wet cell + 1 (or 0, 0)
+  };
+  std::vector<uint32_t> wet_;     ///< (nyl + 2) x nx, rows like zeta_
+  std::vector<float> h_;          ///< (nyl + 2) x nx, rows like zeta_
+  std::vector<WetSpan> span_;     ///< nyl + 2, rows like zeta_
+  std::vector<uint32_t> u_open_;  ///< nyl x (nx + 1), interior faces only
+  std::vector<uint32_t> v_open_;  ///< (nyl + 1) x nx, rows like v_
+  std::vector<double> dx_;        ///< nx
+  std::vector<double> dx_face_;   ///< nx + 1, at interior u faces
+  std::vector<double> dy_;        ///< nyl
+  std::vector<double> dy_face_;   ///< nyl + 1, at interior v faces
+  std::vector<double> fd_;        ///< scratch: x-face depths of one row
 };
 
 /// Serial facade: one slab covering the whole grid, plus snapshotting

@@ -29,7 +29,16 @@ class TidalForcing {
     double z = 0.0;
     for (const auto& c : constituents_) {
       const double omega = 2.0 * M_PI / (c.period_hours * 3600.0);
+      // Fused where FMA is available, as GCC contracts it there: the
+      // solver's file is compiled with -ffp-contract=off and must agree
+      // with every other caller.
+#ifdef __FMA__
+      z = __builtin_fma(
+          c.amplitude_m,
+          std::cos(__builtin_fma(omega, t_seconds, c.phase_rad)), z);
+#else
       z += c.amplitude_m * std::cos(omega * t_seconds + c.phase_rad);
+#endif
     }
     return z;
   }

@@ -6,6 +6,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include "util/timer.hpp"
 
@@ -242,6 +243,50 @@ TEST(Store, CountsAndRejectsCorruptFiles) {
     bad << "garbage";
   }
   EXPECT_THROW(store.read(1), coastal::util::CheckError);
+}
+
+TEST(Store, TruncatedOrCorruptHeadersThrowCheckError) {
+  auto spec = data::make_spec(4, 4, 2, 1, 4, 2);
+  data::SampleStore store(temp_dir("coastal_store_truncated"), spec);
+  data::CenterFields f;
+  f.nx = 4;
+  f.ny = 4;
+  f.nz = 2;
+  f.u.assign(2 * 4 * 4, 0.1f);
+  f.v.assign(2 * 4 * 4, 0.2f);
+  f.w.assign(2 * 4 * 4, 0.0f);
+  f.zeta.assign(4 * 4, 0.3f);
+  std::vector<data::CenterFields> frames(2, f);
+  const std::string good = store.write(0, data::make_sample(spec, frames));
+  std::vector<char> bytes;
+  {
+    std::ifstream in(good, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_EQ(bytes.size(), store.sample_bytes());
+  ASSERT_NO_THROW(store.read(0));
+  auto write_bad = [&](const std::vector<char>& b, size_t len) {
+    std::ofstream out(store.path_for(1), std::ios::binary | std::ios::trunc);
+    out.write(b.data(), static_cast<std::streamsize>(len));
+  };
+
+  // Layout: magic u32, then H, W, D, T, src_ny, src_nx, src_nz as i32.
+  // A header that disagrees with the store's spec is refused before any
+  // tensor is read; every read is sized from the spec, never the file.
+  for (size_t field = 4; field < 4 + 4 * 4; field += 4) {
+    std::vector<char> flipped = bytes;
+    flipped[field + 3] = static_cast<char>(flipped[field + 3] ^ 0x7F);
+    write_bad(flipped, flipped.size());
+    EXPECT_THROW(store.read(1), coastal::util::CheckError)
+        << "top byte flipped in the i32 at offset " << field;
+  }
+
+  // Cut at every offset: inside the magic, the header, and each tensor.
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    write_bad(bytes, len);
+    EXPECT_THROW(store.read(1), coastal::util::CheckError)
+        << "file truncated to " << len << " of " << bytes.size() << " bytes";
+  }
 }
 
 TEST(DeviceSim, TransferTimesFollowBandwidth) {

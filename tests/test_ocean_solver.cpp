@@ -1,15 +1,20 @@
 /// Physics tests for the shallow-water solver: stability, tidal response,
-/// mass conservation, decomposition equivalence, and 3-D reconstruction.
+/// mass conservation, decomposition equivalence, 3-D reconstruction, and
+/// bitwise pins of the step against the scalar solver it replaced.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 
 #include "ocean/archive.hpp"
 #include "ocean/bathymetry.hpp"
 #include "ocean/parallel_driver.hpp"
 #include "ocean/sigma.hpp"
 #include "ocean/solver.hpp"
+#include "util/hash.hpp"
 
 using namespace coastal::ocean;
 
@@ -27,6 +32,143 @@ PhysicsParams fast_params() {
   return p;
 }
 
+uint64_t field_digest(const std::vector<float>& zeta,
+                      const std::vector<float>& ubar,
+                      const std::vector<float>& vbar) {
+  coastal::util::ContentHash h;
+  h.update_f32(zeta);
+  h.update_f32(ubar);
+  h.update_f32(vbar);
+  return h.digest();
+}
+
+uint64_t serial_digest(int nx, int ny, int nsteps) {
+  Grid g = make_test_grid(nx, ny);
+  auto tide = TidalForcing::gulf_coast_default();
+  TidalModel model(g, tide, fast_params());
+  for (int i = 0; i < nsteps; ++i) model.step();
+  return field_digest(model.zeta(), model.ubar(), model.vbar());
+}
+
+// a * b + c with the product fused, as an FMA build of the scalar solver
+// contracted it, or rounded first, as a build without FMA computed it.
+double mul_add(bool fused, double a, double b, double c) {
+  return fused ? std::fma(a, b, c) : a * b + c;
+}
+
+/// One step of a 6x6 all-wet basin (h = 10 m) from a state set by hand,
+/// with the scalar solver's formulas for one interior cell or face of it.
+/// Each formula fuses every product the scalar solver's FMA build fused, or
+/// none, so a state where the two disagree shows which the solver does.
+struct Basin {
+  Grid grid{6, 6, 1, 400.0, 400.0};
+  TidalForcing tide = TidalForcing::gulf_coast_default();
+  PhysicsParams p = fast_params();
+  std::vector<double> dy = std::vector<double>(6, 400.0);
+  double t0 = 0.0;
+  std::vector<float> z0 = std::vector<float>(36, 0.0f);
+  std::vector<float> u0 = std::vector<float>(42, 0.0f);
+  std::vector<float> v0 = std::vector<float>(42, 0.0f);
+  std::vector<float> z1, u1, v1;
+
+  void step() {
+    grid.set_spacing(std::vector<double>(6, 400.0), dy);
+    TidalModel model(grid, tide, p);
+    auto& slab = model.slab();
+    slab.set_time(t0);
+    for (int j = 0; j < 6; ++j) {
+      std::copy_n(z0.begin() + j * 6, 6, slab.zeta_row(j).begin());
+      std::copy_n(u0.begin() + j * 7, 7, slab.u_row(j).begin());
+    }
+    for (int j = 0; j <= 6; ++j)
+      std::copy_n(v0.begin() + j * 6, 6, slab.v_row(j).begin());
+    model.step();
+    z1 = model.zeta();
+    u1 = model.ubar();
+    v1 = model.vbar();
+  }
+
+  float& z(int ix, int iy) { return z0[grid.rho_index(ix, iy)]; }
+  float& u(int ix, int iy) { return u0[grid.u_index(ix, iy)]; }
+  float& v(int ix, int iy) { return v0[grid.v_index(ix, iy)]; }
+  double depth(const std::vector<float>& zeta, int ix, int iy) const {
+    return grid.h(ix, iy) + zeta[grid.rho_index(ix, iy)];  // a float sum
+  }
+
+  float zeta_at(bool fused, int ix, int iy) const {
+    auto vel = [&](int x, int y) { return v0[grid.v_index(x, y)]; };
+    auto old = [&](int x, int y) { return z0[grid.rho_index(x, y)]; };
+    const double d_c = depth(z0, ix, iy);
+    const double fx_w = 0.5 * (depth(z0, ix - 1, iy) + d_c) *
+                        u0[grid.u_index(ix, iy)];
+    const double fx_e = 0.5 * (d_c + depth(z0, ix + 1, iy)) *
+                        u0[grid.u_index(ix + 1, iy)];
+    const double fd_s = 0.5 * (d_c + grid.h(ix, iy - 1) + old(ix, iy - 1));
+    const double fd_n = 0.5 * (d_c + grid.h(ix, iy + 1) + old(ix, iy + 1));
+    const double div =
+        (fx_e - fx_w) / grid.dx(ix) +
+        mul_add(fused, fd_n, vel(ix, iy + 1), -(fd_s * vel(ix, iy))) /
+            grid.dy(iy);
+    return static_cast<float>(mul_add(fused, -div, p.dt, old(ix, iy)));
+  }
+
+  float u_at(bool fused, int ix, int iy) const {
+    auto vel = [&](int x, int y) { return v0[grid.v_index(x, y)]; };
+    const double d_u = 0.5 * (depth(z1, ix - 1, iy) + depth(z1, ix, iy));
+    const double v_at_u = 0.25 * (vel(ix - 1, iy) + vel(ix, iy) +
+                                  vel(ix - 1, iy + 1) + vel(ix, iy + 1));
+    const double uc = u0[grid.u_index(ix, iy)];
+    const double speed = std::sqrt(mul_add(fused, uc, uc, v_at_u * v_at_u));
+    const double dzdx = (z1[grid.rho_index(ix, iy)] -
+                         z1[grid.rho_index(ix - 1, iy)]) /
+                        (0.5 * (grid.dx(ix - 1) + grid.dx(ix)));
+    const double rhs =
+        mul_add(fused, mul_add(fused, p.f, v_at_u, -(p.g * dzdx)), p.dt, uc);
+    return static_cast<float>(rhs / (1.0 + p.dt * p.cd * speed / d_u));
+  }
+
+  float v_at(bool fused, int ix, int jf) const {
+    auto vel = [&](int x, int y) { return u1[grid.u_index(x, y)]; };
+    const double d_v = 0.5 * (depth(z1, ix, jf - 1) + depth(z1, ix, jf));
+    const double u_at_v = 0.25 * (vel(ix, jf - 1) + vel(ix + 1, jf - 1) +
+                                  vel(ix, jf) + vel(ix + 1, jf));
+    const double vc = v0[grid.v_index(ix, jf)];
+    const double speed = std::sqrt(mul_add(fused, vc, vc, u_at_v * u_at_v));
+    const double dzdy = (z1[grid.rho_index(ix, jf)] -
+                         z1[grid.rho_index(ix, jf - 1)]) /
+                        (0.5 * (grid.dy(jf - 1) + grid.dy(jf)));
+    const double rhs = mul_add(
+        fused, mul_add(fused, -p.f, u_at_v, -(p.g * dzdy)), p.dt, vc);
+    return static_cast<float>(rhs / (1.0 + p.dt * p.cd * speed / d_v));
+  }
+
+  /// The open boundary face of row iy; the tide sums its constituents with
+  /// the outer and inner products fused or not.
+  float flather_at(bool outer, bool inner, int iy) const {
+    double zext = 0.0;
+    for (const auto& c : tide.constituents()) {
+      const double omega = 2.0 * M_PI / (c.period_hours * 3600.0);
+      zext = mul_add(outer, c.amplitude_m,
+                     std::cos(mul_add(inner, omega, t0 + p.dt, c.phase_rad)),
+                     zext);
+    }
+    const float zb = z1[grid.rho_index(0, iy)];
+    return static_cast<float>(std::sqrt(p.g / depth(z1, 0, iy)) * (zext - zb));
+  }
+};
+
+/// Steps `b`, nudging `knob` up one ulp at a time, until `expect(true)`
+/// and `expect(false)` differ; then reports which the solver's `got()`
+/// matched: 1 fused, 0 unfused, -1 neither (or no state told them apart).
+template <class Expect, class Got>
+int fused_or_not(Basin& b, double& knob, Expect expect, Got got) {
+  for (int k = 0; k < 512; ++k, knob = std::nextafter(knob, HUGE_VAL)) {
+    b.step();
+    const float fused = expect(true), unfused = expect(false);
+    if (fused != unfused) return got() == fused ? 1 : got() == unfused ? 0 : -1;
+  }
+  return -1;
+}
 }  // namespace
 
 TEST(Solver, StartsAtRestAndStaysFiniteUnderTides) {
@@ -156,6 +298,134 @@ TEST(Solver, DecomposedMatchesSerial) {
                                     << nranks << " ranks";
     EXPECT_GT(par.halo_messages, 0u);
   }
+}
+
+TEST(Solver, StepMatchesTheScalarSolverBitwise) {
+  // Digests of the bits of zeta, ubar and vbar after one simulated day,
+  // recorded from the scalar, branching solver this one replaced.  Its
+  // default (-march=native, FMA-contracted) and -DCOASTAL_NATIVE_ARCH=OFF
+  // builds recorded the same three digests: a fused product moves a double
+  // intermediate by an ulp, too little to change a float state here.
+  constexpr int kDay = 8640;  // steps of dt = 10 s
+  using Digests = std::array<uint64_t, 3>;
+  constexpr Digests kScalar = {0xc85e7c7c8d751e86ull, 0x79fc4a59e73a0057ull,
+                               0xed3acfaa3e65351bull};
+
+  Grid g = make_test_grid(32, 24);
+  auto tide = TidalForcing::gulf_coast_default();
+  auto par = run_decomposed(g, tide, fast_params(), 3, kDay);
+  const Digests got = {
+      serial_digest(20, 20, kDay),  // the end-to-end benchmark's grid
+      serial_digest(37, 21, kDay),  // a width no vector length divides
+      field_digest(par.zeta, par.ubar, par.vbar),
+  };
+  EXPECT_TRUE(got == kScalar)
+      << std::hex << "got {0x" << got[0] << ", 0x" << got[1] << ", 0x"
+      << got[2] << "}";
+}
+
+TEST(Solver, FusesExactlyTheProductsTheScalarBuildFused) {
+  // The digests above cannot see a fused product: it moves a double by an
+  // ulp, which almost never changes the float it is rounded to.  Here each
+  // state is tuned so that one product's rounding decides the float, and
+  // every one of them must be fused (an FMA build) or none (a build
+  // without FMA), as in the scalar solver's builds.
+  std::vector<int> seen;
+  {  // zeta: fd_n v_n - fy_s, north and south fluxes nearly equal
+    Basin b;
+    b.v(2, 2) = b.v(2, 3) = 0.3f;
+    b.z(2, 3) = 1e-12f;
+    seen.push_back(fused_or_not(
+        b, b.dy[2], [&](bool f) { return b.zeta_at(f, 2, 2); },
+        [&] { return b.z1[b.grid.rho_index(2, 2)]; }));
+  }
+  {  // zeta: zo - dt div, the flux nearly drains the column's rise
+    Basin b;
+    b.z(2, 2) = 0.1f;
+    b.v(2, 3) = 0.3f;
+    b.dy[2] = b.p.dt * 0.5 * (b.depth(b.z0, 2, 2) + 10.0) * 0.3f / 0.1f;
+    seen.push_back(fused_or_not(
+        b, b.dy[2], [&](bool f) { return b.zeta_at(f, 2, 2); },
+        [&] { return b.z1[b.grid.rho_index(2, 2)]; }));
+  }
+  auto u_case = [&](Basin& b, double& knob) {
+    return fused_or_not(
+        b, knob, [&](bool f) { return b.u_at(f, 3, 2); },
+        [&] { return b.u1[b.grid.u_index(3, 2)]; });
+  };
+  auto v_case = [&](Basin& b, double& knob) {
+    return fused_or_not(
+        b, knob, [&](bool f) { return b.v_at(f, 2, 3); },
+        [&] { return b.v1[b.grid.v_index(2, 3)]; });
+  };
+  // The new surface slope across u face (3, 2) and v face (2, 3).
+  auto slope_x = [](Basin& b) {
+    b.step();
+    return (b.z1[b.grid.rho_index(3, 2)] - b.z1[b.grid.rho_index(2, 2)]) /
+           400.0;
+  };
+  auto slope_y = [](Basin& b) {
+    b.step();
+    return (b.z1[b.grid.rho_index(2, 3)] - b.z1[b.grid.rho_index(2, 2)]) /
+           400.0;
+  };
+  {  // u: uc + dt (f v - g dz/dx), the pressure term nearly cancels uc
+    Basin b;
+    b.p.f = 0.0;
+    b.z(3, 2) = 0.01f;
+    b.u(3, 2) = 0.1f;
+    b.p.g = 0.1f / (b.p.dt * slope_x(b));
+    seen.push_back(u_case(b, b.p.g));
+  }
+  {  // v: the same for vc + dt (-f u - g dz/dy)
+    Basin b;
+    b.p.f = 0.0;
+    b.z(2, 3) = 0.01f;
+    b.v(2, 3) = 0.1f;
+    b.p.g = 0.1f / (b.p.dt * slope_y(b));
+    seen.push_back(v_case(b, b.p.g));
+  }
+  {  // u: f v - g dz/dx at rest, Coriolis nearly balances the pressure
+    Basin b;
+    b.z(3, 2) = 0.01f;
+    b.v(2, 2) = b.v(3, 2) = b.v(2, 3) = b.v(3, 3) = 0.2f;
+    b.p.f = b.p.g * slope_x(b) / (0.25 * (0.2f + 0.2f + 0.2f + 0.2f));
+    seen.push_back(u_case(b, b.p.f));
+  }
+  {  // v: -f u - g dz/dy at rest; v = 0 keeps the new u free of f
+    Basin b;
+    b.z(2, 3) = 0.01f;
+    b.u(2, 2) = b.u(3, 2) = b.u(2, 3) = b.u(3, 3) = 0.2f;
+    const double dzdy = slope_y(b);
+    const double u_at_v =
+        0.25 * (b.u1[b.grid.u_index(2, 2)] + b.u1[b.grid.u_index(3, 2)] +
+                b.u1[b.grid.u_index(2, 3)] + b.u1[b.grid.u_index(3, 3)]);
+    b.p.f = -b.p.g * dzdy / u_at_v;
+    seen.push_back(v_case(b, b.p.f));
+  }
+  {  // the open boundary: the tide less a level at its float value; the
+     // tide fuses two products, so both must agree
+    Basin b;
+    int found = -1;
+    for (int k = 0; k < 4096 && found < 0; ++k) {
+      b.t0 = 3600.0 + k * b.p.dt;
+      std::fill(b.z0.begin(), b.z0.end(),
+                static_cast<float>(b.tide.elevation(b.t0 + b.p.dt)));
+      b.step();
+      const float ff = b.flather_at(true, true, 2);
+      const float uu = b.flather_at(false, false, 2);
+      const float fu = b.flather_at(true, false, 2);
+      const float uf = b.flather_at(false, true, 2);
+      if (ff == uu || ff == fu || ff == uf || uu == fu || uu == uf) continue;
+      const float got = b.u1[b.grid.u_index(0, 2)];
+      found = got == ff ? 1 : got == uu ? 0 : -1;
+      if (found < 0) break;
+    }
+    seen.push_back(found);
+  }
+  for (size_t i = 0; i < seen.size(); ++i)
+    EXPECT_EQ(seen[i], seen.front()) << "case " << i;
+  EXPECT_NE(seen.front(), -1);
 }
 
 TEST(Solver, HaloTrafficScalesWithRankCount) {

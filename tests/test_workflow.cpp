@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 
 #include "core/decode.hpp"
@@ -128,6 +129,57 @@ TEST(Verification, UniformRiseAtRestTripsTheThresholdExactly) {
     EXPECT_EQ(r.pass, frac < 1.0);
     EXPECT_NEAR(r.mean_residual, delta / dt, 1e-9 * (delta / dt));
   }
+}
+
+TEST(Verification, WestBoundaryInflowResidualIsTheHandComputedImbalance) {
+  // A flat, all-wet basin (h = 4 m) at rest, except for an eastward
+  // current U_j in the open west column and a rise delta there.  Every
+  // number below is a short dyadic fraction, so the hand computation and
+  // the verifier agree exactly whatever order they add in.
+  constexpr int nx = 8, ny = 4, nz = 2;
+  constexpr double h = 4.0, dx = 128.0, dy = 256.0, dt = 64.0;
+  constexpr float delta = 1.0f / 1024.0f;
+  ocean::Grid grid(nx, ny, nz, dx, dy);
+  for (int iy = 0; iy < ny; ++iy)
+    for (int ix = 0; ix < nx; ++ix) grid.set_h(ix, iy, static_cast<float>(h));
+  data::CenterFields a;
+  a.nx = nx;
+  a.ny = ny;
+  a.nz = nz;
+  a.u.assign(static_cast<size_t>(nz * ny * nx), 0.0f);
+  a.v = a.u;
+  a.w = a.u;
+  a.zeta.assign(static_cast<size_t>(ny * nx), 0.0f);
+  data::CenterFields b = a;
+  auto inflow = [](int iy) { return 0.25 * (iy + 1); };  // U_j, m/s
+  for (int iy = 0; iy < ny; ++iy) {
+    for (int k = 0; k < nz; ++k)
+      b.u[b.cell3(k, iy, 0)] = static_cast<float>(inflow(iy));
+    b.zeta[b.cell2(iy, 0)] = delta;
+  }
+
+  // Column 0 takes H0 U through its open west face and passes the
+  // averaged transport 0.5 (H0 + h) * 0.5 U to column 1, which keeps it;
+  // only column 0 rises.  Every other cell is balanced at rest.
+  const double h0 = h + delta;
+  double sum = 0.0, worst = 0.0;
+  for (int iy = 0; iy < ny; ++iy) {
+    const double west = h0 * inflow(iy);
+    const double face1 = 0.5 * (h0 + h) * 0.5 * inflow(iy);
+    const double col0 = std::abs(delta / dt + (face1 - west) / dx);
+    const double col1 = std::abs((0.0 - face1) / dx);
+    sum += col0 + col1;
+    worst = std::max({worst, col0, col1});
+  }
+  const double expected = sum / (nx * ny);
+  ASSERT_GT(expected, 0.0);
+
+  core::MassVerifier verifier(grid, expected);
+  const auto r = verifier.check_pair(a, b, dt);
+  EXPECT_EQ(r.mean_residual, expected);
+  EXPECT_EQ(r.max_residual, worst);
+  EXPECT_FALSE(r.pass);  // the threshold is strict
+  EXPECT_TRUE(core::MassVerifier(grid, 2 * expected).check_pair(a, b, dt).pass);
 }
 
 TEST(Verification, SequenceAggregatesWorstCase) {

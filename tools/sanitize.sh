@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
-# Sanitizer sweep: build the library and tests twice and run them under
+# Sanitizer sweep: build the library and tests three times and run them
 #
-#   1. ASan + UBSan (-DCOASTAL_SANITIZE=address,undefined): every ctest
-#      except the host-bound perf gate, `ctest -E bench_diff` (the
+#   1. under ASan + UBSan (-DCOASTAL_SANITIZE=address,undefined): every
+#      ctest except the host-bound perf gate, `ctest -E bench_diff` (the
 #      memory-labeled suites re-run with the tensor pool disabled, so
 #      pool and arena lifetime bugs are byte-precise reports);
-#   2. TSan (-DCOASTAL_SANITIZE=thread): the thread-labeled ctests,
-#      `ctest -L thread` (serving, cache, obs, reliability, communicator).
+#   2. under TSan (-DCOASTAL_SANITIZE=thread): the thread-labeled ctests,
+#      `ctest -L thread` (serving, cache, obs, reliability, communicator);
+#   3. portable (-DCOASTAL_NATIVE_ARCH=OFF, no sanitizer): the solver and
+#      workflow suites, so the ROMS solver's no-FMA branch is built and
+#      checked against its bitwise digests.
 #
 # Usage: tools/sanitize.sh [build-root]      (default: build-sanitize/)
 # Environment: JOBS (parallel build jobs, default: nproc).
@@ -22,14 +25,16 @@ root="${1:-$repo/build-sanitize}"
 jobs="${JOBS:-$(nproc)}"
 status=0
 
-# sweep NAME SANITIZERS EXTRA_CXX_FLAGS CTEST_ARGS...
+# sweep NAME SANITIZERS EXTRA_CXX_FLAGS NATIVE_ARCH CTEST_ARGS...
 sweep() {
-  local name="$1" sanitize="$2" flags="$3"
-  shift 3
+  local name="$1" sanitize="$2" flags="$3" native="$4"
+  shift 4
   local dir="$root/$name"
-  echo "== $name: -DCOASTAL_SANITIZE=$sanitize $flags, ctest $*"
+  echo "== $name: -DCOASTAL_SANITIZE=$sanitize $flags" \
+       "-DCOASTAL_NATIVE_ARCH=$native, ctest $*"
   if ! cmake -S "$repo" -B "$dir" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCOASTAL_SANITIZE="$sanitize" -DCMAKE_CXX_FLAGS="$flags" \
+      -DCOASTAL_NATIVE_ARCH="$native" \
       -DCOASTAL_BUILD_BENCH=OFF >"$dir.configure.log" 2>&1; then
     echo "!! $name: configure failed (see $dir.configure.log)"
     status=1
@@ -55,8 +60,9 @@ export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1:${UBSAN_OPTIONS:-}"
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1:${TSAN_OPTIONS:-}"
 
 sweep asan-ubsan address,undefined \
-  "-fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS" -E bench_diff
-sweep tsan thread "" -L thread
+  "-fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS" ON -E bench_diff
+sweep tsan thread "" ON -L thread
+sweep portable "" "" OFF -R '^test_(ocean_solver|workflow)$'
 
 if [ "$status" -eq 0 ]; then
   echo "== sanitize: clean"
