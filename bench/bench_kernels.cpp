@@ -150,11 +150,13 @@ static void BM_LayerNorm(benchmark::State& state) {
 BENCHMARK(BM_LayerNorm)->Arg(32)->Arg(128);
 
 static void BM_WindowPartition(benchmark::State& state) {
+  // Shifted-window partition of a channels-last [1, 8, 8, 4, 4, 16] map:
+  // the cyclic shift rides in the plan's row table.
   util::Rng rng(4);
-  Tensor x = Tensor::randn({1, 16, 8, 8, 4, 4}, rng);
+  Tensor x = Tensor::randn({1, 8, 8, 4, 4, 16}, rng);
+  const core::WindowPlan plan({8, 8, 4, 4}, {4, 4, 2, 2}, {2, 2, 1, 1});
   tensor::NoGradGuard ng;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(core::window_partition(x, {4, 4, 2, 2}).raw());
+  for (auto _ : state) benchmark::DoNotOptimize(plan.partition(x).raw());
 }
 BENCHMARK(BM_WindowPartition);
 
@@ -241,12 +243,11 @@ static void BM_AttentionBackwardUnfused(benchmark::State& state) {
 }
 BENCHMARK(BM_AttentionBackwardUnfused)->Arg(64)->Arg(256)->Arg(512);
 
-static void BM_TrainStep(benchmark::State& state) {
-  // One optimizer step of the paper's surrogate at miniature scale:
-  // forward + backward + Adam update.  Under the default config
-  // (attn_fused_min_n = 0) its windows of 64 and 16 tokens take the
-  // unfused reference attention, as served forwards do.
-  util::Rng rng(10);
+namespace {
+
+/// The surrogate at the end-to-end benchmark's miniature scale: the
+/// 20×20×6 mesh, T = 3, patch 5×5×2, embed 8, three stages.
+core::SurrogateConfig mini_surrogate_config() {
   core::SurrogateConfig cfg;
   cfg.H = 20;
   cfg.W = 20;
@@ -258,7 +259,40 @@ static void BM_TrainStep(benchmark::State& state) {
   cfg.embed_dim = 8;
   cfg.stages = 3;
   cfg.heads = {2, 4, 8};
-  core::SurrogateModel model(cfg, rng);
+  return cfg;
+}
+
+}  // namespace
+
+static void BM_SurrogateForward(benchmark::State& state) {
+  // One eval forward of B stacked samples (batch statistics per sample,
+  // as the server runs them) inside an episode arena, as core::rollout
+  // runs it.
+  const int64_t B = state.range(0);
+  util::Rng rng(13);
+  core::SurrogateModel model(mini_surrogate_config(), rng);
+  model.set_training(false);
+  util::Rng drng(14);
+  Tensor volume = Tensor::randn({B, 3, 20, 20, 6, 4}, drng);
+  Tensor surface = Tensor::randn({B, 1, 20, 20, 4}, drng);
+  tensor::NoGradGuard ng;
+  nn::BatchStatScope groups(B);
+  for (auto _ : state) {
+    tensor::ArenaScope arena;
+    auto out = model.forward(volume, surface);
+    benchmark::DoNotOptimize(out.volume.raw());
+  }
+  state.SetItemsProcessed(state.iterations() * B);
+}
+BENCHMARK(BM_SurrogateForward)->Arg(1)->Arg(8);
+
+static void BM_TrainStep(benchmark::State& state) {
+  // One optimizer step of the paper's surrogate at miniature scale:
+  // forward + backward + Adam update.  Under the default config
+  // (attn_fused_min_n = 0) its windows of 64 and 16 tokens take the
+  // unfused reference attention, as served forwards do.
+  util::Rng rng(10);
+  core::SurrogateModel model(mini_surrogate_config(), rng);
   nn::Adam opt(model.parameters(), 1e-3f);
   util::Rng drng(11);
   Tensor volume = Tensor::randn({1, 3, 20, 20, 6, 4}, drng);

@@ -2,37 +2,10 @@
 
 namespace coastal::core {
 
-Tensor fold_time(const Tensor& x) {
-  const size_t nd = x.ndim();
-  COASTAL_CHECK(nd >= 3);
-  // [B, C, s..., T] -> [B, T, C, s...]
-  std::vector<size_t> perm(nd);
-  perm[0] = 0;
-  perm[1] = nd - 1;
-  for (size_t i = 2; i < nd; ++i) perm[i] = i - 1;
-  Tensor p = x.permute(perm);
-  tensor::Shape s = p.shape();
-  tensor::Shape folded;
-  folded.push_back(s[0] * s[1]);
-  for (size_t i = 2; i < nd; ++i) folded.push_back(s[i]);
-  return p.reshape(folded);
-}
-
-Tensor unfold_time(const Tensor& x, int64_t batch, int64_t time) {
-  const size_t nd = x.ndim();
-  tensor::Shape s = x.shape();
-  COASTAL_CHECK(s[0] == batch * time);
-  tensor::Shape expanded;
-  expanded.push_back(batch);
-  expanded.push_back(time);
-  for (size_t i = 1; i < nd; ++i) expanded.push_back(s[i]);
-  Tensor r = x.reshape(expanded);
-  // [B, T, C, s...] -> [B, C, s..., T]
-  std::vector<size_t> perm(nd + 1);
-  perm[0] = 0;
-  for (size_t i = 1; i < nd; ++i) perm[i] = i + 1;
-  perm[nd] = 1;
-  return r.permute(perm);
+tensor::View feature_view(const Tensor& x) {
+  COASTAL_CHECK_MSG(x.ndim() == 6, "expected [B,H,W,D,T,C], got "
+                                       << tensor::shape_str(x.shape()));
+  return nn::field_view(x.shape(), /*frame_axis=*/4, /*channel_axis=*/5);
 }
 
 PatchEmbed4d::PatchEmbed4d(int64_t embed_dim, int64_t patch_h, int64_t patch_w,
@@ -48,24 +21,24 @@ PatchEmbed4d::PatchEmbed4d(int64_t embed_dim, int64_t patch_h, int64_t patch_w,
 Tensor PatchEmbed4d::forward(const Tensor& volume,
                              const Tensor& surface) const {
   COASTAL_CHECK(volume.ndim() == 6 && surface.ndim() == 5);
-  const int64_t B = volume.shape()[0];
   const int64_t Tn = volume.shape()[5];
   COASTAL_CHECK(surface.shape()[4] == Tn);
 
-  // 3-D branch: [B*Tn, 3, H, W, D] -> [B*Tn, C, H', W', D'].
-  Tensor vol_tokens = embed3d_->forward(fold_time(volume));
-  Tensor vol_embed = unfold_time(vol_tokens, B, Tn);  // [B, C, H', W', D', Tn]
-
-  // 2-D branch: [B*Tn, 1, H, W] -> [B*Tn, C, H', W'] -> depth slice.
-  Tensor surf_tokens = embed2d_->forward(fold_time(surface));
-  Tensor surf_embed = unfold_time(surf_tokens, B, Tn);  // [B, C, H', W', Tn]
-  tensor::Shape s = surf_embed.shape();
-  Tensor surf_slice =
-      surf_embed.reshape({s[0], s[1], s[2], s[3], 1, s[4]});
-
-  // Concatenate along depth (axis 4): the surface rides on top of the
-  // water column.
-  return tensor::concat({vol_embed, surf_slice}, 4);
+  // Both branches gather their channel-first input straight into GEMM
+  // rows (b, t, patch): [B, Tn, H', W', D', C] and [B, Tn, H', W', C].
+  Tensor vol = embed3d_->forward(
+      volume, nn::field_view(volume.shape(), /*frame_axis=*/5,
+                                /*channel_axis=*/1));
+  Tensor surf = embed2d_->forward(
+      surface, nn::field_view(surface.shape(), /*frame_axis=*/4,
+                                 /*channel_axis=*/1));
+  tensor::Shape s = surf.shape();
+  // The surface rides on top of the water column as one more depth slice.
+  Tensor both =
+      tensor::concat({vol, std::move(surf).reshape({s[0], s[1], s[2], s[3], 1,
+                                                    s[4]})},
+                     4);
+  return both.permute({0, 2, 3, 4, 1, 5});
 }
 
 PositionalEmbedding4d::PositionalEmbedding4d(int64_t dim, int64_t H, int64_t W,
@@ -78,7 +51,10 @@ PositionalEmbedding4d::PositionalEmbedding4d(int64_t dim, int64_t H, int64_t W,
 }
 
 Tensor PositionalEmbedding4d::forward(const Tensor& x) const {
-  return x.add(spatial_).add(temporal_);
+  // The parameters keep their [1, C, ...] layout (and so their bytes);
+  // moving them channels-last costs a few hundred floats per forward.
+  const std::vector<size_t> to_last{0, 2, 3, 4, 5, 1};
+  return x.add(spatial_.permute(to_last)).add(temporal_.permute(to_last));
 }
 
 PatchMerging4d::PatchMerging4d(int64_t dim, util::Rng& rng) {
@@ -87,10 +63,7 @@ PatchMerging4d::PatchMerging4d(int64_t dim, util::Rng& rng) {
 }
 
 Tensor PatchMerging4d::forward(const Tensor& x) const {
-  const FeatureDims d = FeatureDims::of(x);
-  Tensor folded = fold_time(x);
-  Tensor merged = merge_->forward(folded);
-  return unfold_time(merged, d.B, d.T);
+  return merge_->forward(x, feature_view(x)).permute({0, 2, 3, 4, 1, 5});
 }
 
 }  // namespace coastal::core

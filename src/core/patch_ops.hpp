@@ -5,7 +5,8 @@
 /// (Sec. III-C).  All ops treat time as a separate axis: patches and
 /// merges are purely spatial, exactly as the paper specifies ("patch
 /// merging performs on the three spatial dimensions but not the temporal
-/// dimension").
+/// dimension").  Feature maps are channels-last [B, H, W, D, T, C]; the
+/// patch convs read them (time as the frame axis) through a field view.
 
 #include <memory>
 
@@ -14,11 +15,9 @@
 
 namespace coastal::core {
 
-/// [B, C, s1..sk, T] -> [B*T, C, s1..sk]: folds time into the batch so
-/// spatial convolutions can run per frame.
-Tensor fold_time(const Tensor& x);
-/// Inverse of fold_time.
-Tensor unfold_time(const Tensor& x, int64_t batch, int64_t time);
+/// The [B, T, H, W, D, C] field view of a channels-last feature map
+/// [B, H, W, D, T, C] (time as the conv frame axis).
+tensor::View feature_view(const Tensor& x);
 
 /// Joint 3-D + 2-D patch embedding: the 3-D variables (u, v, w) are
 /// patched with (ph, pw, pd) and the 2-D variable (zeta) with (ph, pw);
@@ -30,7 +29,7 @@ class PatchEmbed4d : public nn::Module {
                int64_t patch_d, util::Rng& rng);
 
   /// volume [B, 3, H, W, D, Tn], surface [B, 1, H, W, Tn]
-  /// -> [B, C, H/ph, W/pw, D/pd + 1, Tn].
+  /// -> [B, H/ph, W/pw, D/pd + 1, Tn, C].
   Tensor forward(const Tensor& volume, const Tensor& surface) const;
 
   int64_t embed_dim() const { return dim_; }
@@ -48,6 +47,7 @@ class PositionalEmbedding4d : public nn::Module {
   PositionalEmbedding4d(int64_t dim, int64_t H, int64_t W, int64_t D,
                         int64_t T, util::Rng& rng);
 
+  /// x: [B, H, W, D, T, C].
   Tensor forward(const Tensor& x) const;
 
  private:
@@ -62,7 +62,7 @@ class PatchMerging4d : public nn::Module {
  public:
   PatchMerging4d(int64_t dim, util::Rng& rng);
 
-  /// [B, C, H, W, D, T] -> [B, 2C, H/2, W/2, D/2, T].
+  /// [B, H, W, D, T, C] -> [B, H/2, W/2, D/2, T, 2C].
   Tensor forward(const Tensor& x) const;
 
  private:

@@ -20,6 +20,18 @@ Window4d effective_window(const Window4d& base, int64_t h, int64_t w,
           fit_window(base[2], d), fit_window(base[3], t)};
 }
 
+/// Transposed conv -> BatchNorm -> GELU, the decoder's upsampling unit.
+/// The normalization reads the projection's fine rows where the GEMM
+/// left them, in (b, t, h, w, d) order, and writes them out with the row
+/// axes in `order` (the field labelled `shape`): the upsampled field is
+/// laid out once, by the normalization's own pass.
+Tensor upsample(const nn::PatchConvTransposeNd& up, nn::BatchNorm& bn,
+                const Tensor& x, const tensor::View& field,
+                const std::vector<size_t>& order, tensor::Shape shape) {
+  nn::PatchConvTransposeNd::Projection p = up.project(x, field);
+  return bn.forward(p.y, p.fine, order, std::move(shape)).gelu();
+}
+
 }  // namespace
 
 void SurrogateConfig::validate() const {
@@ -56,7 +68,7 @@ SurrogateModel::SurrogateModel(const SurrogateConfig& config, util::Rng& rng)
     const Window4d win = effective_window(base, h, w, d, cfg_.tn());
     stages_.push_back(register_module<SwinBlockPair4d>(
         "stage" + std::to_string(i), dim, cfg_.heads[static_cast<size_t>(i)],
-        win, rng));
+        Grid4d{h, w, d, cfg_.tn()}, win, rng));
     if (i + 1 < cfg_.stages) {
       merges_.push_back(register_module<PatchMerging4d>(
           "merge" + std::to_string(i), dim, rng));
@@ -108,8 +120,8 @@ SurrogateOutput SurrogateModel::forward(const Tensor& volume,
   COASTAL_CHECK_MSG(volume.shape()[5] == cfg_.tn(),
                     "input time steps " << volume.shape()[5] << " != T+1 = "
                                         << cfg_.tn());
-  const int64_t B = volume.shape()[0];
-
+  // Activations stay channels-last, [B, h, w, d, Tn, C], from the patch
+  // embedding to the recovery heads.
   // ---- encoder ----------------------------------------------------------
   Tensor x = pos_->forward(embed_->forward(volume, surface));
   std::vector<Tensor> skips;
@@ -122,38 +134,46 @@ SurrogateOutput SurrogateModel::forward(const Tensor& volume,
   }
 
   // ---- decoder ----------------------------------------------------------
+  const int64_t B = volume.shape()[0], Tn = cfg_.tn();
   for (size_t u = 0; u < ups_.size(); ++u) {
     const auto& up = ups_[u];
-    Tensor folded = fold_time(x);
-    Tensor upsampled = up.up->forward(folded);
-    Tensor activated = up.bn->forward(upsampled).gelu();
-    x = unfold_time(activated, B, cfg_.tn());
+    const tensor::Shape& s = x.shape();  // [B, h, w, d, Tn, C]
+    Tensor activated = upsample(
+        *up.up, *up.bn, x, feature_view(x), {0, 2, 3, 4, 5, 6, 7, 1},
+        {B, 2 * s[1], 2 * s[2], 2 * s[3], Tn, up.up->out_channels()});
     // U-Net skip: concat on channels with the matching encoder level.
     const Tensor& skip = skips[skips.size() - 1 - u];
-    x = up.fuse->forward(tensor::concat({x, skip}, 1));
+    x = up.fuse->forward(tensor::concat({activated, skip}, 5));
   }
 
   // ---- split depth and recover ------------------------------------------
-  const int64_t dv = cfg_.D / cfg_.patch_d;        // volume depth slices
-  Tensor vol_part = x.slice(4, 0, dv);             // [B, C, h1, w1, dv, Tn]
-  Tensor surf_part = x.slice(4, dv, 1);            // [B, C, h1, w1, 1, Tn]
-  tensor::Shape ss = surf_part.shape();
-  Tensor surf_sq = surf_part.reshape({ss[0], ss[1], ss[2], ss[3], ss[5]});
+  // The heads read the volume slices d < dv and the surface slice d = dv
+  // in place and work time-major, [B, Tn, H, W, (D,) C].
+  const int64_t dv = cfg_.D / cfg_.patch_d;  // volume depth slices
+  const tensor::View view = feature_view(x);  // [B, Tn, h1, w1, d1, C]
+  tensor::View vol_view = view;
+  vol_view.shape[4] = dv;
+  tensor::View surf_view = view;
+  surf_view.offset = dv * view.strides[4];
+  surf_view.shape.erase(surf_view.shape.begin() + 4);
+  surf_view.strides.erase(surf_view.strides.begin() + 4);
 
-  Tensor vol_rec = unfold_time(
-      head3d_->forward(
-          bn3d_->forward(recover3d_->forward(fold_time(vol_part))).gelu()),
-      B, cfg_.tn());                               // [B, 3, H, W, D, Tn]
-  Tensor surf_rec = unfold_time(
-      head2d_->forward(
-          bn2d_->forward(recover2d_->forward(fold_time(surf_sq))).gelu()),
-      B, cfg_.tn());                               // [B, 1, H, W, Tn]
+  const int64_t H = cfg_.H, W = cfg_.W, D = cfg_.D, C = cfg_.embed_dim;
+  Tensor vol_rec = head3d_->forward(upsample(*recover3d_, *bn3d_, x, vol_view,
+                                             {0, 1, 2, 3, 4, 5, 6, 7},
+                                             {B, Tn, H, W, D, C}));
+  Tensor surf_rec = head2d_->forward(upsample(
+      *recover2d_, *bn2d_, x, surf_view, {0, 1, 2, 3, 4, 5}, {B, Tn, H, W, C}));
 
   // Predictions are the T forecast frames (drop the initial-condition
-  // frame).
+  // frame), gathered back to the channel-first output layout.
   SurrogateOutput out;
-  out.volume = vol_rec.slice(5, 1, cfg_.T);
-  out.surface = surf_rec.slice(4, 1, cfg_.T);
+  out.volume = tensor::gather(
+      vol_rec, {{B, 3, H, W, D, cfg_.T},
+                {Tn * H * W * D * 3, 1, W * D * 3, D * 3, 3, H * W * D * 3},
+                H * W * D * 3});
+  out.surface = tensor::gather(
+      surf_rec, {{B, 1, H, W, cfg_.T}, {Tn * H * W, 1, W, 1, H * W}, H * W});
   return out;
 }
 

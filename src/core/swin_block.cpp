@@ -1,82 +1,46 @@
 #include "core/swin_block.hpp"
 
-#include <sstream>
-
 namespace coastal::core {
 
-SwinBlock4d::SwinBlock4d(int64_t dim, int64_t heads, Window4d window,
-                         bool shifted, util::Rng& rng, int64_t mlp_ratio)
-    : dim_(dim), heads_(heads), window_(window), shifted_(shifted) {
+namespace {
+
+Window4d shift_for(const Grid4d& grid, const Window4d& window, bool shifted) {
+  Window4d s{};
+  if (!shifted) return s;
+  for (size_t a = 0; a < 4; ++a) {
+    s[a] = (grid[a] > window[a]) ? window[a] / 2 : 0;
+  }
+  return s;
+}
+
+}  // namespace
+
+SwinBlock4d::SwinBlock4d(int64_t dim, int64_t heads, const Grid4d& grid,
+                         Window4d window, bool shifted, util::Rng& rng,
+                         int64_t mlp_ratio)
+    : plan_(grid, window, shift_for(grid, window, shifted)) {
   norm1_ = register_module<nn::LayerNorm>("norm1", dim);
   norm2_ = register_module<nn::LayerNorm>("norm2", dim);
   attn_ = register_module<nn::MultiHeadSelfAttention>("attn", dim, heads, rng);
   mlp_ = register_module<nn::Mlp>("mlp", dim, dim * mlp_ratio, rng);
 }
 
-Window4d SwinBlock4d::shift_for(const FeatureDims& d) const {
-  if (!shifted_) return {0, 0, 0, 0};
-  const std::array<int64_t, 4> sizes{d.H, d.W, d.D, d.T};
-  Window4d s{};
-  for (size_t a = 0; a < 4; ++a) {
-    // Shifting is only meaningful when there are at least two windows on
-    // the axis; otherwise the roll is an identity on window content.
-    s[a] = (sizes[a] > window_[a]) ? window_[a] / 2 : 0;
-  }
-  return s;
-}
-
-const Tensor& SwinBlock4d::mask_for(const FeatureDims& d,
-                                    const Window4d& shift) {
-  const MaskKey key{d.H, d.W, d.D, d.T, shift[0], shift[1], shift[2],
-                    shift[3]};
-  auto it = mask_cache_.find(key);
-  if (it == mask_cache_.end()) {
-    it = mask_cache_.emplace(key, shifted_window_mask(d, window_, shift))
-             .first;
-  }
-  return it->second;
-}
-
-Tensor SwinBlock4d::forward_impl(const Tensor& x) {
-  const FeatureDims d = FeatureDims::of(x);
-  check_window_divides(d, window_);
-  const Window4d shift = shift_for(d);
-  const bool any_shift =
-      shift[0] != 0 || shift[1] != 0 || shift[2] != 0 || shift[3] != 0;
-
+Tensor SwinBlock4d::forward_impl(const Tensor& x) const {
   // ---- attention branch: z_hat = (S)W-MSA(LN(z)) + z -------------------
-  // LayerNorm acts on channels-last tokens; windowing produces that layout.
-  // The window attention below streams through the fused flash-style
-  // kernels in inference *and* training (N = window volume >= the fused
-  // threshold) — the cached [groups, N, N] shifted-window mask feeds it as
-  // a per-(batch × head) additive bias, the training graph holds only
-  // [B·nW, heads, N] row statistics, and the [B·nW, heads, N, N] score /
-  // dScore tensors are never materialized on either pass.  Checkpointed
-  // training recomputes through the same fused path, so the saved block
-  // output matches the recompute bitwise.
-  Tensor shifted_x = any_shift ? cyclic_shift(x, shift) : x;
-  Tensor tokens = window_partition(shifted_x, window_);  // [B*nW, N, C]
-  Tensor normed = norm1_->forward(tokens);
-  Tensor attended;
-  if (any_shift) {
-    attended = attn_->forward(normed, mask_for(d, shift));
-  } else {
-    attended = attn_->forward(normed);
-  }
-  Tensor attn_map = window_reverse(attended, d, window_);
-  if (any_shift) attn_map = cyclic_unshift(attn_map, shift);
-  Tensor z = x.add(attn_map);
+  // Partition gathers the (rolled) windows' tokens, [B*nW, N, C], in one
+  // pass; reverse scatters the attention output back to the grid.  The
+  // plan's [nW, N, N] mask (shifted blocks only) biases each window's
+  // scores.
+  Tensor attended = attn_->forward(norm1_->forward(plan_.partition(x)),
+                                   plan_.mask());
+  Tensor z = x.add(plan_.reverse(attended));
 
   // ---- MLP branch: z = MLP(LN(z_hat)) + z_hat ---------------------------
-  // Token layout again (windowing is unnecessary for a pointwise MLP; a
-  // plain channels-last view suffices).
-  Tensor zt = z.permute({0, 2, 3, 4, 5, 1});  // [B, H, W, D, T, C]
-  Tensor mlp_out = mlp_->forward(norm2_->forward(zt));
-  Tensor out = zt.add(mlp_out).permute({0, 5, 1, 2, 3, 4});
-  return out;
+  // Pointwise over the channels-last map itself: no windowing.
+  return z.add(mlp_->forward(norm2_->forward(z)));
 }
 
-Tensor SwinBlock4d::forward(const Tensor& x, bool use_checkpoint) {
+Tensor SwinBlock4d::forward(const Tensor& x, bool use_checkpoint) const {
   // Checkpointing only pays during training; nn::checkpoint itself no-ops
   // with autograd off, so this early-out only skips assembling the lambda
   // and the parameters() list for a wrapper that would do nothing.
@@ -88,15 +52,16 @@ Tensor SwinBlock4d::forward(const Tensor& x, bool use_checkpoint) {
       {x}, parameters());
 }
 
-SwinBlockPair4d::SwinBlockPair4d(int64_t dim, int64_t heads, Window4d window,
+SwinBlockPair4d::SwinBlockPair4d(int64_t dim, int64_t heads,
+                                 const Grid4d& grid, Window4d window,
                                  util::Rng& rng) {
-  wmsa_ = register_module<SwinBlock4d>("wmsa", dim, heads, window,
+  wmsa_ = register_module<SwinBlock4d>("wmsa", dim, heads, grid, window,
                                        /*shifted=*/false, rng);
-  swmsa_ = register_module<SwinBlock4d>("swmsa", dim, heads, window,
+  swmsa_ = register_module<SwinBlock4d>("swmsa", dim, heads, grid, window,
                                         /*shifted=*/true, rng);
 }
 
-Tensor SwinBlockPair4d::forward(const Tensor& x, bool use_checkpoint) {
+Tensor SwinBlockPair4d::forward(const Tensor& x, bool use_checkpoint) const {
   return swmsa_->forward(wmsa_->forward(x, use_checkpoint), use_checkpoint);
 }
 

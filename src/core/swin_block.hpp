@@ -4,10 +4,8 @@
 /// The 4-D Swin Transformer block pair of Eq. 3:
 ///   z_hat = W-MSA(LN(z)) + z;      z = MLP(LN(z_hat)) + z_hat
 ///   z_hat = SW-MSA(LN(z)) + z;     z = MLP(LN(z_hat)) + z_hat
-/// operating on feature maps [B, C, H, W, D, T].
+/// operating on channels-last feature maps [B, H, W, D, T, C].
 
-#include <array>
-#include <map>
 #include <memory>
 
 #include "core/window4d.hpp"
@@ -16,47 +14,41 @@
 
 namespace coastal::core {
 
-/// One (shifted or not) windowed-attention block.
+/// One (shifted or not) windowed-attention block over a fixed grid.  The
+/// window plan (token gather and shifted-window mask) is built in the
+/// constructor, so a forward writes no block state: concurrent eval
+/// forwards of one model are safe.
 class SwinBlock4d : public nn::Module {
  public:
-  SwinBlock4d(int64_t dim, int64_t heads, Window4d window, bool shifted,
-              util::Rng& rng, int64_t mlp_ratio = 2);
+  SwinBlock4d(int64_t dim, int64_t heads, const Grid4d& grid,
+              Window4d window, bool shifted, util::Rng& rng,
+              int64_t mlp_ratio = 2);
 
-  /// x: [B, C, H, W, D, T].  When `use_checkpoint` is true the whole block
-  /// runs under activation checkpointing (Sec. III-D's memory
-  /// optimization at block granularity).
-  Tensor forward(const Tensor& x, bool use_checkpoint = false);
-
-  const Window4d& window() const { return window_; }
-  bool shifted() const { return shifted_; }
+  /// x: [B, H, W, D, T, C] on the constructor's grid.  When
+  /// `use_checkpoint` is true the whole block runs under activation
+  /// checkpointing (Sec. III-D's memory optimization at block
+  /// granularity).
+  Tensor forward(const Tensor& x, bool use_checkpoint = false) const;
 
  private:
-  Tensor forward_impl(const Tensor& x);
-  /// Shift for SW-MSA: half the window on each axis (0 when the axis has
-  /// a single window, where shifting is a no-op).
-  Window4d shift_for(const FeatureDims& d) const;
-  const Tensor& mask_for(const FeatureDims& d, const Window4d& shift);
+  Tensor forward_impl(const Tensor& x) const;
 
-  int64_t dim_, heads_;
-  Window4d window_;
-  bool shifted_;
+  /// SW-MSA shifts half the window on each axis with at least two
+  /// windows (elsewhere the roll would only permute window content).
+  WindowPlan plan_;
   std::shared_ptr<nn::LayerNorm> norm1_, norm2_;
   std::shared_ptr<nn::MultiHeadSelfAttention> attn_;
   std::shared_ptr<nn::Mlp> mlp_;
-  /// Mask cache keyed by feature dims + shift (masks depend only on
-  /// those).  A packed value key avoids the per-forward string build this
-  /// hot path used to pay.
-  using MaskKey = std::array<int64_t, 8>;
-  std::map<MaskKey, Tensor> mask_cache_;
 };
 
 /// W-MSA block followed by SW-MSA block — "two successive 4D Swin
 /// Transformer blocks" of Fig. 3(b).
 class SwinBlockPair4d : public nn::Module {
  public:
-  SwinBlockPair4d(int64_t dim, int64_t heads, Window4d window, util::Rng& rng);
+  SwinBlockPair4d(int64_t dim, int64_t heads, const Grid4d& grid,
+                  Window4d window, util::Rng& rng);
 
-  Tensor forward(const Tensor& x, bool use_checkpoint = false);
+  Tensor forward(const Tensor& x, bool use_checkpoint = false) const;
 
  private:
   std::shared_ptr<SwinBlock4d> wmsa_, swmsa_;

@@ -14,9 +14,38 @@ bool carries_graph(const tensor::Tensor& t) {
   return t.defined() && (t.requires_grad() || t.has_grad_fn());
 }
 
+/// scores [B, h, N, N] + mask [groups, N, N], batch entry b taking mask
+/// group b % groups: one broadcast add over the [B/groups, groups, h, N, N]
+/// view, no reshape copies.  The mask gradient (a mask that trains) sums
+/// over the same view in the same order as a broadcast add's would.
+Tensor add_window_mask(const Tensor& scores, const Tensor& mask) {
+  const tensor::Shape& s = scores.shape();
+  const int64_t B = s[0], heads = s[1], N = s[2];
+  const int64_t groups = mask.shape()[0];
+  const tensor::Shape view{B / groups, groups, heads, N, N};
+  const tensor::Shape mask_view{1, groups, 1, N, N};
+  tensor::Storage out = tensor::Storage::uninit(scores.numel());
+  ker::binary_broadcast(ker::BinOp::kAdd, scores.raw(), mask.raw(),
+                        out.data(), view, tensor::broadcast_strides(view, view),
+                        tensor::broadcast_strides(mask_view, view));
+  if (!tensor::grad_enabled()) {
+    return Tensor::from_storage(s, std::move(out));
+  }
+  const tensor::Shape mask_shape = mask.shape();
+  const bool mask_grad = carries_graph(mask);
+  return tensor::custom_op(
+      s, std::move(out), "add_window_mask", {scores, mask},
+      [view, mask_view, mask_shape,
+       mask_grad](const Tensor& g) -> std::vector<Tensor> {
+        if (!mask_grad) return {g, Tensor()};
+        return {g, g.reshape(view).sum_to(mask_view).reshape(mask_shape)};
+      });
+}
+
 }  // namespace
 
-Tensor split_qkv_head(const Tensor& qkv, int64_t heads, int which) {
+Tensor split_qkv_head(const Tensor& qkv, int64_t heads, int which,
+                      bool transposed) {
   COASTAL_CHECK(qkv.ndim() == 3 && which >= 0 && which < 3);
   const int64_t B = qkv.shape()[0];
   const int64_t N = qkv.shape()[1];
@@ -24,29 +53,22 @@ Tensor split_qkv_head(const Tensor& qkv, int64_t heads, int which) {
   COASTAL_CHECK(qkv.shape()[2] == 3 * C && C % heads == 0);
   const int64_t hd = C / heads;
 
-  // out[b, h, n, d] = qkv[b, n, which*C + h*hd + d]: a strided gather.
+  // out[b, h, n, d] (or [b, h, d, n]) = qkv[b, n, which*C + h*hd + d]: a
+  // strided gather, and its backward the matching scatter.
+  const tensor::Shape shape = transposed ? tensor::Shape{B, heads, hd, N}
+                                         : tensor::Shape{B, heads, N, hd};
+  const tensor::Shape strides = transposed
+                                    ? tensor::Shape{N * 3 * C, hd, 1, 3 * C}
+                                    : tensor::Shape{N * 3 * C, hd, 3 * C, 1};
   tensor::Storage out = tensor::Storage::uninit(B * heads * N * hd);
-  ker::permute_gather(qkv.raw() + which * C, out.data(), {B, heads, N, hd},
-                      {N * 3 * C, hd, 3 * C, 1});
+  ker::permute_gather(qkv.raw() + which * C, out.data(), shape, strides);
 
   return tensor::custom_op(
-      {B, heads, N, hd}, std::move(out), "split_qkv_head", {qkv},
-      [B, N, C, heads, hd, which](const Tensor& g) -> std::vector<Tensor> {
-        // Scatter g back into a zero [B, N, 3C] buffer; each (b, n) row is
-        // written by exactly one task.
+      shape, std::move(out), "split_qkv_head", {qkv},
+      [B, N, C, which, shape, strides](const Tensor& g) -> std::vector<Tensor> {
+        // Scatter g back into a zero [B, N, 3C] buffer.
         tensor::Storage gq = tensor::Storage::zeros(B * N * 3 * C);
-        const float* pg = g.raw();
-        float* pout = gq.data();
-        ker::parallel_for(B * N, C, [&](int64_t lo, int64_t hi) {
-          for (int64_t t = lo; t < hi; ++t) {
-            const int64_t b = t / N, n = t % N;
-            float* row = pout + t * 3 * C + which * C;
-            for (int64_t h = 0; h < heads; ++h) {
-              const float* src = pg + ((b * heads + h) * N + n) * hd;
-              for (int64_t d = 0; d < hd; ++d) row[h * hd + d] = src[d];
-            }
-          }
-        });
+        ker::permute_scatter(g.raw(), gq.data() + which * C, shape, strides);
         return {Tensor::from_storage({B, N, 3 * C}, std::move(gq))};
       });
 }
@@ -195,7 +217,6 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& x,
   // no [3, B, h, N, d] permute or reshape copies.
   Tensor qkv = qkv_->forward(x);
   Tensor q = split_qkv_head(qkv, heads_, 0);
-  Tensor k = split_qkv_head(qkv, heads_, 1);
   Tensor v = split_qkv_head(qkv, heads_, 2);
 
   if (mask.defined()) {
@@ -219,18 +240,12 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& x,
   const bool mask_grad = carries_graph(mask);
   Tensor out;  // [B, h, N, d]
   if (min_n > 0 && N >= min_n && !mask_grad) {
-    out = fused_attention(q, k, v, mask, scale_);
+    out = fused_attention(q, split_qkv_head(qkv, heads_, 1), v, mask, scale_);
   } else {
-    Tensor scores =
-        q.matmul(k.transpose_last()).mul_scalar(scale_);  // [B, h, N, N]
-
-    if (mask.defined()) {
-      const int64_t groups = mask.shape()[0];
-      Tensor s5 = scores.reshape({B / groups, groups, heads_, N, N});
-      Tensor m5 = mask.reshape({1, groups, 1, N, N});
-      scores = s5.add(m5).reshape({B, heads_, N, N});
-    }
-
+    // K is split straight into Kᵀ [B, h, d, N].
+    Tensor scores = q.matmul(split_qkv_head(qkv, heads_, 1, true))
+                        .mul_scalar(scale_);  // [B, h, N, N]
+    if (mask.defined()) scores = add_window_mask(scores, mask);
     Tensor attn = scores.softmax_lastdim();
     out = attn.matmul(v);
   }

@@ -16,9 +16,12 @@ using tensor::Tensor;
 
 /// Fast path for unpacking a fused QKV projection: slices head group
 /// `which` (0 = Q, 1 = K, 2 = V) out of [B, N, 3C] directly into
-/// [B, heads, N, C/heads], skipping the [3, B, h, N, d] permute and the
-/// reshape copy the naive path materializes.  Differentiable.
-Tensor split_qkv_head(const Tensor& qkv, int64_t heads, int which);
+/// [B, heads, N, C/heads] — or, `transposed`, into [B, heads, C/heads, N]
+/// (Kᵀ for the score GEMM) — in one strided move, skipping the
+/// [3, B, h, N, d] permute and the reshape copy the naive path
+/// materializes.  Differentiable.
+Tensor split_qkv_head(const Tensor& qkv, int64_t heads, int which,
+                      bool transposed = false);
 
 /// Inverse of head splitting for the attention output:
 /// [B, heads, N, d] -> [B, N, heads*d], fusing permute + reshape into one

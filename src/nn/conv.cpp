@@ -1,10 +1,6 @@
 #include "nn/conv.hpp"
 
-#include <numeric>
-
 namespace coastal::nn {
-
-namespace detail {
 
 namespace {
 
@@ -14,97 +10,74 @@ int64_t prod(const std::vector<int64_t>& v) {
   return p;
 }
 
+int64_t checked_kernel_volume(const std::vector<int64_t>& kernel) {
+  for (int64_t k : kernel) COASTAL_CHECK_MSG(k >= 1, "kernel entries must be >= 1");
+  return prod(kernel);
+}
+
+void check_view(const tensor::View& v, size_t k, int64_t channels) {
+  COASTAL_CHECK_MSG(v.shape.size() == k + 3 && v.strides.size() == k + 3,
+                    "conv view " << tensor::shape_str(v.shape)
+                                 << " is not [B, F, s1..s" << k << ", C]");
+  COASTAL_CHECK_MSG(v.shape.back() == channels,
+                    "conv view has " << v.shape.back() << " channels, not "
+                                     << channels);
+}
+
 }  // namespace
 
-Tensor blocks_to_tokens(const Tensor& x, const std::vector<int64_t>& kernel) {
-  const size_t k = kernel.size();
-  COASTAL_CHECK_MSG(x.ndim() == k + 2,
-                    "conv input rank " << x.ndim() << " != spatial rank " << k
-                                       << " + 2");
-  const int64_t B = x.shape()[0];
-  const int64_t C = x.shape()[1];
-  tensor::Shape expanded{B, C};
-  std::vector<int64_t> coarse(k);
-  for (size_t i = 0; i < k; ++i) {
-    const int64_t d = x.shape()[i + 2];
-    COASTAL_CHECK_MSG(d % kernel[i] == 0, "spatial dim " << d
-                                                          << " not divisible by kernel "
-                                                          << kernel[i]);
-    coarse[i] = d / kernel[i];
-    expanded.push_back(coarse[i]);
-    expanded.push_back(kernel[i]);
+tensor::View field_view(const tensor::Shape& shape, size_t frame_axis,
+                        size_t channel_axis) {
+  COASTAL_CHECK(frame_axis > 0 && channel_axis > 0 &&
+                frame_axis != channel_axis && frame_axis < shape.size() &&
+                channel_axis < shape.size());
+  const tensor::Shape st = tensor::strides_of(shape);
+  tensor::View v;
+  v.shape = {shape[0], shape[frame_axis]};
+  v.strides = {st[0], st[frame_axis]};
+  for (size_t i = 1; i < shape.size(); ++i) {
+    if (i == frame_axis || i == channel_axis) continue;
+    v.shape.push_back(shape[i]);
+    v.strides.push_back(st[i]);
   }
-  Tensor r = x.reshape(expanded);
-  // [B, C, c1, k1, ...] -> [B, c1..ck, C, k1..kk]
-  std::vector<size_t> perm;
-  perm.push_back(0);
-  for (size_t i = 0; i < k; ++i) perm.push_back(2 + 2 * i);
-  perm.push_back(1);
-  for (size_t i = 0; i < k; ++i) perm.push_back(3 + 2 * i);
-  Tensor p = r.permute(perm);
-  return p.reshape({B, prod(coarse), C * prod(kernel)});
+  v.shape.push_back(shape[channel_axis]);
+  v.strides.push_back(st[channel_axis]);
+  return v;
 }
-
-Tensor tokens_to_blocks(const Tensor& tokens, int64_t channels,
-                        const std::vector<int64_t>& coarse,
-                        const std::vector<int64_t>& kernel) {
-  const size_t k = kernel.size();
-  COASTAL_CHECK(coarse.size() == k && tokens.ndim() == 3);
-  const int64_t B = tokens.shape()[0];
-  COASTAL_CHECK(tokens.shape()[1] == prod(coarse));
-  COASTAL_CHECK(tokens.shape()[2] == channels * prod(kernel));
-
-  tensor::Shape expanded{B};
-  for (int64_t c : coarse) expanded.push_back(c);
-  expanded.push_back(channels);
-  for (int64_t kk : kernel) expanded.push_back(kk);
-  Tensor r = tokens.reshape(expanded);
-  // [B, c1..ck, C, k1..kk] -> [B, C, c1, k1, c2, k2, ...]
-  std::vector<size_t> perm;
-  perm.push_back(0);
-  perm.push_back(1 + k);  // C
-  for (size_t i = 0; i < k; ++i) {
-    perm.push_back(1 + i);          // c_i
-    perm.push_back(2 + k + i);      // k_i
-  }
-  Tensor p = r.permute(perm);
-  tensor::Shape out_shape{B, channels};
-  for (size_t i = 0; i < k; ++i) out_shape.push_back(coarse[i] * kernel[i]);
-  return p.reshape(out_shape);
-}
-
-}  // namespace detail
 
 PatchConvNd::PatchConvNd(int64_t in_channels, int64_t out_channels,
                          std::vector<int64_t> kernel, util::Rng& rng)
     : in_(in_channels), out_(out_channels), kernel_(std::move(kernel)) {
-  int64_t kprod = 1;
-  for (int64_t k : kernel_) {
-    COASTAL_CHECK_MSG(k >= 1, "kernel entries must be >= 1");
-    kprod *= k;
-  }
-  proj_ = register_module<Linear>("proj", in_ * kprod, out_, rng);
+  proj_ = register_module<Linear>("proj", in_ * checked_kernel_volume(kernel_),
+                                  out_, rng);
 }
 
-Tensor PatchConvNd::forward(const Tensor& x) const {
-  COASTAL_CHECK(x.shape()[1] == in_);
-  const int64_t B = x.shape()[0];
-  std::vector<int64_t> coarse(kernel_.size());
-  for (size_t i = 0; i < kernel_.size(); ++i)
-    coarse[i] = x.shape()[i + 2] / kernel_[i];
-
-  Tensor tokens = detail::blocks_to_tokens(x, kernel_);
-  Tensor projected = proj_->forward(tokens);  // [B, nb, out]
-
-  tensor::Shape grid{B};
-  for (int64_t c : coarse) grid.push_back(c);
-  grid.push_back(out_);
-  Tensor g = projected.reshape(grid);
-  std::vector<size_t> perm;
-  perm.push_back(0);
-  perm.push_back(kernel_.size() + 1);  // channels
-  for (size_t i = 0; i < kernel_.size(); ++i) perm.push_back(1 + i);
-  return g.permute(perm);
+Tensor PatchConvNd::forward(const Tensor& x, const tensor::View& view) const {
+  const size_t k = kernel_.size();
+  check_view(view, k, in_);
+  // One gather: rows (b, f, c1..ck), each row the block's channels then
+  // kernel offsets, [B, F, c1..ck, C, k1..kk].
+  tensor::View blocks{{view.shape[0], view.shape[1]},
+                      {view.strides[0], view.strides[1]},
+                      view.offset};
+  tensor::Shape tokens = blocks.shape;
+  for (size_t i = 0; i < k; ++i) {
+    const int64_t d = view.shape[2 + i];
+    COASTAL_CHECK_MSG(d % kernel_[i] == 0, "spatial dim " << d
+                                                          << " not divisible by kernel "
+                                                          << kernel_[i]);
+    blocks.shape.push_back(d / kernel_[i]);
+    blocks.strides.push_back(view.strides[2 + i] * kernel_[i]);
+    tokens.push_back(d / kernel_[i]);
+  }
+  blocks.shape.push_back(in_);
+  blocks.strides.push_back(view.strides.back());
+  for (size_t i = 0; i < k; ++i) {
+    blocks.shape.push_back(kernel_[i]);
+    blocks.strides.push_back(view.strides[2 + i]);
+  }
+  tokens.push_back(in_ * prod(kernel_));
+  return proj_->forward(tensor::gather(x, blocks, std::move(tokens)));
 }
 
 PatchConvTransposeNd::PatchConvTransposeNd(int64_t in_channels,
@@ -112,53 +85,81 @@ PatchConvTransposeNd::PatchConvTransposeNd(int64_t in_channels,
                                            std::vector<int64_t> kernel,
                                            util::Rng& rng)
     : in_(in_channels), out_(out_channels), kernel_(std::move(kernel)) {
-  int64_t kprod = 1;
-  for (int64_t k : kernel_) {
-    COASTAL_CHECK_MSG(k >= 1, "kernel entries must be >= 1");
-    kprod *= k;
-  }
-  proj_ = register_module<Linear>("proj", in_, out_ * kprod, rng);
+  proj_ = register_module<Linear>(
+      "proj", in_, out_ * checked_kernel_volume(kernel_), rng);
 }
 
-Tensor PatchConvTransposeNd::forward(const Tensor& x) const {
-  COASTAL_CHECK(x.ndim() == kernel_.size() + 2 && x.shape()[1] == in_);
-  const int64_t B = x.shape()[0];
-  std::vector<int64_t> coarse(kernel_.size());
-  int64_t nb = 1;
-  for (size_t i = 0; i < kernel_.size(); ++i) {
-    coarse[i] = x.shape()[i + 2];
-    nb *= coarse[i];
+PatchConvTransposeNd::Projection PatchConvTransposeNd::project(
+    const Tensor& x, const tensor::View& view) const {
+  const size_t k = kernel_.size();
+  check_view(view, k, in_);
+  const int64_t kvol = prod(kernel_);
+  std::vector<int64_t> kernel_stride(k);  // within the weight's columns
+  for (int64_t acc = 1, i = static_cast<int64_t>(k) - 1; i >= 0; --i) {
+    kernel_stride[static_cast<size_t>(i)] = acc;
+    acc *= kernel_[static_cast<size_t>(i)];
   }
-  // Channel-last tokens: [B, nb, Cin]
-  std::vector<size_t> perm;
-  perm.push_back(0);
-  for (size_t i = 0; i < kernel_.size(); ++i) perm.push_back(2 + i);
-  perm.push_back(1);
-  Tensor tokens = x.permute(perm).reshape({B, nb, in_});
-  Tensor projected = proj_->forward(tokens);  // [B, nb, Cout * kprod]
-  return detail::tokens_to_blocks(projected, out_, coarse, kernel_);
+
+  // Rows (b, f, c1..ck) of Cin channels, projected.
+  Tensor rows = tensor::gather(x, view);
+  const bool offset_major = !tensor::grad_enabled();
+  Projection p;
+  int64_t out_stride = kvol;  // column stride of Cout in y
+  std::vector<int64_t> offset_stride = kernel_stride;  // of kernel axis i
+  if (offset_major) {
+    tensor::View cols{{in_}, {out_ * kvol}, 0};
+    for (size_t i = 0; i < k; ++i) {
+      cols.shape.push_back(kernel_[i]);
+      cols.strides.push_back(kernel_stride[i]);
+    }
+    cols.shape.push_back(out_);
+    cols.strides.push_back(kvol);
+    Tensor w = tensor::gather(proj_->weight, cols, {in_, out_ * kvol});
+    cols.shape.erase(cols.shape.begin());
+    cols.strides.erase(cols.strides.begin());
+    Tensor b = tensor::gather(proj_->bias, cols, {out_ * kvol});
+    p.y = linear(rows, w, b);
+    out_stride = 1;
+    for (auto& st : offset_stride) st *= out_;
+  } else {
+    p.y = proj_->forward(rows);
+  }
+
+  // The fine view: [B, F, c1, k1, .., ck, kk, Cout] over y's strides.
+  std::vector<int64_t> coarse_stride(k);  // y stride of coarse axis i
+  int64_t acc = out_ * kvol;
+  for (size_t i = k; i-- > 0;) {
+    coarse_stride[i] = acc;
+    acc *= view.shape[2 + i];
+  }
+  p.fine = {{view.shape[0], view.shape[1]}, {acc * view.shape[1], acc}, 0};
+  for (size_t i = 0; i < k; ++i) {
+    p.fine.shape.insert(p.fine.shape.end(), {view.shape[2 + i], kernel_[i]});
+    p.fine.strides.insert(p.fine.strides.end(),
+                          {coarse_stride[i], offset_stride[i]});
+  }
+  p.fine.shape.push_back(out_);
+  p.fine.strides.push_back(out_stride);
+  return p;
+}
+
+Tensor PatchConvTransposeNd::forward(const Tensor& x,
+                                     const tensor::View& view) const {
+  Projection p = project(x, view);
+  tensor::Shape fine{view.shape[0], view.shape[1]};
+  for (size_t i = 0; i < kernel_.size(); ++i)
+    fine.push_back(view.shape[2 + i] * kernel_[i]);
+  fine.push_back(out_);
+  return tensor::gather(p.y, p.fine, std::move(fine));
 }
 
 PointwiseConvNd::PointwiseConvNd(int64_t in_channels, int64_t out_channels,
-                                 util::Rng& rng)
-    : in_(in_channels), out_(out_channels) {
-  proj_ = register_module<Linear>("proj", in_, out_, rng);
+                                 util::Rng& rng) {
+  proj_ = register_module<Linear>("proj", in_channels, out_channels, rng);
 }
 
 Tensor PointwiseConvNd::forward(const Tensor& x) const {
-  COASTAL_CHECK(x.ndim() >= 2 && x.shape()[1] == in_);
-  const size_t nd = x.ndim();
-  std::vector<size_t> to_last(nd);
-  to_last[0] = 0;
-  for (size_t i = 1; i + 1 < nd; ++i) to_last[i] = i + 1;
-  to_last[nd - 1] = 1;
-  Tensor tokens = x.permute(to_last);
-  Tensor projected = proj_->forward(tokens);
-  std::vector<size_t> to_first(nd);
-  to_first[0] = 0;
-  to_first[1] = nd - 1;
-  for (size_t i = 2; i < nd; ++i) to_first[i] = i - 1;
-  return projected.permute(to_first);
+  return proj_->forward(x);
 }
 
 }  // namespace coastal::nn

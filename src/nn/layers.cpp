@@ -2,9 +2,12 @@
 
 #include <cmath>
 
+#include "tensor/kernels.hpp"
 #include "util/check.hpp"
 
 namespace coastal::nn {
+
+namespace ker = tensor::kernels;
 
 namespace {
 thread_local int64_t t_batch_stat_groups = 1;
@@ -33,18 +36,57 @@ Linear::Linear(int64_t in_features, int64_t out_features, util::Rng& rng,
 }
 
 Tensor Linear::forward(const Tensor& x) const {
-  COASTAL_CHECK_MSG(x.shape().back() == in_,
-                    "Linear: input features " << x.shape().back() << " != "
-                                              << in_);
-  // Flatten leading dims so matmul sees [rows, in] — avoids materializing
-  // broadcast batch logic for high-rank inputs.
-  tensor::Shape lead(x.shape().begin(), x.shape().end() - 1);
-  Tensor flat = x.reshape({-1, in_});
-  Tensor y = flat.matmul(weight);
-  if (has_bias_) y = y.add(bias);
-  tensor::Shape out_shape = lead;
-  out_shape.push_back(out_);
-  return y.reshape(out_shape);
+  return linear(x, weight, has_bias_ ? bias : Tensor());
+}
+
+Tensor linear(const Tensor& x, const Tensor& weight, const Tensor& bias) {
+  COASTAL_CHECK(weight.ndim() == 2);
+  const int64_t in = weight.shape()[0], out = weight.shape()[1];
+  const bool has_bias = bias.defined();
+  COASTAL_CHECK_MSG(x.ndim() >= 1 && x.shape().back() == in,
+                    "Linear: input features "
+                        << (x.ndim() ? x.shape().back() : 0) << " != " << in);
+  COASTAL_CHECK(!has_bias || bias.numel() == out);
+  const int64_t rows = x.numel() / in;
+  tensor::Shape out_shape = x.shape();
+  out_shape.back() = out;
+  tensor::Storage y = tensor::Storage::zeros(rows * out);
+  ker::gemm(x.raw(), weight.raw(), y.data(), rows, in, out);
+  if (has_bias) {
+    ker::binary_broadcast(ker::BinOp::kAdd, y.data(), bias.raw(), y.data(),
+                          {rows, out}, {out, 1}, {0, 1});
+  }
+  if (!tensor::grad_enabled()) {
+    return Tensor::from_storage(out_shape, std::move(y));
+  }
+  std::vector<Tensor> parents{x, weight};
+  if (has_bias) parents.push_back(bias);
+  Tensor xs = x, w = weight;
+  return tensor::custom_op(
+      std::move(out_shape), std::move(y), "linear", std::move(parents),
+      [xs, w, rows, in, out, has_bias](const Tensor& g) -> std::vector<Tensor> {
+        // dx = g · Wᵀ
+        tensor::Storage wt = tensor::Storage::uninit(in * out);
+        ker::transpose_last2(w.raw(), wt.data(), 1, in, out);
+        tensor::Storage gx = tensor::Storage::zeros(rows * in);
+        ker::gemm(g.raw(), wt.data(), gx.data(), rows, out, in);
+        // dW = xᵀ · g (the sum over rows runs in row order)
+        tensor::Storage xt = tensor::Storage::uninit(rows * in);
+        ker::transpose_last2(xs.raw(), xt.data(), 1, rows, in);
+        tensor::Storage gw = tensor::Storage::zeros(in * out);
+        ker::gemm(xt.data(), g.raw(), gw.data(), in, rows, out);
+        std::vector<Tensor> grads{
+            Tensor::from_storage(xs.shape(), std::move(gx)),
+            Tensor::from_storage({in, out}, std::move(gw))};
+        if (has_bias) {
+          tensor::Storage gb = tensor::Storage::zeros(out);
+          const float* pg = g.raw();
+          for (int64_t r = 0; r < rows; ++r)
+            for (int64_t j = 0; j < out; ++j) gb[j] += pg[r * out + j];
+          grads.push_back(Tensor::from_storage({out}, std::move(gb)));
+        }
+        return grads;
+      });
 }
 
 LayerNorm::LayerNorm(int64_t dim, float eps) : eps_(eps) {
@@ -69,37 +111,78 @@ BatchNorm::BatchNorm(int64_t channels, float eps, float momentum,
 }
 
 Tensor BatchNorm::forward(const Tensor& x) {
-  COASTAL_CHECK_MSG(x.ndim() >= 2 && x.shape()[1] == channels_,
-                    "BatchNorm: expected [B," << channels_ << ",...], got "
-                                              << tensor::shape_str(x.shape()));
-  // Move channels last: [B, C, S...] -> [B, S..., C] so stats reduce over
-  // a flattened leading axis.
-  std::vector<size_t> to_last(x.ndim());
-  to_last[0] = 0;
-  for (size_t i = 1; i + 1 < x.ndim(); ++i) to_last[i] = i + 1;
-  to_last[x.ndim() - 1] = 1;
-  Tensor xc = x.permute(to_last).reshape({-1, channels_});
+  COASTAL_CHECK_MSG(x.ndim() >= 2,
+                    "BatchNorm: expected [...," << channels_ << "], got "
+                                                << tensor::shape_str(x.shape()));
+  std::vector<size_t> order(x.ndim() - 1);
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  return forward(x, {x.shape(), tensor::strides_of(x.shape()), 0}, order,
+                 x.shape());
+}
 
-  Tensor y;
+Tensor BatchNorm::forward(const Tensor& x, const tensor::View& rows,
+                          const std::vector<size_t>& order,
+                          tensor::Shape shape) {
+  const size_t k = rows.shape.size() - 1;  // row axes
+  COASTAL_CHECK_MSG(rows.shape.size() >= 2 && rows.shape.back() == channels_ &&
+                        rows.strides.size() == rows.shape.size() &&
+                        order.size() == k,
+                    "BatchNorm: expected rows [...," << channels_ << "], got "
+                                                     << tensor::shape_str(rows.shape));
+  tensor::check_view_within(rows, x.numel());
+  // The output: row axes in `order`, then channels, contiguous.
+  tensor::Shape out_dims;
+  for (size_t i : order) out_dims.push_back(rows.shape[i]);
+  out_dims.push_back(channels_);
+  COASTAL_CHECK(tensor::numel(shape) == tensor::numel(out_dims));
+  const tensor::Shape out_st = tensor::strides_of(out_dims);
+
+  const bool batch_stats = training() || use_batch_stats_in_eval_;
   const int64_t groups = training() ? 1 : BatchStatScope::groups();
-  if ((training() || use_batch_stats_in_eval_) && groups > 1) {
+  const int64_t nrows = tensor::numel(rows.shape) / channels_;
+  if (batch_stats && groups > 1) {
+    COASTAL_CHECK_MSG(nrows % groups == 0,
+                      "BatchStatScope groups " << groups
+                                               << " do not divide batch rows "
+                                               << nrows);
+  }
+  const bool record =
+      tensor::grad_enabled() &&
+      (x.requires_grad() || x.has_grad_fn() || gamma.requires_grad() ||
+       beta.requires_grad());
+  if (!training() && !record && rows.strides.back() == 1) {
+    // Eval: one kernel walks the rows where they lie, in reduction order,
+    // and writes them straight into the output layout.
+    const tensor::Shape dims(rows.shape.begin(), rows.shape.end() - 1);
+    const tensor::Shape in_st(rows.strides.begin(), rows.strides.end() - 1);
+    tensor::Shape y_st(k);
+    for (size_t i = 0; i < k; ++i) y_st[order[i]] = out_st[i];
+    tensor::Storage y = tensor::Storage::uninit(tensor::numel(out_dims));
+    ker::batch_norm(x.raw() + rows.offset, in_st, y.data(), y_st, dims,
+                    channels_, batch_stats ? groups : 1, gamma.raw(),
+                    beta.raw(), eps_,
+                    batch_stats ? nullptr : running_mean.raw(),
+                    batch_stats ? nullptr : running_var.raw());
+    return Tensor::from_storage(shape, std::move(y));
+  }
+
+  // Recorded or training: the statistics as differentiable ops over the
+  // rows gathered into reduction order, [rows, C].
+  Tensor xc = tensor::gather(x, rows, {nrows, channels_});
+  Tensor y;
+  if (batch_stats && groups > 1) {
     // Micro-batched eval (see BatchStatScope): statistics per group of
     // consecutive batch entries.  mean_axis(1) over [G, R, C] accumulates
     // each group's R rows in the same ascending order as the [R, C]
     // axis-0 reduction below, so every group's output is bitwise what a
     // standalone B == 1 forward produces.
-    const int64_t rows = xc.shape()[0];
-    COASTAL_CHECK_MSG(rows % groups == 0,
-                      "BatchStatScope groups " << groups
-                                               << " do not divide batch rows "
-                                               << rows);
-    Tensor x3 = xc.reshape({groups, rows / groups, channels_});
+    Tensor x3 = xc.reshape({groups, nrows / groups, channels_});
     Tensor mean = x3.mean_axis(1, /*keepdim=*/true);          // [G, 1, C]
     Tensor centered = x3.sub(mean);
     Tensor var = centered.mul(centered).mean_axis(1, true);   // [G, 1, C]
     y = centered.div(var.add_scalar(eps_).sqrt())
-            .reshape({rows, channels_});
-  } else if (training() || use_batch_stats_in_eval_) {
+            .reshape({nrows, channels_});
+  } else if (batch_stats) {
     Tensor mean = xc.mean_axis(0, /*keepdim=*/true);              // [1, C]
     Tensor centered = xc.sub(mean);
     Tensor var = centered.mul(centered).mean_axis(0, true);       // [1, C]
@@ -113,7 +196,7 @@ Tensor BatchNorm::forward(const Tensor& x) {
       const float* bm = mean.raw();
       const float* bv = var.raw();
       // Unbiased variance for the running buffer, as torch does.
-      const auto n = static_cast<float>(xc.shape()[0]);
+      const auto n = static_cast<float>(nrows);
       const float unbias = n > 1.0f ? n / (n - 1.0f) : 1.0f;
       for (int64_t c = 0; c < channels_; ++c) {
         rm[c] = (1.0f - m) * rm[c] + m * bm[c];
@@ -125,18 +208,16 @@ Tensor BatchNorm::forward(const Tensor& x) {
             .div(running_var.reshape({1, channels_}).add_scalar(eps_).sqrt());
   }
   y = y.mul(gamma).add(beta);
-
-  // Restore [B, C, S...].
-  tensor::Shape mid_shape;
-  mid_shape.push_back(x.shape()[0]);
-  for (size_t i = 2; i < x.ndim(); ++i) mid_shape.push_back(x.shape()[i]);
-  mid_shape.push_back(channels_);
-  Tensor ys = y.reshape(mid_shape);
-  std::vector<size_t> to_first(x.ndim());
-  to_first[0] = 0;
-  to_first[1] = x.ndim() - 1;
-  for (size_t i = 2; i < x.ndim(); ++i) to_first[i] = i - 1;
-  return ys.permute(to_first);
+  // From reduction order to the output layout.
+  const tensor::Shape y_st = tensor::strides_of(rows.shape);
+  tensor::View out{{}, {}, 0};
+  for (size_t i : order) {
+    out.shape.push_back(rows.shape[i]);
+    out.strides.push_back(y_st[i]);
+  }
+  out.shape.push_back(channels_);
+  out.strides.push_back(1);
+  return tensor::gather(y, out, std::move(shape));
 }
 
 Mlp::Mlp(int64_t dim, int64_t hidden, util::Rng& rng) {

@@ -2,8 +2,8 @@
 
 /// \file layers.hpp
 /// Core layers used by the surrogate: Linear, LayerNorm, BatchNorm, MLP.
-/// Conventions: token tensors are channel-last ([..., C]); field tensors in
-/// the conv path are channel-first ([B, C, spatial...]).
+/// Convention: every layer acts on the last axis of a channels-last
+/// tensor ([..., C]).
 
 #include <memory>
 
@@ -31,6 +31,13 @@ class Linear : public Module {
   bool has_bias_;
 };
 
+/// y = x W + b for x [..., in], W [in, out], b [out] (undefined: no
+/// bias): one GEMM over x's contiguous [rows, in] buffer, no flatten or
+/// unflatten copies.  The GEMM, the bias add and the recorded backward's
+/// transposes and GEMMs are exactly the calls of the composed
+/// reshape → matmul → add → reshape chain, so results match it bitwise.
+Tensor linear(const Tensor& x, const Tensor& weight, const Tensor& bias);
+
 /// LayerNorm over the last dimension with learnable affine.
 class LayerNorm : public Module {
  public:
@@ -44,8 +51,8 @@ class LayerNorm : public Module {
   float eps_;
 };
 
-/// BatchNorm over the channel axis of a channel-first tensor
-/// [B, C, spatial...].  Tracks running statistics for eval mode, as in the
+/// BatchNorm over the channel (last) axis of a channels-last tensor
+/// [B, ..., C].  Tracks running statistics for eval mode, as in the
 /// paper's decoder (transposed conv -> BatchNorm -> GELU).
 ///
 /// `use_batch_stats_in_eval`: with per-GPU batches of 1-2 samples (all an
@@ -88,7 +95,20 @@ class BatchNorm : public Module {
                      float momentum = 0.1f,
                      bool use_batch_stats_in_eval = false);
 
+  /// x: channels-last [..., C], statistics over its rows in x's order.
   Tensor forward(const Tensor& x);
+  /// The general form: x's rows of C channels as `rows` views them,
+  /// [r1..rk, C], the row axes in the order the statistics accumulate over
+  /// them — the reduction order, which fixes the float sums bit for bit.
+  /// The result lays the row axes out in `order` (a permutation of 0..k-1)
+  /// followed by C, labelled `shape`.  An eval forward outside a recorded
+  /// graph with contiguous channels runs as one kernel
+  /// (kernels::batch_norm) that reads the rows where they lie and writes
+  /// the output layout; training and recorded forwards gather the rows
+  /// into reduction order and compose differentiable ops.  Both round
+  /// every intermediate the same way, so they agree bitwise.
+  Tensor forward(const Tensor& x, const tensor::View& rows,
+                 const std::vector<size_t>& order, tensor::Shape shape);
 
   Tensor gamma, beta;
   Tensor running_mean, running_var;

@@ -31,6 +31,26 @@ const char* stage_name(Stage s) {
   return "unknown";
 }
 
+const char* move_name(Move m) {
+  switch (m) {
+    case Move::kPermute:
+      return "permute";
+    case Move::kWindow:
+      return "window";
+    case Move::kReshape:
+      return "reshape";
+    case Move::kRoll:
+      return "roll";
+    case Move::kSlice:
+      return "slice";
+    case Move::kConcat:
+      return "concat";
+    case Move::kCount:
+      break;
+  }
+  return "unknown";
+}
+
 bool profile_from_env(bool base) {
   if (const char* v = std::getenv("COASTAL_PROFILE"); v && *v) {
     return std::strcmp(v, "0") != 0;
@@ -62,6 +82,16 @@ void StageProfiler::collect(RegistrySnapshot& out) const {
     h.label_key = "stage";
     h.label_value = stage_name(static_cast<Stage>(i));
     out.histograms.push_back(std::move(h));
+  }
+  for (size_t i = 0; i < kMoves; ++i) {
+    const int64_t n = moves_[i].value();
+    if (n == 0) continue;
+    const char* op = move_name(static_cast<Move>(i));
+    out.counters.push_back({"coastal_data_moves_total",
+                            "Data-movement op calls", "op", op, n});
+    out.counters.push_back({"coastal_data_move_bytes_total",
+                            "Bytes moved by data-movement ops", "op", op,
+                            move_bytes_[i].value()});
   }
 }
 

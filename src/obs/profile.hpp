@@ -41,6 +41,21 @@ enum class Stage : int {
 
 const char* stage_name(Stage s);
 
+/// Data-movement ops, counted per kind (calls and bytes moved) while the
+/// profiler is enabled: the permute tax a forward pays on top of its
+/// arithmetic.
+enum class Move : int {
+  kPermute = 0,  ///< kernels::permute_gather / permute_scatter
+  kWindow,       ///< window partition / reverse row gathers
+  kReshape,      ///< a Tensor::reshape that copies
+  kRoll,         ///< Tensor::roll
+  kSlice,        ///< Tensor::slice
+  kConcat,       ///< tensor::concat
+  kCount
+};
+
+const char* move_name(Move m);
+
 /// Apply the COASTAL_PROFILE environment override ("0" disables,
 /// anything else enables) on top of `base`.
 bool profile_from_env(bool base);
@@ -60,19 +75,40 @@ class StageProfiler {
   HistogramSnapshot snapshot(Stage s) const {
     return hists_[static_cast<size_t>(s)]->snapshot();
   }
+  void record_move(Move m, int64_t bytes) {
+    moves_[static_cast<size_t>(m)].inc();
+    move_bytes_[static_cast<size_t>(m)].inc(bytes);
+  }
+  /// Cumulative since process start (counters never reset: callers diff).
+  int64_t moves(Move m) const { return moves_[static_cast<size_t>(m)].value(); }
+  int64_t move_bytes(Move m) const {
+    return move_bytes_[static_cast<size_t>(m)].value();
+  }
   /// Append every non-empty stage histogram to `out` as
-  /// coastal_stage_duration_us{stage="..."} — the registry-collector
-  /// hook ForecastServer installs.
+  /// coastal_stage_duration_us{stage="..."}, and the non-zero move
+  /// counters as coastal_data_moves_total / coastal_data_move_bytes_total
+  /// {op="..."} — the registry-collector hook ForecastServer installs.
   void collect(RegistrySnapshot& out) const;
   void reset();
 
  private:
   StageProfiler();
 
+  static constexpr size_t kMoves = static_cast<size_t>(Move::kCount);
+
   std::atomic<bool> enabled_{false};
   std::array<std::unique_ptr<Histogram>, static_cast<size_t>(Stage::kCount)>
       hists_;
+  std::array<Counter, kMoves> moves_;
+  std::array<Counter, kMoves> move_bytes_;
 };
+
+/// Counts one data movement of `bytes`; one relaxed load when profiling
+/// is off.
+inline void count_move(Move m, int64_t bytes) {
+  StageProfiler& p = StageProfiler::instance();
+  if (p.enabled()) p.record_move(m, bytes);
+}
 
 /// RAII stage timer.  Construct with the profiler possibly disabled —
 /// the check is one relaxed load and the clock is only read when armed.

@@ -1,6 +1,7 @@
 #include "tensor/kernels.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -1085,52 +1086,98 @@ inline int64_t outer_offset(int64_t o, const int64_t* dims,
 }
 
 /// An innermost contiguous run at least this long is copied as a row
-/// (memcpy); shorter or strided ones (the model's 2–8-float rows,
-/// channels-last moves) are gathered per element.
+/// (fixed-length copies for 16, memcpy beyond), as are runs of exactly 4
+/// or 8 floats; other short or strided ones are gathered per element.
 constexpr int64_t kRunMin = 16;
 /// Entries of permute_gather's offset table: 16 KB, L1-resident.
 constexpr int64_t kTableMax = 2048;
+/// Coalesced axes a move can have (a tensor's rank bounds it).
+constexpr size_t kMaxAxes = 16;
 
-}  // namespace
+/// A fixed-length run copy: the 4-, 8- and 16-float channel and head
+/// runs of the model's moves become a vector load and store or two, where
+/// a memcpy call would cost more than the bytes.
+template <int64_t L>
+inline void copy_run(float* __restrict to, const float* __restrict from) {
+  for (int64_t i = 0; i < L; ++i) to[i] = from[i];
+}
 
-void permute_gather(const float* src, float* dst, const Shape& out_shape,
-                    const Shape& gather_strides) {
-  const int64_t total = tensor::numel(out_shape);
+/// The one strided-move engine behind permute_gather (kScatter false:
+/// dense[k] = strided[offset(k)]) and permute_scatter (kScatter true:
+/// strided[offset(k)] = dense[k]), offsets following `strides` over
+/// `shape`.  Size-1 axes are dropped and axes contiguous on the strided
+/// side merged; then an identity is a memcpy, a batched 2-D transpose goes
+/// to `transpose_last2`, and anything else moves a trailing block of axes
+/// through an offset table built once per call (workspace scratch),
+/// parallel over the remaining outer index.
+template <bool kScatter>
+void permute_move(const float* src, float* dst, const Shape& shape,
+                  const Shape& strides) {
+  const int64_t total = tensor::numel(shape);
   if (total == 0) return;
+  obs::count_move(obs::Move::kPermute,
+                  total * static_cast<int64_t>(sizeof(float)));
   Workspace& ws = workspace();
   std::vector<int64_t>& d = ws.move_dims;
   std::vector<int64_t>& s = ws.move_sa;
-  coalesce_axes(out_shape, gather_strides, nullptr, d, s, ws.move_sb);
-  const size_t n = d.size();
+  coalesce_axes(shape, strides, nullptr, d, s, ws.move_sb);
+  size_t n = d.size();
+  COASTAL_CHECK(n < kMaxAxes);
 
   // Identity: one contiguous run (or a single element).
   if (n == 0 || (n == 1 && s[0] == 1)) {
     std::memcpy(dst, src, static_cast<size_t>(total) * sizeof(float));
     return;
   }
-  // Batched 2-D transpose [nb, Y, X] <- dense [nb, X, Y]: the tiled kernel.
+  // Batched 2-D transpose between a dense [nb, X, Y] and the strided
+  // side's [nb, Y, X]: the tiled kernel, run in the direction of the move.
   if (n == 2 && s[0] == 1 && s[1] == d[0]) {
-    transpose_last2(src, dst, 1, d[1], d[0]);
+    if (kScatter) {
+      transpose_last2(src, dst, 1, d[0], d[1]);
+    } else {
+      transpose_last2(src, dst, 1, d[1], d[0]);
+    }
     return;
   }
   if (n == 3 && s[1] == 1 && s[2] == d[1] && s[0] == d[1] * d[2]) {
-    transpose_last2(src, dst, d[0], d[2], d[1]);
+    if (kScatter) {
+      transpose_last2(src, dst, d[0], d[1], d[2]);
+    } else {
+      transpose_last2(src, dst, d[0], d[2], d[1]);
+    }
     return;
   }
 
-  // General gather.  A trailing block of axes is laid out once as a table
-  // of source offsets and each outer index copies a whole block through
+  // General move.  A trailing block of axes is laid out once as a table
+  // of strided offsets and each outer index moves a whole block through
   // it, so short innermost rows (the model's are 2–8 floats) cost one
   // table load per element and no per-row index arithmetic.  A long
   // contiguous innermost run, or one too long for the table, is copied as
   // a row instead (`rows`): the table then holds row offsets.
   const int64_t row_stride = s[n - 1];
-  const bool rows = (row_stride == 1 && d[n - 1] >= kRunMin) ||
-                    d[n - 1] > kTableMax;
-  const size_t end = rows ? n - 1 : n;
+  const bool rows =
+      (row_stride == 1 && (d[n - 1] >= kRunMin || d[n - 1] == 4 ||
+                           d[n - 1] == 8)) ||
+      d[n - 1] > kTableMax;
+  size_t end = rows ? n - 1 : n;
   size_t k = end;
-  for (int64_t entries = 1; k > 0 && entries * d[k - 1] <= kTableMax; --k)
-    entries *= d[k - 1];
+  int64_t entries = 1;
+  for (; k > 0 && entries * d[k - 1] <= kTableMax; --k) entries *= d[k - 1];
+  if (k > 0) {
+    // The next axis does not fit whole: split it (d = q·f, strides s·f
+    // and s) and table its largest fitting factor f, so blocks stay long
+    // where a whole-axis table would leave them a few floats.
+    int64_t f = kTableMax / entries;
+    while (f > 1 && d[k - 1] % f != 0) --f;
+    if (f > 1) {
+      d.insert(d.begin() + static_cast<std::ptrdiff_t>(k), f);
+      s.insert(s.begin() + static_cast<std::ptrdiff_t>(k), s[k - 1]);
+      d[k - 1] /= f;
+      s[k - 1] *= f;
+      ++n;
+      ++end;
+    }
+  }
   std::vector<int64_t>& table = ws.move_table;
   table.assign(1, 0);
   for (size_t i = end; i-- > k;) {
@@ -1143,28 +1190,91 @@ void permute_gather(const float* src, float* dst, const Shape& out_shape,
   }
 
   const int64_t row_len = rows ? d[n - 1] : 1;
-  const int64_t entries = static_cast<int64_t>(table.size());
+  entries = static_cast<int64_t>(table.size());
   const int64_t block = entries * row_len;
   const int64_t* tab = table.data();
   const int64_t* dd = d.data();
   const int64_t* ss = s.data();
   parallel_for(total / block, block, [&](int64_t lo, int64_t hi) {
+    // Outer coordinates advance as an odometer: blocks can be a few
+    // floats, where a division per block would cost more than the copy.
+    std::array<int64_t, kMaxAxes> coord{};
+    int64_t strided = 0;
+    for (size_t i = k, o = static_cast<size_t>(lo); i-- > 0;) {
+      coord[i] = static_cast<int64_t>(o) % dd[i];
+      o /= static_cast<size_t>(dd[i]);
+      strided += coord[i] * ss[i];
+    }
     for (int64_t o = lo; o < hi; ++o) {
-      const float* base = src + outer_offset(o, dd, ss, k);
-      float* out = dst + o * block;
+      const int64_t dense = o * block;
       if (!rows) {
-        for (int64_t t = 0; t < entries; ++t) out[t] = base[tab[t]];
+        if (kScatter) {
+          for (int64_t t = 0; t < entries; ++t)
+            dst[strided + tab[t]] = src[dense + t];
+        } else {
+          for (int64_t t = 0; t < entries; ++t)
+            dst[dense + t] = src[strided + tab[t]];
+        }
       } else if (row_stride == 1) {
-        for (int64_t t = 0; t < entries; ++t)
-          std::memcpy(out + t * row_len, base + tab[t],
-                      static_cast<size_t>(row_len) * sizeof(float));
+        for (int64_t t = 0; t < entries; ++t) {
+          const int64_t a = strided + tab[t], b = dense + t * row_len;
+          float* to = dst + (kScatter ? a : b);
+          const float* from = src + (kScatter ? b : a);
+          if (row_len == 4) {
+            copy_run<4>(to, from);
+          } else if (row_len == 8) {
+            copy_run<8>(to, from);
+          } else if (row_len == 16) {
+            copy_run<16>(to, from);
+          } else {
+            std::memcpy(to, from, static_cast<size_t>(row_len) * sizeof(float));
+          }
+        }
       } else {
         for (int64_t t = 0; t < entries; ++t) {
-          const float* row = base + tab[t];
-          float* o_row = out + t * row_len;
-          for (int64_t c = 0; c < row_len; ++c) o_row[c] = row[c * row_stride];
+          const int64_t a = strided + tab[t], b = dense + t * row_len;
+          for (int64_t c = 0; c < row_len; ++c) {
+            if (kScatter) {
+              dst[a + c * row_stride] = src[b + c];
+            } else {
+              dst[b + c] = src[a + c * row_stride];
+            }
+          }
         }
       }
+      for (size_t i = k; i-- > 0;) {
+        strided += ss[i];
+        if (++coord[i] < dd[i]) break;
+        strided -= dd[i] * ss[i];
+        coord[i] = 0;
+      }
+    }
+  });
+}
+
+}  // namespace
+
+void permute_gather(const float* src, float* dst, const Shape& out_shape,
+                    const Shape& gather_strides) {
+  permute_move<false>(src, dst, out_shape, gather_strides);
+}
+
+void permute_scatter(const float* src, float* dst, const Shape& shape,
+                     const Shape& scatter_strides) {
+  permute_move<true>(src, dst, shape, scatter_strides);
+}
+
+void gather_rows(const float* src, float* dst, int64_t batch, int64_t rows,
+                 int64_t cols, const int64_t* table) {
+  const int64_t total = batch * rows;
+  if (total == 0 || cols == 0) return;
+  obs::count_move(obs::Move::kWindow,
+                  total * cols * static_cast<int64_t>(sizeof(float)));
+  parallel_for(total, cols, [&](int64_t lo, int64_t hi) {
+    for (int64_t r = lo; r < hi; ++r) {
+      const int64_t b = r / rows;
+      std::memcpy(dst + r * cols, src + (b * rows + table[r - b * rows]) * cols,
+                  static_cast<size_t>(cols) * sizeof(float));
     }
   });
 }
@@ -1331,13 +1441,39 @@ void gelu(const float* x, float* y, int64_t n) {
   });
 }
 
+namespace {
+
+constexpr int64_t kGeluBlock = 16;
+
+/// gelu_backward over exactly kGeluBlock elements.  Every element goes
+/// through this one compiled loop — a chunk's tail through a padded
+/// block — because an auto-vectorized loop and its scalar epilogue round
+/// this expression differently, which made an element's gradient depend
+/// on where chunk boundaries fell, i.e. on the thread count.
+[[gnu::noinline]] void gelu_backward_block(const float* __restrict g,
+                                           const float* __restrict x,
+                                           float* __restrict gx) {
+  for (int64_t i = 0; i < kGeluBlock; ++i) {
+    const float v = x[i];
+    const float cdf = 0.5f * (1.0f + fast_erff(v * kInvSqrt2));
+    const float pdf = kInvSqrt2Pi * fast_expf(-0.5f * v * v);
+    gx[i] = g[i] * (cdf + v * pdf);
+  }
+}
+
+}  // namespace
+
 void gelu_backward(const float* g, const float* x, float* gx, int64_t n) {
   parallel_for(n, kGeluCost, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      const float v = x[i];
-      const float cdf = 0.5f * (1.0f + fast_erff(v * kInvSqrt2));
-      const float pdf = kInvSqrt2Pi * fast_expf(-0.5f * v * v);
-      gx[i] = g[i] * (cdf + v * pdf);
+    int64_t i = lo;
+    for (; i + kGeluBlock <= hi; i += kGeluBlock)
+      gelu_backward_block(g + i, x + i, gx + i);
+    if (i < hi) {
+      float gb[kGeluBlock] = {}, xb[kGeluBlock] = {}, out[kGeluBlock];
+      std::memcpy(gb, g + i, static_cast<size_t>(hi - i) * sizeof(float));
+      std::memcpy(xb, x + i, static_cast<size_t>(hi - i) * sizeof(float));
+      gelu_backward_block(gb, xb, out);
+      std::memcpy(gx + i, out, static_cast<size_t>(hi - i) * sizeof(float));
     }
   });
 }

@@ -220,6 +220,22 @@ void layer_norm_backward_rows(const float* g, const float* gamma,
                               float* gx, float* ggamma, float* gbeta,
                               int64_t rows, int64_t cols);
 
+/// Batch normalization over rows of `cols` contiguous channels: row i
+/// (row-major over `row_dims`) is read at x + Σ c·x_strides and written
+/// at y + Σ c·y_strides, and rows are visited in that order.  The rows
+/// split into `groups` consecutive runs of the order, each normalized by
+/// its own statistics; passing `run_mean`/`run_var` normalizes by those
+/// instead (no reduction).  Per channel this is exactly the composed chain
+///   mean = (Σ x)·(1/n);  c = x − mean;  var = (Σ c·c)·(1/n);
+///   y = c / sqrt(var + eps) · gamma + beta,
+/// each sum accumulated in float over rows in visit order and every
+/// product rounded before it is added (the file is built without FMA
+/// contraction), so the result is bitwise that of the separate ops.
+void batch_norm(const float* x, const Shape& x_strides, float* y,
+                const Shape& y_strides, const Shape& row_dims, int64_t cols,
+                int64_t groups, const float* gamma, const float* beta,
+                float eps, const float* run_mean, const float* run_var);
+
 // ---------------------------------------------------------------------------
 // Data movement
 // ---------------------------------------------------------------------------
@@ -237,9 +253,23 @@ void transpose_last2(const float* src, float* dst, int64_t nbatch,
 /// goes to `transpose_last2`, and anything else gathers a trailing block
 /// of axes through an offset table built once per call (workspace
 /// scratch), parallel over the remaining outer index.  Pure copies: the
-/// output is bitwise that of the naive gather on every route.
+/// output is bitwise that of the naive gather on every route.  Counted as
+/// an `obs::Move::kPermute` when profiling.
 void permute_gather(const float* src, float* dst, const Shape& out_shape,
                     const Shape& gather_strides);
+
+/// The inverse move, same routes: dst[offset(coords_of(k))] = src[k].
+/// Destinations must not repeat; dst elements no offset reaches are left
+/// untouched.
+void permute_scatter(const float* src, float* dst, const Shape& shape,
+                     const Shape& scatter_strides);
+
+/// Row gather through a table: for each of `batch` blocks of `rows` rows
+/// of `cols` floats, dst row i = src row table[i] — the window partition
+/// and reverse, whose cyclic shift lives in the table.  Counted as an
+/// `obs::Move::kWindow` when profiling.
+void gather_rows(const float* src, float* dst, int64_t batch, int64_t rows,
+                 int64_t cols, const int64_t* table);
 
 // ---------------------------------------------------------------------------
 // Elementwise

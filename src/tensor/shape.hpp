@@ -30,6 +30,29 @@ inline std::string shape_str(const Shape& s) {
   return os.str();
 }
 
+/// A strided view of a tensor's buffer: the element at coordinates c of
+/// `shape` sits at flat offset `offset + Σ c_i·strides[i]`.
+struct View {
+  Shape shape;
+  Shape strides;
+  int64_t offset = 0;
+};
+
+/// Throws unless every element of `v` lies in a buffer of `n` floats.
+inline void check_view_within(const View& v, int64_t n) {
+  COASTAL_CHECK(v.strides.size() == v.shape.size());
+  int64_t last = v.offset;  // furthest element read
+  bool empty = false;
+  for (size_t i = 0; i < v.shape.size(); ++i) {
+    COASTAL_CHECK(v.shape[i] >= 0 && v.strides[i] >= 0);
+    empty = empty || v.shape[i] == 0;
+    if (v.shape[i] > 0) last += (v.shape[i] - 1) * v.strides[i];
+  }
+  COASTAL_CHECK_MSG(empty || (v.offset >= 0 && last < n),
+                    "view " << shape_str(v.shape) << " reaches past " << n
+                            << " elements");
+}
+
 /// Row-major (C-order) strides, in elements.
 inline Shape strides_of(const Shape& s) {
   Shape st(s.size());

@@ -200,6 +200,9 @@ struct Workspace {
   std::vector<int64_t> move_sb;
   std::vector<int64_t> move_table;
   std::vector<float> move_row;
+  // Batch norm: row offsets in reduction order, per-channel statistics.
+  std::vector<int64_t> norm_rows;
+  std::vector<float> norm_stats;
 
   /// Bytes currently retained by this thread's workspace.
   size_t bytes() const;

@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "obs/profile.hpp"
 #include "tensor/kernels.hpp"
 
 namespace coastal::tensor {
@@ -636,7 +637,9 @@ Tensor Tensor::transpose_last() const {
 // Shape ops
 // ---------------------------------------------------------------------------
 
-Tensor Tensor::reshape(const Shape& new_shape) const {
+namespace {
+
+Shape resolve_reshape(const Shape& in, const Shape& new_shape) {
   Shape resolved = new_shape;
   int64_t known = 1;
   int infer = -1;
@@ -648,16 +651,40 @@ Tensor Tensor::reshape(const Shape& new_shape) const {
       known *= resolved[i];
     }
   }
-  if (infer >= 0) resolved[static_cast<size_t>(infer)] = numel() / known;
-  COASTAL_CHECK_MSG(tensor::numel(resolved) == numel(),
-                    "reshape " << shape_str(shape()) << " -> "
+  if (infer >= 0) {
+    COASTAL_CHECK_MSG(known != 0, "reshape " << shape_str(in) << " -> "
+                                             << shape_str(new_shape)
+                                             << ": -1 is ambiguous next to "
+                                                "a zero-sized dimension");
+    resolved[static_cast<size_t>(infer)] = tensor::numel(in) / known;
+  }
+  COASTAL_CHECK_MSG(tensor::numel(resolved) == tensor::numel(in),
+                    "reshape " << shape_str(in) << " -> "
                                << shape_str(resolved));
+  return resolved;
+}
+
+}  // namespace
+
+Tensor Tensor::reshape(const Shape& new_shape) const& {
+  Shape resolved = resolve_reshape(shape(), new_shape);
   const Shape in = shape();
+  obs::count_move(obs::Move::kReshape,
+                  numel() * static_cast<int64_t>(sizeof(float)));
   Storage out = Storage::copy_of(raw(), numel());
-  return make_result(resolved, std::move(out), "reshape", {*this},
+  return make_result(std::move(resolved), std::move(out), "reshape", {*this},
                      [in](const Tensor& g) -> std::vector<Tensor> {
                        return {g.reshape(in)};
                      });
+}
+
+Tensor Tensor::reshape(const Shape& new_shape) && {
+  if (impl_.use_count() != 1 || impl_->grad_fn || impl_->requires_grad ||
+      impl_->grad) {
+    return static_cast<const Tensor&>(*this).reshape(new_shape);
+  }
+  impl_->shape = resolve_reshape(shape(), new_shape);
+  return Tensor(std::move(impl_));
 }
 
 Tensor Tensor::permute(const std::vector<size_t>& perm) const {
@@ -694,6 +721,8 @@ Tensor Tensor::slice(int axis, int64_t start, int64_t len) const {
   const int64_t dlen = in[static_cast<size_t>(a)];
 
   Storage out = Storage::uninit(outer * len * inner);
+  obs::count_move(obs::Move::kSlice,
+                  out.size() * static_cast<int64_t>(sizeof(float)));
   const float* p = raw();
   for (int64_t o = 0; o < outer; ++o)
     std::memcpy(out.data() + o * len * inner,
@@ -743,6 +772,8 @@ Tensor Tensor::roll(int axis, int64_t shift) const {
   for (size_t i = static_cast<size_t>(a) + 1; i < in.size(); ++i) inner *= in[i];
 
   Storage out = Storage::uninit(numel());
+  obs::count_move(obs::Move::kRoll,
+                  numel() * static_cast<int64_t>(sizeof(float)));
   const float* p = raw();
   for (int64_t o = 0; o < outer; ++o)
     for (int64_t l = 0; l < dlen; ++l) {
@@ -780,6 +811,8 @@ Tensor concat(const std::vector<Tensor>& parts, int axis) {
     inner *= out_shape[i];
 
   Storage out = Storage::uninit(tensor::numel(out_shape));
+  obs::count_move(obs::Move::kConcat,
+                  out.size() * static_cast<int64_t>(sizeof(float)));
   int64_t offset = 0;
   for (const auto& t : parts) {
     const int64_t dlen = t.shape()[static_cast<size_t>(a)];
@@ -805,6 +838,60 @@ Tensor concat(const std::vector<Tensor>& parts, int axis) {
                          off += len;
                        }
                        return grads;
+                     });
+}
+
+Tensor gather(const Tensor& x, const View& v, Shape result_shape) {
+  check_view_within(v, x.numel());
+  const int64_t n = tensor::numel(v.shape);
+  if (result_shape.empty()) result_shape = v.shape;
+  COASTAL_CHECK_MSG(tensor::numel(result_shape) == n,
+                    "gather: " << shape_str(v.shape) << " relabelled as "
+                               << shape_str(result_shape));
+  Storage out = Storage::uninit(n);
+  kernels::permute_gather(x.raw() + v.offset, out.data(), v.shape, v.strides);
+  const Shape in = x.shape();
+  return make_result(
+      std::move(result_shape), std::move(out), "gather", {x},
+      [in, v, n](const Tensor& g) -> std::vector<Tensor> {
+        // A bijective gather overwrites every element; a partial one
+        // leaves the unread ones at zero.
+        Storage gx = n == tensor::numel(in) ? Storage::uninit(n)
+                                            : Storage::zeros(tensor::numel(in));
+        kernels::permute_scatter(g.raw(), gx.data() + v.offset, v.shape,
+                                 v.strides);
+        return {Tensor::from_storage(in, std::move(gx))};
+      });
+}
+
+RowPermutation::RowPermutation(std::vector<int64_t> table)
+    : fwd(std::move(table)), inv(fwd.size(), -1) {
+  for (size_t i = 0; i < fwd.size(); ++i) {
+    const int64_t r = fwd[i];
+    COASTAL_CHECK_MSG(r >= 0 && r < static_cast<int64_t>(fwd.size()) &&
+                          inv[static_cast<size_t>(r)] < 0,
+                      "RowPermutation: not a permutation at row " << i);
+    inv[static_cast<size_t>(r)] = static_cast<int64_t>(i);
+  }
+}
+
+Tensor gather_rows(const Tensor& x, std::shared_ptr<const RowPermutation> perm,
+                   bool inverse, Shape result_shape) {
+  const int64_t rows = static_cast<int64_t>(perm->fwd.size());
+  const int64_t cols = x.ndim() ? x.shape().back() : 0;
+  COASTAL_CHECK_MSG(rows > 0 && cols > 0 && x.numel() % (rows * cols) == 0,
+                    "gather_rows: " << shape_str(x.shape()) << " is not [B, "
+                                    << rows << ", C]");
+  COASTAL_CHECK(tensor::numel(result_shape) == x.numel());
+  Storage out = Storage::uninit(x.numel());
+  const std::vector<int64_t>& table = inverse ? perm->inv : perm->fwd;
+  kernels::gather_rows(x.raw(), out.data(), x.numel() / (rows * cols), rows,
+                       cols, table.data());
+  const Shape in = x.shape();
+  return make_result(std::move(result_shape), std::move(out), "gather_rows",
+                     {x},
+                     [perm, inverse, in](const Tensor& g) -> std::vector<Tensor> {
+                       return {gather_rows(g, perm, !inverse, in)};
                      });
 }
 

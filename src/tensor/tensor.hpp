@@ -186,7 +186,13 @@ class Tensor {
   Tensor transpose_last() const;
 
   // ---- shape ops ------------------------------------------------------
-  Tensor reshape(const Shape& new_shape) const;
+  /// One dimension may be -1 (inferred); with a zero-sized known
+  /// dimension that is ambiguous and throws, as in torch.
+  Tensor reshape(const Shape& new_shape) const&;
+  /// On a temporary that is the tensor's only handle and carries no graph
+  /// (no grad_fn, no requires_grad), relabels the shape in place instead
+  /// of copying; otherwise as above.
+  Tensor reshape(const Shape& new_shape) &&;
   Tensor permute(const std::vector<size_t>& perm) const;
   /// Slice along `axis`: elements [start, start + len).
   Tensor slice(int axis, int64_t start, int64_t len) const;
@@ -217,6 +223,30 @@ class Tensor {
 
 /// Concatenate along `axis`.
 Tensor concat(const std::vector<Tensor>& parts, int axis);
+
+/// Strided gather: a contiguous tensor over `v.shape` whose element at
+/// coordinates c is x's element at flat offset `v.offset + Σ c_i·v.strides[i]`
+/// — a permute, a slice, or both, in one kernels::permute_gather pass.
+/// No source element may be read twice.  The result is labelled
+/// `result_shape` (same element count; empty = `v.shape`).
+/// Differentiable: the backward scatters the gradient into place (zeros
+/// elsewhere).
+Tensor gather(const Tensor& x, const View& v, Shape result_shape = {});
+
+/// A row permutation and its inverse, built once and shared by every
+/// gather_rows call (and backward) that uses it.
+struct RowPermutation {
+  std::vector<int64_t> fwd;  ///< destination row i reads source row fwd[i]
+  std::vector<int64_t> inv;  ///< the inverse permutation
+  explicit RowPermutation(std::vector<int64_t> table);
+};
+
+/// Row gather: x viewed as [B, S, C] with C its last dimension and S the
+/// permutation's length; output row (b, i) is input row (b, fwd[i]) — or
+/// (b, inv[i]) when `inverse`.  The result is labelled `result_shape`.
+/// Differentiable: the backward is the opposite gather.
+Tensor gather_rows(const Tensor& x, std::shared_ptr<const RowPermutation> perm,
+                   bool inverse, Shape result_shape);
 
 /// Build a tensor that participates in autograd with a caller-supplied
 /// backward function — the extension point used by activation

@@ -1024,6 +1024,12 @@ void expect_permute_matches(const Shape& in_shape,
   EXPECT_TRUE(bitwise_equal(want, got.data()))
       << "permute of " << tensor::shape_str(in_shape);
   EXPECT_EQ(got.back(), -7.0f) << "wrote past " << tensor::shape_str(out_shape);
+  // permute_scatter under the same strides puts every float back.
+  std::vector<float> back(src.size() + 1, -7.0f);
+  ker::permute_scatter(got.data(), back.data(), out_shape, gstr);
+  EXPECT_TRUE(bitwise_equal(src, back.data()))
+      << "scatter of " << tensor::shape_str(out_shape);
+  EXPECT_EQ(back.back(), -7.0f) << "scattered past " << tensor::shape_str(in_shape);
 }
 
 /// binary_broadcast of a ∘ b (numpy broadcast), all four ops, checked bit
@@ -1052,16 +1058,22 @@ void expect_broadcast_matches(const Shape& a_shape, const Shape& b_shape,
 
 TEST(Kernels, PermuteGatherMatchesCoordIterBitwiseOnModelShapes) {
   util::Rng rng(60);
-  // tokens_to_blocks' 8-axis scatter and its inverse (patch 5×5×2 over
-  // the 20×20×6 mesh, embed 8, B·T = 4).
-  expect_permute_matches({4, 4, 4, 3, 8, 5, 5, 2}, {0, 4, 1, 5, 2, 6, 3, 7},
+  // The recovery transposed conv's scatter of [rows, (Cout, kh, kw, kd)]
+  // onto the fine grid (patch 5×5×2 over the 20×20×6 mesh, embed 8,
+  // B·T = 4), in the weight's column order and in the kernel-major order
+  // eval projects into, and the patch gather's inverse.
+  expect_permute_matches({4, 4, 4, 3, 8, 5, 5, 2}, {0, 1, 5, 2, 6, 3, 7, 4},
+                         rng);
+  expect_permute_matches({4, 4, 4, 3, 5, 5, 2, 8}, {0, 1, 4, 2, 5, 3, 6, 7},
                          rng);
   expect_permute_matches({4, 8, 4, 5, 4, 5, 3, 2}, {0, 2, 4, 6, 1, 3, 5, 7},
                          rng);
-  // BatchNorm's move to channels-last and back (batched 2-D transposes).
+  // Channels-last and back (batched 2-D transposes), and the surrogate
+  // output's [B, Tn, H, W, D, 3] -> [B, 3, H, W, D, Tn].
   expect_permute_matches({4, 8, 20, 20, 6}, {0, 2, 3, 4, 1}, rng);
   expect_permute_matches({4, 20, 20, 6, 8}, {0, 4, 1, 2, 3}, rng);
-  // window_partition's and window_reverse's 10-axis permutes.
+  expect_permute_matches({1, 4, 20, 20, 6, 3}, {0, 5, 2, 3, 4, 1}, rng);
+  // The old window partition's and reverse's 10-axis permutes.
   expect_permute_matches({1, 16, 2, 4, 2, 4, 2, 2, 2, 2},
                          {0, 2, 4, 6, 8, 3, 5, 7, 9, 1}, rng);
   expect_permute_matches({1, 2, 2, 2, 2, 4, 4, 2, 2, 16},
@@ -1106,7 +1118,36 @@ TEST(Kernels, PermuteGatherMatchesCoordIterBitwiseOnModelShapes) {
     EXPECT_TRUE(bitwise_equal(want, got.data()))
         << tensor::shape_str(c.out) << " strides "
         << tensor::shape_str(c.strides);
+    // Scattering back restores every gathered float and touches nothing
+    // else (these gathers skip some source floats).
+    std::vector<float> back(src.size(), 0.0f);
+    ker::permute_scatter(got.data(), back.data(), c.out, c.strides);
+    std::vector<float> want_back(src.size(), 0.0f);
+    tensor::CoordIter it(c.out);
+    do {
+      const int64_t off = tensor::dot_strides(it.coords(), c.strides);
+      want_back[static_cast<size_t>(off)] = src[static_cast<size_t>(off)];
+    } while (it.next());
+    EXPECT_TRUE(bitwise_equal(want_back, back.data()))
+        << "scatter " << tensor::shape_str(c.out);
   }
+}
+
+TEST(Kernels, GatherRowsFollowsTheTable) {
+  util::Rng rng(63);
+  const int64_t batch = 3, rows = 37, cols = 8;
+  std::vector<float> src(static_cast<size_t>(batch * rows * cols));
+  for (auto& x : src) x = static_cast<float>(rng.normal());
+  std::vector<int64_t> table(static_cast<size_t>(rows));
+  for (int64_t i = 0; i < rows; ++i) table[static_cast<size_t>(i)] = (i * 5 + 3) % rows;
+  std::vector<float> got(src.size());
+  ker::gather_rows(src.data(), got.data(), batch, rows, cols, table.data());
+  for (int64_t b = 0; b < batch; ++b)
+    for (int64_t i = 0; i < rows; ++i)
+      for (int64_t c = 0; c < cols; ++c)
+        ASSERT_EQ(got[static_cast<size_t>((b * rows + i) * cols + c)],
+                  src[static_cast<size_t>(
+                      (b * rows + table[static_cast<size_t>(i)]) * cols + c)]);
 }
 
 TEST(Kernels, PermuteGatherMatchesCoordIterBitwiseOnRandomShapes) {
@@ -1167,6 +1208,28 @@ TEST(Kernels, BinaryBroadcastMatchesCoordIterBitwise) {
       b.erase(b.begin(), b.begin() + static_cast<int64_t>(rng.uniform_index(rank + 1)));
     expect_broadcast_matches(a, b, rng);
   }
+}
+
+TEST(Kernels, GeluBackwardDoesNotDependOnPosition) {
+  // An element's gradient must not depend on where the call's range or a
+  // parallel chunk starts and ends: one call over the array, a call per
+  // element, and calls over ragged pieces agree bit for bit.
+  util::Rng rng(64);
+  const int64_t n = 1031;
+  std::vector<float> g(static_cast<size_t>(n)), x(g.size());
+  for (size_t i = 0; i < g.size(); ++i) {
+    g[i] = static_cast<float>(rng.normal());
+    x[i] = static_cast<float>(3.0 * rng.normal());
+  }
+  std::vector<float> whole(g.size()), single(g.size()), ragged(g.size());
+  ker::gelu_backward(g.data(), x.data(), whole.data(), n);
+  for (int64_t i = 0; i < n; ++i)
+    ker::gelu_backward(g.data() + i, x.data() + i, single.data() + i, 1);
+  for (int64_t lo = 0, len = 1; lo < n; lo += len, len = len % 37 + 5)
+    ker::gelu_backward(g.data() + lo, x.data() + lo, ragged.data() + lo,
+                       std::min(len, n - lo));
+  EXPECT_TRUE(bitwise_equal(whole, single.data()));
+  EXPECT_TRUE(bitwise_equal(whole, ragged.data()));
 }
 
 TEST(Kernels, GeluPolynomialErfStaysWithinTolerance) {

@@ -79,7 +79,7 @@ TEST(LayerNormModule, NormalizesLastDim) {
 TEST(BatchNormModule, TrainEvalStatistics) {
   Rng rng(6);
   nn::BatchNorm bn(3);
-  Tensor x = Tensor::randn({4, 3, 5}, rng, 2.0f).add_scalar(1.0f);
+  Tensor x = Tensor::randn({4, 5, 3}, rng, 2.0f).add_scalar(1.0f);
   bn.set_training(true);
   Tensor y = bn.forward(x);
   EXPECT_EQ(y.shape(), x.shape());
@@ -89,7 +89,7 @@ TEST(BatchNormModule, TrainEvalStatistics) {
     int n = 0;
     for (int b = 0; b < 4; ++b)
       for (int s = 0; s < 5; ++s) {
-        mean += y.at({b, c, s});
+        mean += y.at({b, s, c});
         ++n;
       }
     EXPECT_NEAR(mean / n, 0.0, 1e-4);
@@ -106,11 +106,62 @@ TEST(BatchNormModule, TrainEvalStatistics) {
 TEST(BatchNormModule, GradientFlows) {
   Rng rng(7);
   nn::BatchNorm bn(2);
-  Tensor x = Tensor::randn({3, 2, 4}, rng);
+  Tensor x = Tensor::randn({3, 4, 2}, rng);
   x.set_requires_grad(true);
   bn.forward(x).sum().backward();
   EXPECT_TRUE(x.grad().defined());
   EXPECT_TRUE(bn.gamma.grad().defined());
+}
+
+TEST(BatchNormModule, FusedEvalMatchesComposedOpsBitwise) {
+  // The eval kernel (no graph) and the differentiable op chain (graph
+  // recorded) must agree bit for bit: batch statistics, running
+  // statistics, grouped statistics, and rows read in an order other than
+  // the layout's — [B, H, W, T, C] reduced over (b, t, h, w) — and
+  // written out in a third one, (b, w, h, t).
+  Rng rng(8);
+  Tensor x = Tensor::randn({2, 3, 5, 4, 6}, rng, 3.0f).add_scalar(0.5f);
+  const ct::View rows{{2, 4, 3, 5, 6}, {360, 6, 120, 24, 1}, 0};
+  const std::vector<size_t> order{0, 3, 2, 1};
+  for (const bool batch_stats : {true, false}) {
+    for (const int64_t groups : {1, 2}) {
+      nn::BatchNorm bn(6, 1e-5f, 0.1f, batch_stats);
+      bn.set_training(true);
+      {
+        ct::NoGradGuard ng;
+        bn.forward(x);  // move the running stats off their defaults
+      }
+      bn.set_training(false);
+      nn::BatchStatScope scope(groups);
+      Tensor fused, composed;
+      {
+        ct::NoGradGuard ng;
+        fused = bn.forward(x, rows, order, {2, 5, 3, 4, 6});
+      }
+      composed = bn.forward(x, rows, order, {2, 5, 3, 4, 6});
+      ASSERT_TRUE(composed.has_grad_fn());
+      ASSERT_EQ(fused.shape(), composed.shape());
+      for (int64_t i = 0; i < fused.numel(); ++i)
+        ASSERT_EQ(fused.raw()[i], composed.raw()[i])
+            << "batch_stats " << batch_stats << " groups " << groups
+            << " idx " << i;
+    }
+  }
+}
+
+TEST(BatchNormModule, RowViewOnlyReordersTheSumsAndTheLayout) {
+  // Normalizing [B, H, T, C] with rows read in (b, t, h) order and written
+  // back in (b, h, t) equals normalizing the [B, T, H, C] permute in its
+  // own order, permuted back.
+  Rng rng(9);
+  nn::BatchNorm bn(4, 1e-5f, 0.1f, /*use_batch_stats_in_eval=*/true);
+  bn.set_training(false);
+  ct::NoGradGuard ng;
+  Tensor x = Tensor::randn({2, 5, 3, 4}, rng);
+  Tensor direct = bn.forward(x, {{2, 3, 5, 4}, {60, 4, 12, 1}, 0}, {0, 2, 1},
+                             x.shape());
+  Tensor via = bn.forward(x.permute({0, 2, 1, 3})).permute({0, 2, 1, 3});
+  expect_tensor_near(direct, via, 0.0);
 }
 
 TEST(Mlp, GeluSandwichShape) {
@@ -166,45 +217,108 @@ TEST(Attention, GradientReachesAllParams) {
 TEST(PatchConv, EqualsManualBlockProjection) {
   Rng rng(13);
   nn::PatchConvNd conv(2, 3, {2, 2}, rng);
-  Tensor x = Tensor::randn({1, 2, 4, 4}, rng);
-  Tensor y = conv.forward(x);
-  EXPECT_EQ(y.shape(), (ct::Shape{1, 3, 2, 2}));
-  // Manual check of one output position using the token helper.
-  Tensor tokens = nn::detail::blocks_to_tokens(x, {2, 2});
-  EXPECT_EQ(tokens.shape(), (ct::Shape{1, 4, 8}));
+  // Channels-last [B, H, W, F, C] with two frames.
+  Tensor x = Tensor::randn({1, 4, 4, 2, 2}, rng);
+  Tensor y = conv.forward(x, nn::field_view(x.shape(), 3, 4));
+  ASSERT_EQ(y.shape(), (ct::Shape{1, 2, 2, 2, 3}));
+  // Every output is the bias plus the block's (channel, kh, kw) values
+  // dotted with the projection's rows in that order.
+  const auto params = conv.named_parameters();
+  const Tensor& w = params[0].second;  // [2 * 2 * 2, 3]
+  const Tensor& b = params[1].second;
+  for (int64_t f = 0; f < 2; ++f)
+    for (int64_t i = 0; i < 2; ++i)
+      for (int64_t j = 0; j < 2; ++j)
+        for (int64_t o = 0; o < 3; ++o) {
+          double acc = b.at({o});
+          for (int64_t c = 0; c < 2; ++c)
+            for (int64_t ki = 0; ki < 2; ++ki)
+              for (int64_t kj = 0; kj < 2; ++kj)
+                acc += static_cast<double>(
+                           x.at({0, 2 * i + ki, 2 * j + kj, f, c})) *
+                       w.at({c * 4 + ki * 2 + kj, o});
+          EXPECT_NEAR(y.at({0, f, i, j, o}), acc, 1e-5);
+        }
 }
 
-TEST(PatchConv, RoundTripWithTranspose) {
-  // blocks_to_tokens and tokens_to_blocks are exact inverses.
+TEST(PatchConv, ReadsAnyLayoutThroughTheView) {
+  // A channel-first [B, C, H, W, F] input read through its view equals
+  // the same field made channels-last first, bitwise.
   Rng rng(14);
-  Tensor x = Tensor::randn({2, 3, 4, 6}, rng);
-  Tensor tokens = nn::detail::blocks_to_tokens(x, {2, 3});
-  Tensor back = nn::detail::tokens_to_blocks(tokens, 3, {2, 2}, {2, 3});
-  expect_tensor_near(back, x, 0.0);
+  nn::PatchConvNd conv(3, 4, {2, 3}, rng);
+  Tensor cf = Tensor::randn({2, 3, 4, 6, 2}, rng);
+  Tensor cl = cf.permute({0, 2, 3, 4, 1});  // [B, H, W, F, C]
+  expect_tensor_near(conv.forward(cf, nn::field_view(cf.shape(), 4, 1)),
+                     conv.forward(cl, nn::field_view(cl.shape(), 3, 4)),
+                     0.0);
 }
 
 TEST(PatchConvTranspose, UpsamplesShape) {
   Rng rng(15);
   nn::PatchConvTransposeNd up(4, 2, {2, 2, 2}, rng);
-  Tensor x = Tensor::randn({1, 4, 2, 3, 2}, rng);
-  EXPECT_EQ(up.forward(x).shape(), (ct::Shape{1, 2, 4, 6, 4}));
+  Tensor x = Tensor::randn({1, 2, 3, 2, 1, 4}, rng);  // [B, H, W, D, F, C]
+  EXPECT_EQ(up.forward(x, nn::field_view(x.shape(), 4, 5)).shape(),
+            (ct::Shape{1, 1, 4, 6, 4, 2}));
+}
+
+TEST(PatchConvTranspose, EqualsManualBlockScatter) {
+  // Fine cell (ki + 2i, kj + 2j) of frame f holds the coarse cell's
+  // projection onto output column (o, ki, kj), with and without a graph
+  // (the weight's column order, or its offset-major permutation).
+  Rng rng(16);
+  nn::PatchConvTransposeNd up(3, 2, {2, 2}, rng);
+  Tensor x = Tensor::randn({1, 2, 3, 2, 3}, rng);  // [B, H, W, F, C]
+  const ct::View v = nn::field_view(x.shape(), 3, 4);
+  Tensor first = up.forward(x, v);  // [1, 2, 4, 6, 2]
+  {
+    ct::NoGradGuard ng;
+    expect_tensor_near(up.forward(x, v), first, 0.0);
+  }
+  const auto params = up.named_parameters();
+  const Tensor& w = params[0].second;  // [3, 2 * 2 * 2]
+  const Tensor& b = params[1].second;
+  for (int64_t f = 0; f < 2; ++f)
+    for (int64_t i = 0; i < 2; ++i)
+      for (int64_t j = 0; j < 3; ++j)
+        for (int64_t o = 0; o < 2; ++o)
+          for (int64_t ki = 0; ki < 2; ++ki)
+            for (int64_t kj = 0; kj < 2; ++kj) {
+              const int64_t col = o * 4 + ki * 2 + kj;
+              double acc = b.at({col});
+              for (int64_t c = 0; c < 3; ++c)
+                acc += static_cast<double>(x.at({0, i, j, f, c})) *
+                       w.at({c, col});
+              EXPECT_NEAR(first.at({0, f, 2 * i + ki, 2 * j + kj, o}), acc,
+                          1e-5);
+            }
 }
 
 TEST(PatchConvTranspose, InverseOfPatchConvStructure) {
   // conv then transpose restores the spatial dims (not values).
-  Rng rng(16);
+  Rng rng(17);
   nn::PatchConvNd down(1, 4, {2, 2}, rng);
   nn::PatchConvTransposeNd up(4, 1, {2, 2}, rng);
-  Tensor x = Tensor::randn({2, 1, 6, 4}, rng);
-  EXPECT_EQ(up.forward(down.forward(x)).shape(), x.shape());
+  Tensor x = Tensor::randn({2, 6, 4, 1, 1}, rng);  // [B, H, W, F, C]
+  Tensor y = down.forward(x, nn::field_view(x.shape(), 3, 4));
+  // [B, F, H, W, C] back to x's [B, H, W, F, C] (F = 1).
+  EXPECT_EQ(up.forward(y, nn::field_view(y.shape(), 1, 4)).shape(),
+            (ct::Shape{2, 1, 6, 4, 1}));
 }
 
 TEST(PointwiseConv, MixesChannelsOnly) {
-  Rng rng(17);
+  Rng rng(18);
   nn::PointwiseConvNd pw(3, 5, rng);
-  Tensor x = Tensor::randn({2, 3, 4, 2, 3}, rng);
+  Tensor x = Tensor::randn({2, 4, 2, 3, 3}, rng);
   Tensor y = pw.forward(x);
-  EXPECT_EQ(y.shape(), (ct::Shape{2, 5, 4, 2, 3}));
+  EXPECT_EQ(y.shape(), (ct::Shape{2, 4, 2, 3, 5}));
+  // Each location depends on its own channels only.
+  Tensor x2 = x.clone();
+  x2.set({1, 3, 1, 2, 0}, 42.0f);
+  Tensor y2 = pw.forward(x2);
+  for (int64_t i = 0; i < y.numel(); ++i) {
+    if (i / 5 == y.numel() / 5 - 1) continue;  // the changed location
+    ASSERT_EQ(y.raw()[i], y2.raw()[i]) << i;
+  }
 }
 
 TEST(Optimizer, SgdConvergesOnQuadratic) {
@@ -314,7 +428,7 @@ TEST(Serialize, RoundTripsParametersAndBuffers) {
   Rng rng(21);
   nn::BatchNorm bn1(3), bn2(3);
   // Mutate bn1's state.
-  Tensor x = Tensor::randn({4, 3, 2}, rng, 2.0f);
+  Tensor x = Tensor::randn({4, 2, 3}, rng, 2.0f);
   bn1.forward(x);
   bn1.gamma.raw()[0] = 7.5f;
 

@@ -30,19 +30,21 @@ class WindowRoundTrip : public ::testing::TestWithParam<WindowCase> {};
 TEST_P(WindowRoundTrip, PartitionReverseIdentity) {
   auto [H, W, D, T, mh, mw, md, mt] = GetParam();
   coastal::util::Rng rng(static_cast<uint64_t>(H * 131 + mh));
-  Tensor x = Tensor::randn({2, 3, H, W, D, T}, rng);
+  Tensor x = Tensor::randn({2, H, W, D, T, 3}, rng);
   const core::Window4d win{mh, mw, md, mt};
-  Tensor back = core::window_reverse(core::window_partition(x, win),
-                                     core::FeatureDims::of(x), win);
-  coastal::testing::expect_tensor_near(back, x, 0.0);
+  const core::Window4d shift{mh / 2, mw / 2, md / 2, mt / 2};
+  for (const core::Window4d s : {core::Window4d{0, 0, 0, 0}, shift}) {
+    const core::WindowPlan plan({H, W, D, T}, win, s);
+    coastal::testing::expect_tensor_near(plan.reverse(plan.partition(x)), x,
+                                         0.0);
+  }
 }
 
 TEST_P(WindowRoundTrip, ShiftMaskIsBlockStructured) {
   auto [H, W, D, T, mh, mw, md, mt] = GetParam();
-  const core::FeatureDims dims{1, 1, H, W, D, T};
   const core::Window4d win{mh, mw, md, mt};
   const core::Window4d shift{mh / 2, mw / 2, md / 2, mt / 2};
-  Tensor m = core::shifted_window_mask(dims, win, shift);
+  Tensor m = core::shifted_window_mask({H, W, D, T}, win, shift);
   // Every entry is 0 or -1e9, diagonal always 0.
   const int64_t N = m.shape()[1];
   for (int64_t b = 0; b < m.shape()[0]; ++b)

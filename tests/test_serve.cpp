@@ -134,8 +134,8 @@ TEST(BatchStatScope, GroupedEvalMatchesPerSampleBitwise) {
   nn::BatchNorm bn(5, 1e-5f, 0.1f, /*use_batch_stats_in_eval=*/true);
   bn.set_training(false);
   tensor::NoGradGuard ng;
-  tensor::Tensor a = tensor::Tensor::randn({1, 5, 7}, rng);
-  tensor::Tensor b = tensor::Tensor::randn({1, 5, 7}, rng);
+  tensor::Tensor a = tensor::Tensor::randn({1, 7, 5}, rng);
+  tensor::Tensor b = tensor::Tensor::randn({1, 7, 5}, rng);
   tensor::Tensor ya = bn.forward(a);
   tensor::Tensor yb = bn.forward(b);
   tensor::Tensor stacked = tensor::concat({a, b}, 0);

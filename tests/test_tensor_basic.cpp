@@ -68,6 +68,38 @@ TEST(TensorBasic, ReshapeRejectsBadNumel) {
   EXPECT_THROW(Tensor::arange(12).reshape({5, 3}), coastal::util::CheckError);
 }
 
+TEST(TensorBasic, ReshapeInferringNextToAZeroDimThrows) {
+  // -1 beside a zero-sized dimension could be anything (torch refuses it
+  // too); it used to divide by zero.
+  const Tensor empty = Tensor::zeros({0, 4});
+  EXPECT_THROW(empty.reshape({0, -1}), coastal::util::CheckError);
+  EXPECT_THROW(Tensor::zeros({2, 0}).reshape({-1, 0}),
+               coastal::util::CheckError);
+  EXPECT_EQ(empty.reshape({-1, 4}).shape(), (ct::Shape{0, 4}));
+  EXPECT_EQ(empty.reshape({2, 0, 2}).shape(), (ct::Shape{2, 0, 2}));
+}
+
+TEST(TensorBasic, ReshapeOfASoleTemporaryRelabelsWithoutCopying) {
+  Tensor t = Tensor::arange(12);
+  const float* buf = t.raw();
+  Tensor r = std::move(t).reshape({3, -1});
+  EXPECT_EQ(r.raw(), buf);
+  EXPECT_EQ(r.shape(), (ct::Shape{3, 4}));
+  EXPECT_EQ(r.at({2, 1}), 9.0f);
+
+  // A second handle, or a graph, keeps the copying reshape.
+  Tensor shared = r;
+  Tensor copied = std::move(r).reshape({12});
+  EXPECT_NE(copied.raw(), buf);
+  EXPECT_EQ(shared.shape(), (ct::Shape{3, 4}));
+  Tensor leaf = Tensor::arange(6);
+  leaf.set_requires_grad(true);
+  const float* leaf_buf = leaf.raw();
+  Tensor tracked = std::move(leaf).reshape({2, 3});
+  EXPECT_NE(tracked.raw(), leaf_buf);
+  EXPECT_TRUE(tracked.has_grad_fn());
+}
+
 TEST(TensorBasic, PermuteTransposes) {
   Tensor t = Tensor::from_vector({2, 3}, {1, 2, 3, 4, 5, 6});
   Tensor p = t.permute({1, 0});

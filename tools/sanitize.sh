@@ -6,10 +6,11 @@
 #      memory-labeled suites re-run with the tensor pool disabled, so
 #      pool and arena lifetime bugs are byte-precise reports);
 #   2. under TSan (-DCOASTAL_SANITIZE=thread): the thread-labeled ctests,
-#      `ctest -L thread` (serving, cache, obs, reliability, communicator);
-#   3. portable (-DCOASTAL_NATIVE_ARCH=OFF, no sanitizer): the solver and
-#      workflow suites, so the ROMS solver's no-FMA branch is built and
-#      checked against its bitwise digests.
+#      `ctest -L thread` (serving, cache, obs, reliability, communicator,
+#      concurrent surrogate forwards);
+#   3. portable (-DCOASTAL_NATIVE_ARCH=OFF, no sanitizer): the solver,
+#      workflow and surrogate suites, so the no-FMA builds of the ROMS
+#      solver and the surrogate are checked against their bitwise digests.
 #
 # Usage: tools/sanitize.sh [build-root]      (default: build-sanitize/)
 # Environment: JOBS (parallel build jobs, default: nproc).
@@ -62,7 +63,7 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1:${TSAN_OPTIONS:-}"
 sweep asan-ubsan address,undefined \
   "-fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS" ON -E bench_diff
 sweep tsan thread "" ON -L thread
-sweep portable "" "" OFF -R '^test_(ocean_solver|workflow)$'
+sweep portable "" "" OFF -R '^test_(ocean_solver|workflow|surrogate)$'
 
 if [ "$status" -eq 0 ]; then
   echo "== sanitize: clean"
