@@ -12,6 +12,8 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/surrogate.hpp"
@@ -19,6 +21,7 @@
 #include "data/dataset.hpp"
 #include "ocean/archive.hpp"
 #include "ocean/bathymetry.hpp"
+#include "tensor/kernels.hpp"
 #include "util/csv.hpp"
 #include "util/logging.hpp"
 
@@ -126,33 +129,98 @@ inline MiniWorld make_mini_world(const std::string& name,
   return w;
 }
 
+/// The host and build a benchmark file was recorded on: CPU model, logical
+/// cores, the kernel threads the run resolved to, compiler and flags.
+/// `tools/bench_diff.py` compares rows in absolute terms only between files
+/// with equal fingerprints, and as host-normalized ratios otherwise.
+inline std::vector<std::pair<std::string, std::string>> host_fingerprint() {
+  std::string cpu = "unknown";
+  if (std::FILE* f = std::fopen("/proc/cpuinfo", "r")) {
+    char line[512];
+    while (std::fgets(line, sizeof line, f)) {
+      const std::string l(line);
+      if (l.rfind("model name", 0) != 0) continue;
+      const size_t colon = l.find(':');
+      if (colon != std::string::npos) {
+        cpu = l.substr(l.find_first_not_of(' ', colon + 1));
+        cpu.erase(cpu.find_last_not_of(" \n") + 1);
+      }
+      break;
+    }
+    std::fclose(f);
+  }
+#if defined(__clang__)
+  const std::string compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = "gcc " __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+  std::string flags;
+#ifdef NDEBUG
+  flags += " NDEBUG";
+#endif
+#ifdef COASTAL_MARCH_NATIVE
+  flags += " COASTAL_MARCH_NATIVE";
+#endif
+#ifdef __SANITIZE_ADDRESS__
+  flags += " sanitize=address";
+#endif
+#ifdef __SANITIZE_THREAD__
+  flags += " sanitize=thread";
+#endif
+  if (!flags.empty()) flags.erase(0, 1);
+  return {{"cpu", cpu},
+          {"logical_cores",
+           std::to_string(std::thread::hardware_concurrency())},
+          {"kernel_threads",
+           std::to_string(tensor::kernels::resolved_threads())},
+          {"compiler", compiler},
+          {"flags", flags}};
+}
+
 /// Machine-readable benchmark records: one JSON object per measured
 /// (op, size) pair.  Seeds the perf trajectory — each PR can diff its
 /// BENCH_*.json against the previous one.
 class BenchJsonWriter {
  public:
+  /// `ran_inline`: the row made no thread-pool dispatch, so its time does
+  /// not depend on the host's core count.
   void add(const std::string& op, int64_t size, double ns_per_iter,
-           double items_per_second) {
-    records_.push_back({op, size, ns_per_iter, items_per_second});
+           double items_per_second, bool ran_inline) {
+    records_.push_back({op, size, ns_per_iter, items_per_second, ran_inline});
   }
 
   bool empty() const { return records_.empty(); }
 
-  /// Writes a JSON array of {op, size, ns_per_iter, items_per_second}.
+  /// Writes {"fingerprint": {...host_fingerprint()}, "records": [...]},
+  /// each record {op, size, ns_per_iter, items_per_second, inline}.
   bool write(const std::string& path) const {
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (!f) return false;
-    std::fprintf(f, "[\n");
+    std::fprintf(f, "{\n  \"fingerprint\": {");
+    const auto fingerprint = host_fingerprint();
+    for (size_t i = 0; i < fingerprint.size(); ++i) {
+      std::string value;
+      for (char c : fingerprint[i].second) {
+        if (c == '"' || c == '\\') value += '\\';
+        value += c;
+      }
+      std::fprintf(f, "%s\"%s\": \"%s\"", i ? ", " : "",
+                   fingerprint[i].first.c_str(), value.c_str());
+    }
+    std::fprintf(f, "},\n  \"records\": [\n");
     for (size_t i = 0; i < records_.size(); ++i) {
       const Record& r = records_[i];
       std::fprintf(f,
-                   "  {\"op\": \"%s\", \"size\": %lld, \"ns_per_iter\": %.1f, "
-                   "\"items_per_second\": %.3e}%s\n",
+                   "    {\"op\": \"%s\", \"size\": %lld, \"ns_per_iter\": %.1f, "
+                   "\"items_per_second\": %.3e, \"inline\": %s}%s\n",
                    r.op.c_str(), static_cast<long long>(r.size),
                    r.ns_per_iter, r.items_per_second,
+                   r.ran_inline ? "true" : "false",
                    i + 1 < records_.size() ? "," : "");
     }
-    std::fprintf(f, "]\n");
+    std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
     return true;
   }
@@ -163,6 +231,7 @@ class BenchJsonWriter {
     int64_t size;
     double ns_per_iter;
     double items_per_second;
+    bool ran_inline;
   };
   std::vector<Record> records_;
 };

@@ -6,8 +6,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <condition_variable>
 #include <limits>
+#include <mutex>
 #include <span>
+#include <thread>
 
 #include "bench_common.hpp"
 #include "core/rollout.hpp"
@@ -20,6 +23,7 @@
 #include "ocean/bathymetry.hpp"
 #include "ocean/solver.hpp"
 #include "parallel/decomposition.hpp"
+#include "parallel/thread_pool.hpp"
 #include "serve/server.hpp"
 #include "tensor/half.hpp"
 #include "tensor/kernels.hpp"
@@ -647,7 +651,9 @@ static void BM_SolverStep(benchmark::State& state) {
 BENCHMARK(BM_SolverStep)->Arg(20)->Arg(32)->Arg(64)->Arg(128);
 
 static void BM_HaloExchange(benchmark::State& state) {
-  // Two ranks trading one ghost ring via the in-process communicator.
+  // Two ranks trading one ghost ring via the in-process communicator, 50
+  // times.  Its time is mostly how fast the host wakes a blocked thread,
+  // so tools/bench_diff.py gates it by its ratio to BM_HaloPingPong.
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
     par::World world(2);
@@ -660,6 +666,30 @@ static void BM_HaloExchange(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HaloExchange)->Arg(64);
+
+static void BM_HaloPingPong(benchmark::State& state) {
+  // The host's wake-up reference for BM_HaloExchange: the same two-thread
+  // spawn, then 50 bare condvar round trips.  In a 1×2 exchange step each
+  // rank blocks at most once, a round trip blocks twice, so the exchange
+  // must not take longer than this.
+  for (auto _ : state) {
+    std::mutex mutex;
+    std::condition_variable cv;
+    int turn = 0;  // handoffs so far; even = thread 0 to move
+    auto player = [&](int me) {
+      for (int i = 0; i < 50; ++i) {
+        std::unique_lock<std::mutex> lock(mutex);
+        cv.wait(lock, [&] { return turn % 2 == me; });
+        ++turn;
+        cv.notify_one();
+      }
+    };
+    std::thread a(player, 0), b(player, 1);
+    a.join();
+    b.join();
+  }
+}
+BENCHMARK(BM_HaloPingPong);
 
 static void BM_HalfConversion(benchmark::State& state) {
   util::Rng rng(7);
@@ -681,6 +711,12 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
     benchmark::ConsoleReporter::ReportRuns(runs);
+    // Benchmarks run one after another, each reported when it ends, so the
+    // pool dispatches since the last report are this row's (its set-up
+    // included, which can only mark a row as pooled, never as inline).
+    const uint64_t dispatches = par::ThreadPool::global().dispatches();
+    const bool ran_inline = dispatches == dispatches_seen_;
+    dispatches_seen_ = dispatches;
     for (const Run& run : runs) {
 #ifdef COASTAL_BENCHMARK_SKIPPED_API  // google-benchmark >= 1.8
       if (run.skipped) continue;
@@ -721,11 +757,15 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
       double items_per_s = 0.0;
       const auto it = run.counters.find("items_per_second");
       if (it != run.counters.end()) items_per_s = it->second;
-      writer.add(op, size, run.GetAdjustedRealTime(), items_per_s);
+      writer.add(op, size, run.GetAdjustedRealTime(), items_per_s,
+                 ran_inline);
     }
   }
 
   bench::BenchJsonWriter writer;
+
+ private:
+  uint64_t dispatches_seen_ = par::ThreadPool::global().dispatches();
 };
 
 }  // namespace

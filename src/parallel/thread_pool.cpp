@@ -96,11 +96,37 @@ std::future<void> ThreadPool::submit(std::function<void()> fn) {
   auto fut = task.get_future();
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(std::move(task));
+    queue_.push_back(Item{std::move(task), nullptr});
   }
   pending_.fetch_add(1, std::memory_order_release);
   cv_.notify_one();
   return fut;
+}
+
+/// One parallel_for in flight.  Lives on the caller's stack: the caller
+/// erases its unclaimed helper slots and waits for `helpers` to drain
+/// before returning, so no worker touches it afterwards.
+struct ThreadPool::Job {
+  const std::function<void(size_t, size_t)>& fn;
+  size_t begin, end, chunk, nchunks;
+  std::atomic<size_t> next{0};  ///< next unclaimed chunk
+  /// Workers inside run_chunks; changed only under mutex_.
+  std::atomic<size_t> helpers{0};
+  std::condition_variable idle{};  ///< signalled under mutex_ as they leave
+  std::exception_ptr error{};      ///< first chunk exception; under mutex_
+};
+
+void ThreadPool::run_chunks(Job& job) {
+  for (size_t c; (c = job.next.fetch_add(1, std::memory_order_relaxed)) <
+                 job.nchunks;) {
+    const size_t lo = job.begin + c * job.chunk;
+    try {
+      job.fn(lo, std::min(job.end, lo + job.chunk));
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (!job.error) job.error = std::current_exception();
+    }
+  }
 }
 
 void ThreadPool::parallel_for(size_t begin, size_t end,
@@ -121,31 +147,50 @@ void ThreadPool::parallel_for(size_t begin, size_t end,
     return;
   }
   const size_t chunk = (n + nchunks - 1) / nchunks;
-  std::vector<std::future<void>> futs;
-  futs.reserve(nchunks);
-  for (size_t c = 0; c < nchunks; ++c) {
-    const size_t lo = begin + c * chunk;
-    const size_t hi = std::min(end, lo + chunk);
-    if (lo >= hi) break;
-    futs.push_back(submit([&fn, lo, hi] { fn(lo, hi); }));
+  Job job{fn, begin, end, chunk, (n + chunk - 1) / chunk};
+  // One helper slot per worker that could take a chunk the caller leaves.
+  const size_t nhelpers = std::min(job.nchunks - 1, size());
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (size_t i = 0; i < nhelpers; ++i) queue_.push_back(Item{{}, &job});
   }
-  // Drain every future even if one throws; otherwise chunks still
-  // referencing `fn` (and the caller's captures) would outlive this frame.
-  std::exception_ptr first_error;
-  for (auto& f : futs) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
+  pending_.fetch_add(static_cast<int64_t>(nhelpers),
+                     std::memory_order_release);
+  dispatches_.fetch_add(1, std::memory_order_relaxed);
+  for (size_t i = 0; i < nhelpers; ++i) cv_.notify_one();
+
+  t_in_worker = true;  // the caller's chunks must not fan out again
+  run_chunks(job);
+  t_in_worker = false;
+
+  // Every chunk is claimed.  Take back the slots no worker has popped yet,
+  // then wait out the helpers still finishing a chunk they claimed.
+  std::unique_lock<std::mutex> lock(mutex_);
+  const auto unclaimed =
+      std::remove_if(queue_.begin(), queue_.end(),
+                     [&job](const Item& item) { return item.job == &job; });
+  pending_.fetch_sub(queue_.end() - unclaimed, std::memory_order_relaxed);
+  queue_.erase(unclaimed, queue_.end());
+  if (job.helpers.load(std::memory_order_relaxed) != 0) {
+    // A claimed chunk is short; spin for it before paying a futex wait.
+    lock.unlock();
+    for (int i = 0; i < kIdleSpinIters &&
+                    job.helpers.load(std::memory_order_acquire) != 0;
+         ++i) {
+      cpu_relax();
     }
+    lock.lock();
+    job.idle.wait(lock, [&job] {
+      return job.helpers.load(std::memory_order_relaxed) == 0;
+    });
   }
-  if (first_error) std::rethrow_exception(first_error);
+  if (job.error) std::rethrow_exception(job.error);
 }
 
 void ThreadPool::worker_loop() {
   t_in_worker = true;
   for (;;) {
-    std::packaged_task<void()> task;
+    Item item;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       if (!stop_ && queue_.empty()) {
@@ -162,12 +207,26 @@ void ThreadPool::worker_loop() {
       }
       cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
       if (stop_ && queue_.empty()) return;
-      task = std::move(queue_.front());
+      item = std::move(queue_.front());
       queue_.pop_front();
       pending_.fetch_sub(1, std::memory_order_relaxed);
+      if (item.job) item.job->helpers.fetch_add(1, std::memory_order_relaxed);
     }
-    task();
+    if (!item.job) {
+      item.task();
+      continue;
+    }
+    run_chunks(*item.job);
+    // Under the lock, so the caller cannot see zero and destroy the job
+    // before this notify is done with it.
+    std::lock_guard<std::mutex> lock(mutex_);
+    item.job->helpers.fetch_sub(1, std::memory_order_release);
+    item.job->idle.notify_one();
   }
+}
+
+uint64_t ThreadPool::dispatches() const {
+  return dispatches_.load(std::memory_order_relaxed);
 }
 
 bool ThreadPool::in_worker() { return t_in_worker; }

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
@@ -53,17 +54,27 @@ class ThreadPool {
   /// receives (chunk_begin, chunk_end).
   ///
   /// `nchunks == 0` picks ~4× the worker count — oversubscription smooths
-  /// load imbalance on ragged iterations.  Exception-safe: if a chunk
-  /// throws, the remaining futures are still drained (no leaked work, no
-  /// deadlocked callers) and the first exception is rethrown.  When called
-  /// from inside a pool worker the range runs inline — blocking a worker
-  /// on its own pool could deadlock.
+  /// load imbalance on ragged iterations.  The caller claims chunks too,
+  /// from the same counter as the helpers it enqueues (one queue entry per
+  /// helper, not per chunk), so it never idles waiting for a worker to
+  /// wake: a helper that arrives after the last chunk is claimed finds
+  /// nothing to do, and one still queued when the caller is done is taken
+  /// back off the queue.  Exception-safe: if a chunk throws, the remaining
+  /// chunks still run and the first exception is rethrown once every
+  /// chunk has finished.  When called from inside a chunk or a pool
+  /// worker the range runs inline — blocking a worker on its own pool
+  /// could deadlock.
   void parallel_for(size_t begin, size_t end,
                     const std::function<void(size_t, size_t)>& fn,
                     size_t nchunks = 0);
 
-  /// True while the calling thread is one of *any* ThreadPool's workers.
-  /// Compute kernels use this to refuse nested parallelism.
+  /// parallel_for calls so far that handed chunks to workers (the rest ran
+  /// inline).  Benchmarks read it to tell which rows used the pool.
+  uint64_t dispatches() const;
+
+  /// True while the calling thread is one of *any* ThreadPool's workers,
+  /// or is running chunks of its own parallel_for.  Compute kernels use
+  /// this to refuse nested parallelism.
   static bool in_worker();
 
   /// Process-wide shared pool (lazily constructed).  Sized by the
@@ -71,13 +82,21 @@ class ThreadPool {
   static ThreadPool& global();
 
  private:
+  struct Job;
+  /// A queue entry: a submitted task, or a helper slot of a parallel_for.
+  struct Item {
+    std::packaged_task<void()> task;
+    Job* job = nullptr;
+  };
+
   void worker_loop();
   void spawn_locked(size_t num_threads);
+  void run_chunks(Job& job);
 
   mutable std::mutex mutex_;
   std::mutex resize_mutex_;  ///< serializes resize(); never held by workers
   std::vector<std::thread> workers_;
-  std::deque<std::packaged_task<void()>> queue_;
+  std::deque<Item> queue_;
   std::condition_variable cv_;
   bool stop_ = false;
   /// Queued-but-unclaimed task count, readable without the mutex: idle
@@ -86,6 +105,7 @@ class ThreadPool {
   /// warm workers without paying a futex wake per dispatch.
   std::atomic<int64_t> pending_{0};
   std::atomic<size_t> size_{0};  ///< == workers_.size(); lock-free for size()
+  std::atomic<uint64_t> dispatches_{0};
 };
 
 }  // namespace coastal::par

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -38,26 +39,99 @@ int resolved_threads() {
   return hw;
 }
 
+namespace {
+
+/// The calibration loop: one element of a streaming elementwise loop per
+/// cost unit, what `binary_same_apply` charges 1 for.  Out of line so the
+/// timed stores cannot be elided.
+[[gnu::noinline]] void unit_loop(const float* a, const float* b, float* out,
+                                 int64_t n) {
+  for (int64_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
+}
+
+/// Median of `fn`'s wall time over a few runs, each after `touch` — which
+/// leaves the inputs freshly written by the caller, as the op before a
+/// real loop leaves them.
+template <typename Touch, typename Fn>
+double median_ns(Touch touch, Fn fn) {
+  constexpr int kReps = 9;
+  std::array<double, kReps> ns{};
+  touch();
+  fn();  // warm-up
+  for (double& t : ns) {
+    touch();
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    t = std::chrono::duration<double, std::nano>(
+            std::chrono::steady_clock::now() - t0)
+            .count();
+  }
+  std::nth_element(ns.begin(), ns.begin() + kReps / 2, ns.end());
+  return ns[kReps / 2];
+}
+
+/// Cost units from which a loop is worth shipping to the pool: the
+/// smallest calibration loop, doubling from 4096 elements, that the pool
+/// runs at least kMinSpeedup× faster than the caller alone.  This prices
+/// the whole dispatch — enqueue, wake-up, and the cache lines the helpers
+/// must pull from the caller and hand back — on the host it runs on.
+/// Measured once, on first use; 2 × kMaxN when the pool never wins.
+int64_t measured_grain() {
+  // Twice, not just faster: loops just past a 1.25× break-even still lost
+  // inside the B = 1 surrogate forward on a shared 4-vCPU host, where
+  // helpers run a chunk of freshly written data several times slower than
+  // the caller.
+  constexpr double kMinSpeedup = 2.0;
+  constexpr int64_t kMinN = 4096, kMaxN = int64_t{1} << 20;
+  static const int64_t grain = [] {
+    par::ThreadPool& pool = par::ThreadPool::global();
+    std::vector<float> a(kMaxN, 1.0f), b(kMaxN, 2.0f), out(kMaxN);
+    int64_t n = kMinN;
+    for (; n <= kMaxN; n *= 2) {
+      const auto touch = [&] {
+        for (int64_t i = 0; i < n; ++i) a[i] += 1.0f;
+      };
+      const std::function<void(size_t, size_t)> chunk = [&](size_t lo,
+                                                             size_t hi) {
+        unit_loop(a.data() + lo, b.data() + lo, out.data() + lo,
+                  static_cast<int64_t>(hi - lo));
+      };
+      const double serial = median_ns(
+          touch, [&] { unit_loop(a.data(), b.data(), out.data(), n); });
+      const double pooled = median_ns(touch, [&] {
+        pool.parallel_for(0, static_cast<size_t>(n), chunk);
+      });
+      if (pooled * kMinSpeedup <= serial) break;
+    }
+    return n;
+  }();
+  return grain;
+}
+
+int64_t parallel_grain() {
+  const int64_t fixed = config().parallel_grain;
+  return fixed > 0 ? fixed : measured_grain();
+}
+
+}  // namespace
+
 void parallel_for(int64_t total, int64_t cost_per_item,
                   const std::function<void(int64_t, int64_t)>& fn) {
   if (total <= 0) return;
   const KernelConfig& cfg = config();
   const int threads = resolved_threads();
-  // Serial when: single thread, nested inside a pool worker (waiting there
-  // would starve the pool), or not enough work to amortize dispatch.
-  if (threads <= 1 || par::ThreadPool::in_worker()) {
+  // Serial when: single thread, nested inside a pool worker or chunk
+  // (waiting there would starve the pool), or too little work to pay for
+  // the dispatch.
+  if (threads <= 1 || par::ThreadPool::in_worker() ||
+      total * std::max<int64_t>(1, cost_per_item) < parallel_grain()) {
     fn(0, total);
     return;
   }
-  const int64_t grain = std::max<int64_t>(1, cfg.parallel_grain);
-  const int64_t by_grain =
-      std::max<int64_t>(1, total * std::max<int64_t>(1, cost_per_item) / grain);
+  // The caller claims chunks alongside the helpers, so small chunks cost
+  // only a counter increment each and bound what a late helper can hold up.
   const int64_t nchunks = std::min<int64_t>(
-      {total, static_cast<int64_t>(cfg.oversubscribe) * threads, by_grain});
-  if (nchunks <= 1) {
-    fn(0, total);
-    return;
-  }
+      total, static_cast<int64_t>(cfg.oversubscribe) * threads);
   par::ThreadPool::global().parallel_for(
       0, static_cast<size_t>(total),
       [&fn](size_t lo, size_t hi) {

@@ -53,9 +53,11 @@ struct KernelConfig {
   /// size, never on thread count, preserving determinism.
   int64_t gemm_small_madds = 4096;
 
-  /// Minimum elements a data-parallel loop must have per chunk before it
-  /// is worth shipping to the pool.
-  int64_t parallel_grain = 16384;
+  /// Minimum cost units (`parallel_for`'s `total * cost_per_item`) a loop
+  /// must carry before it is worth shipping to the pool.  0 = a grain
+  /// measured on the host (see `parallel_for`); tests set 1 to force
+  /// chunked dispatch.
+  int64_t parallel_grain = 0;
 
   /// Chunk oversubscription factor (chunks ≈ factor × threads) for load
   /// balance on ragged loops.
@@ -84,11 +86,14 @@ KernelConfig& config();
 int resolved_threads();
 
 /// Run `fn(lo, hi)` over [0, total), in parallel when the problem is big
-/// enough (`total * cost_per_item >= parallel_grain` and more than one
-/// thread is available), serially otherwise.  Chunk boundaries are
-/// independent of thread count only in so far as each index is processed
-/// exactly once — callers must keep any reduction confined to a single
-/// index for determinism.
+/// enough and more than one thread is available, in `oversubscribe ×
+/// threads` chunks, serially otherwise.  Big enough: `total *
+/// cost_per_item` reaches `config().parallel_grain` when that is set, else
+/// a grain measured once per process, on first use — the smallest
+/// streaming elementwise loop (one cost unit per element) that the pool
+/// runs at least twice as fast as the caller alone.  Chunk boundaries are independent of thread count only in
+/// so far as each index is processed exactly once — callers must keep any
+/// reduction confined to a single index for determinism.
 void parallel_for(int64_t total, int64_t cost_per_item,
                   const std::function<void(int64_t, int64_t)>& fn);
 

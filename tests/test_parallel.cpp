@@ -97,6 +97,28 @@ TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
   EXPECT_EQ(inner_total.load(), 40);
 }
 
+TEST(ThreadPool, ConcurrentCallersEachCoverTheirRangeExactlyOnce) {
+  // Several callers' helper slots share one queue: each caller must take
+  // back only its own unclaimed slots and wait only for its own chunks.
+  par::ThreadPool pool(3);
+  constexpr int kCallers = 4, kRounds = 200, kN = 64;
+  std::vector<std::vector<std::atomic<int>>> hits(kCallers);
+  for (auto& h : hits) h = std::vector<std::atomic<int>>(kN);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int r = 0; r < kRounds; ++r) {
+        pool.parallel_for(0, kN, [&](size_t lo, size_t hi) {
+          for (size_t i = lo; i < hi; ++i) hits[c][i].fetch_add(1);
+        });
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (auto& h : hits)
+    for (auto& n : h) EXPECT_EQ(n.load(), kRounds);
+}
+
 TEST(ThreadPool, ResizeSwapsWorkerGenerationsSafely) {
   par::ThreadPool pool(2);
   EXPECT_EQ(pool.size(), 2u);
