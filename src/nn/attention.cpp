@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "obs/profile.hpp"
 #include "tensor/kernels.hpp"
 
 namespace coastal::nn {
@@ -97,106 +98,6 @@ Tensor merge_heads(const Tensor& x) {
       });
 }
 
-Tensor fused_attention(const Tensor& q, const Tensor& k, const Tensor& v,
-                       const Tensor& mask, float scale) {
-  COASTAL_CHECK(q.ndim() == 4 && k.shape() == q.shape() &&
-                v.shape() == q.shape());
-  const int64_t B = q.shape()[0];
-  const int64_t heads = q.shape()[1];
-  const int64_t N = q.shape()[2];
-  const int64_t hd = q.shape()[3];
-  const int64_t nbatch = B * heads;
-
-  // The fused kernels treat the mask as a constant additive bias.  Reject
-  // any recorded mask gradient loudly — even when q/k/v record nothing —
-  // instead of silently returning a graph that never populates mask.grad.
-  COASTAL_CHECK_MSG(!(tensor::grad_enabled() && carries_graph(mask)),
-                    "fused_attention treats the mask as a constant bias; "
-                    "a differentiable mask must take the unfused path");
-  const bool record = tensor::grad_enabled() &&
-                      (carries_graph(q) || carries_graph(k) ||
-                       carries_graph(v));
-
-  // Per-(batch × head) additive-bias offsets: batch b uses mask group
-  // b % groups (window index is the fastest-varying component of B).
-  // Inference rebuilds them into per-thread workspace scratch (retained
-  // capacity — no allocation in steady state); the training path keeps a
-  // local vector because the backward lambda captures it by value.
-  const float* mask_ptr = nullptr;
-  std::vector<int64_t> mask_off_local;
-  std::vector<int64_t>& mask_off =
-      record ? mask_off_local : tensor::workspace().mask_off;
-  mask_off.clear();
-  if (mask.defined()) {
-    COASTAL_CHECK(mask.ndim() == 3 && mask.shape()[1] == N &&
-                  mask.shape()[2] == N);
-    const int64_t groups = mask.shape()[0];
-    COASTAL_CHECK_MSG(B % groups == 0,
-                      "attention mask groups " << groups
-                                               << " do not divide batch " << B);
-    mask_ptr = mask.raw();
-    mask_off.resize(static_cast<size_t>(nbatch));
-    for (int64_t e = 0; e < nbatch; ++e)
-      mask_off[static_cast<size_t>(e)] = ((e / heads) % groups) * N * N;
-  }
-
-  tensor::Storage out = tensor::Storage::uninit(nbatch * N * hd);
-  if (!record) {
-    ker::attention_fused(q.raw(), k.raw(), v.raw(), out.data(), nbatch, N, N,
-                         hd, scale, mask_ptr, mask_off);
-    return Tensor::from_storage({B, heads, N, hd}, std::move(out));
-  }
-
-  // Training forward: same kernel, but save the per-row (max, exp-sum)
-  // statistics — 2 floats per query row instead of the N scores the
-  // unfused path stashes — and record a node whose backward re-streams
-  // K/V blocks (kernels::attention_fused_backward).
-  auto stats =
-      std::make_shared<std::vector<float>>(static_cast<size_t>(nbatch * N * 2));
-  ker::attention_fused(q.raw(), k.raw(), v.raw(), out.data(), nbatch, N, N,
-                       hd, scale, mask_ptr, mask_off, stats->data());
-  // The backward needs O (for Δ = Σ dO∘O), which is exactly this node's
-  // own output.  Capturing the result Tensor would create a node → lambda
-  // → result cycle and leak the graph; copying the buffer (the
-  // softmax_lastdim idiom) would keep a second [B, h, N, d] alive per
-  // layer.  Instead capture a weak reference, filled in after custom_op
-  // returns: the engine only invokes a node's backward through its output
-  // impl, so the lock cannot fail while a legitimate backward runs.
-  auto o_slot = std::make_shared<std::weak_ptr<tensor::TensorImpl>>();
-  Tensor qt = q, kt = k, vt = v, mt = mask;
-  std::vector<Tensor> parents = {q, k, v};
-  if (mask.defined()) parents.push_back(mask);
-  const bool has_mask = mask.defined();
-  Tensor result = tensor::custom_op(
-      {B, heads, N, hd}, std::move(out), "fused_attention",
-      std::move(parents),
-      [qt, kt, vt, mt, o_slot, stats, mask_off, has_mask, nbatch, B, heads,
-       N, hd, scale](const Tensor& g) -> std::vector<Tensor> {
-        const std::shared_ptr<tensor::TensorImpl> o_impl = o_slot->lock();
-        COASTAL_CHECK_MSG(o_impl != nullptr,
-                          "fused_attention backward ran without its output");
-        tensor::Storage dq = tensor::Storage::uninit(nbatch * N * hd);
-        tensor::Storage dk = tensor::Storage::uninit(nbatch * N * hd);
-        tensor::Storage dv = tensor::Storage::uninit(nbatch * N * hd);
-        ker::attention_fused_backward(
-            qt.raw(), kt.raw(), vt.raw(), o_impl->data.data(), g.raw(),
-            stats->data(), dq.data(), dk.data(), dv.data(), nbatch, N, N, hd,
-            scale, has_mask ? mt.raw() : nullptr, mask_off);
-        std::vector<Tensor> grads;
-        grads.reserve(has_mask ? 4 : 3);
-        grads.push_back(
-            Tensor::from_storage({B, heads, N, hd}, std::move(dq)));
-        grads.push_back(
-            Tensor::from_storage({B, heads, N, hd}, std::move(dk)));
-        grads.push_back(
-            Tensor::from_storage({B, heads, N, hd}, std::move(dv)));
-        if (has_mask) grads.emplace_back();  // constant additive bias
-        return grads;
-      });
-  *o_slot = result.impl();
-  return result;
-}
-
 MultiHeadSelfAttention::MultiHeadSelfAttention(int64_t dim, int64_t heads,
                                                util::Rng& rng)
     : dim_(dim), heads_(heads), head_dim_(dim / heads) {
@@ -227,29 +128,16 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& x,
                                                << " do not divide batch " << B);
   }
 
-  // The fused kernels run only above the explicit attn_fused_min_n
-  // threshold (0 = never).  The gate depends on N and the config alone:
-  // it ignores recording state, so a checkpointed region's initial pass
-  // and its backward-time recompute take the same path bitwise (see
-  // nn::inside_checkpoint_region()), and it ignores the batch size, so a
-  // request's kernel path never depends on what the server stacked it
-  // with (the bitwise-serial serving contract).  A mask that carries a
-  // graph takes the unfused reference path, since the fused kernel treats
-  // the mask as a constant bias.
-  const int64_t min_n = ker::config().attn_fused_min_n;
-  const bool mask_grad = carries_graph(mask);
   Tensor out;  // [B, h, N, d]
-  if (min_n > 0 && N >= min_n && !mask_grad) {
-    out = fused_attention(q, split_qkv_head(qkv, heads_, 1), v, mask, scale_);
-  } else {
+  {
+    obs::ScopedStage stage(obs::Stage::kAttention);
     // K is split straight into Kᵀ [B, h, d, N].
     Tensor scores = q.matmul(split_qkv_head(qkv, heads_, 1, true))
                         .mul_scalar(scale_);  // [B, h, N, N]
     if (mask.defined()) scores = add_window_mask(scores, mask);
-    Tensor attn = scores.softmax_lastdim();
-    out = attn.matmul(v);
+    out = scores.softmax_lastdim().matmul(v);
   }
-  out = merge_heads(out);                          // [B, N, C]
+  out = merge_heads(out);  // [B, N, C]
   return proj_->forward(out);
 }
 

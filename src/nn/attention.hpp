@@ -28,28 +28,6 @@ Tensor split_qkv_head(const Tensor& qkv, int64_t heads, int which,
 /// gather (and its backward into one gather too).  Differentiable.
 Tensor merge_heads(const Tensor& x);
 
-/// Flash-style fused scaled-dot-product attention.  q/k/v are
-/// [B, heads, N, d]; `mask` (optional) is the additive [groups, N, N]
-/// window bias with groups dividing B (window index fastest-varying in B,
-/// as produced by window partitioning).  Streams K/V blocks through
-/// `tensor::kernels::attention_fused`, never materializing the
-/// [B, heads, N, N] score tensor.
-///
-/// **Differentiable.**  When autograd is recording and q/k/v carry a
-/// graph, the forward additionally saves the [B, heads, N] online-softmax
-/// row statistics (max + exp-sum, 2 floats per row) and its output, and
-/// the recorded node backpropagates through
-/// `tensor::kernels::attention_fused_backward` — a recompute-based flash
-/// backward that re-streams K/V blocks, so neither the score nor the
-/// dScore tensor is ever materialized on the training path either.  The
-/// mask is treated as a constant additive bias (the cached shifted-window
-/// mask never trains); whenever autograd is recording, a mask that
-/// carries a graph is rejected with an error — even if q/k/v record
-/// nothing, so a mask gradient can never be dropped silently.  Route such
-/// calls through the unfused reference path instead.
-Tensor fused_attention(const Tensor& q, const Tensor& k, const Tensor& v,
-                       const Tensor& mask, float scale);
-
 class MultiHeadSelfAttention : public Module {
  public:
   /// `dim` must be divisible by `heads`.
@@ -61,6 +39,13 @@ class MultiHeadSelfAttention : public Module {
   /// defined, B must be divisible by `groups` and window index must be the
   /// fastest-varying component of B (i.e. B = batch * groups with groups
   /// contiguous), which is how window partitioning lays tokens out.
+  ///
+  /// Scores are materialized: Q·Kᵀ → scale → mask add → softmax → ·V, one
+  /// route for inference, training and checkpoint recomputes alike.  A
+  /// Swin window's [N, N] score block is small (16 KB per head at N = 64),
+  /// so streaming it flash-style saves no memory worth having.  That core
+  /// is timed as one `obs::Stage::kAttention` sample per call while the
+  /// stage profiler is on (its GEMMs also count under `kGemm`).
   Tensor forward(const Tensor& x, const Tensor& mask = Tensor()) const;
 
   int64_t dim() const { return dim_; }

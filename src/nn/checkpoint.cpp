@@ -2,20 +2,6 @@
 
 namespace coastal::nn {
 
-namespace {
-
-thread_local bool t_in_checkpoint = false;
-
-struct CheckpointRegionGuard {
-  bool prev = t_in_checkpoint;
-  CheckpointRegionGuard() { t_in_checkpoint = true; }
-  ~CheckpointRegionGuard() { t_in_checkpoint = prev; }
-};
-
-}  // namespace
-
-bool inside_checkpoint_region() { return t_in_checkpoint; }
-
 Tensor checkpoint(const std::function<Tensor(const std::vector<Tensor>&)>& fn,
                   const std::vector<Tensor>& inputs,
                   const std::vector<Tensor>& params) {
@@ -27,11 +13,6 @@ Tensor checkpoint(const std::function<Tensor(const std::vector<Tensor>&)>& fn,
   tensor::Storage out_data;
   {
     tensor::NoGradGuard ng;
-    // Marks the region for fast paths that are NOT recompute-consistent
-    // (none in-tree today: fused attention routes identically with and
-    // without recording, so its initial pass matches the backward-time
-    // recompute bitwise — see inside_checkpoint_region() in the header).
-    CheckpointRegionGuard region;
     Tensor out = fn(inputs);
     out_shape = out.shape();
     out_data = tensor::Storage::copy_of(out.raw(), out.numel());

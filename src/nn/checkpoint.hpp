@@ -28,32 +28,12 @@ using tensor::Tensor;
 /// as graph parents so the region is recorded even when no *input*
 /// requires grad, and their gradients are produced by the recompute pass
 /// (accumulated directly into their .grad buffers).
+///
+/// Gradients match an uncheckpointed run bitwise because every op runs the
+/// same kernels whether or not autograd records (layer norm, for one,
+/// keeps its stash-free inference loop identical to the training loop).
 Tensor checkpoint(const std::function<Tensor(const std::vector<Tensor>&)>& fn,
                   const std::vector<Tensor>& inputs,
                   const std::vector<Tensor>& params = {});
-
-/// True while the calling thread is inside a checkpoint region's initial
-/// (recording-disabled) forward.
-///
-/// Contract for ops with a fast path: the region's saved output must match
-/// the backward-time recompute (which runs with recording enabled), so a
-/// fast path may ignore this guard **iff it is recompute-consistent** —
-/// its route depends only on problem size/config, never on whether
-/// recording is on, and both modes run the same kernel bitwise.  Fused
-/// attention satisfies this: the initial pass and the recompute route on
-/// the same explicit `attn_fused_min_n` threshold (N alone, never the
-/// recording state), so it does not consult this guard.
-/// Only a fast path whose recording-mode equivalent diverges numerically
-/// from its inference form must check this and fall back to its reference
-/// implementation inside regions.
-///
-/// Corollary: recompute-consistency assumes the routing inputs are stable
-/// between a region's initial forward and its backward-time recompute.
-/// Mutating `tensor::kernels::config()` (e.g. `attn_fused_min_n`,
-/// `attn_bq`/`attn_bkv`) between a checkpointed forward and
-/// `loss.backward()` can route or block the recompute differently from
-/// the saved output and silently drift gradients — change kernel config
-/// only between whole training steps.
-bool inside_checkpoint_region();
 
 }  // namespace coastal::nn

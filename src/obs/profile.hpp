@@ -32,7 +32,8 @@ enum class Stage : int {
   kCacheProbe,  ///< forecast-cache probe of a batch's uniques
   kForward,     ///< surrogate forward (retry loop included)
   kGemm,        ///< tensor::kernels::gemm / gemm_batched
-  kAttention,   ///< fused attention forward / backward
+  kAttention,   ///< one MultiHeadSelfAttention forward's scores → mask →
+                ///< softmax → ·V (its two GEMMs also count under kGemm)
   kVerify,      ///< physics verification of one entry
   kFallback,    ///< numerical-model episode (degraded / salvage)
   kDecode,      ///< prediction decode to CenterFields

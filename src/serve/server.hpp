@@ -33,13 +33,15 @@
 ///                                   with kWorkerLost, spawn replacement
 ///
 /// Concurrency contract: each model slot's forward runs under a per-model
-/// mutex — the surrogate's Swin blocks keep a lazily grown window-mask
-/// cache, and on a shared-memory host the kernels already parallelize one
-/// forward across every core, so overlapping forwards of the *same* model
-/// would race the cache for no throughput.  Workers instead overlap the
-/// serial per-request stages (sample packing, decode, verification, ROMS
-/// fallback) with the next batch's forward.  Throughput comes from the
-/// micro-batching itself: see scheduler.hpp.
+/// mutex.  The eval forward itself is re-entrant — each Swin block builds
+/// its window plan and mask in its constructor, and concurrent forwards of
+/// one model match the serial forward bitwise — so the mutex is not
+/// needed for correctness; it stays until ROADMAP item 1 replaces it with
+/// workers sized to cores at one kernel thread each.  Meanwhile workers
+/// overlap the serial per-request stages (sample packing, decode,
+/// verification, ROMS fallback) with the next batch's forward.  Stacking
+/// requests into one forward does not raise throughput on a CPU (ROADMAP
+/// "Where we are"); running independent forwards concurrently does.
 ///
 /// Failure contract (see reliability.hpp): every accepted request's future
 /// resolves — with a result, or with a typed ForecastError.  A failure in

@@ -355,7 +355,7 @@ void gemm_batched(const float* A, const float* B, float* C, int64_t m,
   // consumed by more than one task and (b) the transient buffer — a padded
   // copy of every distinct B — stays within a sane bound.  Everything else
   // packs inside the task, one image at a time: the no-reuse case (every
-  // entry distinct, one row block each — the unfused-attention shape at
+  // entry distinct, one row block each — the attention score shape at
   // small windows) would pay the full copy for zero saved repacks, and an
   // oversized pack would spike peak RSS by O(total B bytes) per call,
   // undoing the memory wins this engine exists for.
@@ -424,28 +424,25 @@ void gemm_batched(const float* A, const float* B, float* C, int64_t m,
 }
 
 // ---------------------------------------------------------------------------
-// Fused attention
+// Branch-free math and fixed-association row reductions
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// Branch-free expf shared by the fused attention forward/backward and
-/// softmax_rows: exp(x) = 2^k · e^t
+/// Branch-free expf for softmax_rows and the GELU backward:
+/// exp(x) = 2^k · e^t
 /// with k = rint(x·log2 e) and t = (x·log2 e − k)·ln 2 ∈ [−½ln 2, ½ln 2],
 /// e^t by a degree-7 Taylor polynomial (relative error ≲ 2e−7).  Unlike
 /// libm's expf this contains no call and no branch, so GCC/Clang
-/// vectorize the epilogue loop it sits in — and expf is the single
-/// hottest instruction stream in attention at Swin window sizes.
+/// vectorize the loop it sits in — and expf is the single hottest
+/// instruction stream in attention at Swin window sizes.
 ///
-/// Semantics the online softmax relies on (arguments are ≤ 0 or NaN,
-/// since the running row max has been subtracted):
+/// Semantics the softmax relies on (arguments are ≤ 0 or NaN, since the
+/// row max has been subtracted):
 ///  * NaN in → NaN out (restored by the final select), so a poisoned
 ///    score row still poisons the row sum exactly like std::exp.
 ///  * x < −104 (where real expf is subnormal-or-zero) → exactly 0, so
-///    −inf and −1e9 window-mask scores contribute zero weight; a fully
-///    −inf row then finishes with sum 0 and 0/0 = NaN like the unfused
-///    softmax, instead of renormalizing the clamp floor into a spurious
-///    uniform distribution.
+///    −inf and −1e9 window-mask scores contribute zero weight.
 inline float fast_expf(float x) {
   constexpr float kLog2e = 1.44269504088896341f;
   constexpr float kLn2 = 0.6931471805599453f;
@@ -507,26 +504,26 @@ inline float fast_erff(float x) {
   return std::fabs(x) >= 4.0f ? std::copysign(1.0f, x) : r;
 }
 
-/// Reduction lane count for the block max / row sum below — one AVX-512
+/// Reduction lane count for the row max / sum / dot below — one AVX-512
 /// vector of floats.  Lane decomposition is fixed at compile time, so the
 /// (re)association pattern is identical on every host and thread count.
-constexpr int kAttnLanes = 16;
+constexpr int kLanes = 16;
 
-/// Lane-strided max of x[0, n) folded into `init`.  This association
-/// pattern is a determinism-critical invariant shared by the fused
-/// attention forward and softmax_rows — one definition so the reduction
-/// trees can never drift apart.  NaN falls out of std::max (comparisons
-/// with NaN are false), so callers relying on NaN poisoning must route it
-/// through a later arithmetic step, as both users do via exp(NaN - mx).
+/// Lane-strided max of x[0, n) folded into `init`.  The association
+/// pattern is fixed at compile time, so softmax rows are bitwise identical
+/// on every host and thread count.  NaN falls out of std::max
+/// (comparisons with NaN are false), so callers relying on NaN poisoning
+/// must route it through a later arithmetic step, as softmax_rows does via
+/// exp(NaN - mx).
 inline float lane_max(const float* __restrict x, int64_t n, float init) {
-  float part[kAttnLanes];
-  for (int u = 0; u < kAttnLanes; ++u)
+  float part[kLanes];
+  for (int u = 0; u < kLanes; ++u)
     part[u] = -std::numeric_limits<float>::infinity();
   int64_t i = 0;
-  for (; i + kAttnLanes <= n; i += kAttnLanes)
-    for (int u = 0; u < kAttnLanes; ++u)
+  for (; i + kLanes <= n; i += kLanes)
+    for (int u = 0; u < kLanes; ++u)
       part[u] = std::max(part[u], x[i + u]);
-  for (int u = 0; u < kAttnLanes; ++u) init = std::max(init, part[u]);
+  for (int u = 0; u < kLanes; ++u) init = std::max(init, part[u]);
   for (; i < n; ++i) init = std::max(init, x[i]);
   return init;
 }
@@ -534,12 +531,12 @@ inline float lane_max(const float* __restrict x, int64_t n, float init) {
 /// Lane-strided sum of x[0, n): partial lanes fold in ascending lane
 /// order, then the tail adds serially — same fixed association everywhere.
 inline float lane_sum(const float* __restrict x, int64_t n) {
-  float part[kAttnLanes] = {};
+  float part[kLanes] = {};
   int64_t i = 0;
-  for (; i + kAttnLanes <= n; i += kAttnLanes)
-    for (int u = 0; u < kAttnLanes; ++u) part[u] += x[i + u];
+  for (; i + kLanes <= n; i += kLanes)
+    for (int u = 0; u < kLanes; ++u) part[u] += x[i + u];
   float sum = 0.0f;
-  for (int u = 0; u < kAttnLanes; ++u) sum += part[u];
+  for (int u = 0; u < kLanes; ++u) sum += part[u];
   for (; i < n; ++i) sum += x[i];
   return sum;
 }
@@ -549,345 +546,17 @@ inline float lane_sum(const float* __restrict x, int64_t n) {
 /// (a serial fma chain before) vectorizes through this.
 inline float lane_dot(const float* __restrict a, const float* __restrict b,
                       int64_t n) {
-  float part[kAttnLanes] = {};
+  float part[kLanes] = {};
   int64_t i = 0;
-  for (; i + kAttnLanes <= n; i += kAttnLanes)
-    for (int u = 0; u < kAttnLanes; ++u) part[u] += a[i + u] * b[i + u];
+  for (; i + kLanes <= n; i += kLanes)
+    for (int u = 0; u < kLanes; ++u) part[u] += a[i + u] * b[i + u];
   float sum = 0.0f;
-  for (int u = 0; u < kAttnLanes; ++u) sum += part[u];
+  for (int u = 0; u < kLanes; ++u) sum += part[u];
   for (; i < n; ++i) sum += a[i] * b[i];
   return sum;
 }
 
-/// One (batch entry, query row block) of flash attention.  KV blocks are
-/// consumed in ascending order and every reduction (over d in the score
-/// dot, over lanes in the max/sum scans, over blocks in the recurrence)
-/// has a fixed order, so the result is independent of how tasks are
-/// scheduled across threads.
-///
-/// `D` is the compile-time head dim for the hot instantiations (the
-/// d-loops fully unroll and the output accumulator row lives in vector
-/// registers across the V sweep); `D == 0` is the runtime-d fallback.
-/// `stats_out` (optional) receives the final (m, l) pair per query row —
-/// the contract attention_fused_backward rebuilds probabilities from.
-template <int D>
-void attention_task(const float* Qb, const float* Kb, const float* Vb,
-                    float* Ob, const float* mrow, int64_t rows, int64_t nkv,
-                    int64_t rt_d, float scale, int64_t bc_max,
-                    float* stats_out) {
-  const int64_t d = D > 0 ? D : rt_d;
-  // Per-thread Workspace scratch: packed K^T block, score block, and the
-  // online-softmax state (row max, row sum, output accumulator).
-  Workspace& ws = workspace();
-  ws.attn_kt.resize(static_cast<size_t>(d * bc_max));
-  ws.attn_scores.resize(static_cast<size_t>(rows * bc_max));
-  ws.attn_stat.resize(static_cast<size_t>(rows * (d + 2)));
-  float* kt = ws.attn_kt.data();
-  float* s = ws.attn_scores.data();
-  float* m = ws.attn_stat.data();         // running row max
-  float* l = m + rows;                    // running row sum of exp
-  float* acc = l + rows;                  // [rows, d] output accumulator
-  constexpr float kNegInf = -std::numeric_limits<float>::infinity();
-  std::fill(m, m + rows, kNegInf);
-  std::fill(l, l + rows, 0.0f);
-  std::fill(acc, acc + rows * d, 0.0f);
-
-  for (int64_t kv0 = 0; kv0 < nkv; kv0 += bc_max) {
-    const int64_t bc = std::min(bc_max, nkv - kv0);
-    // Pack the K block transposed so the score micro-kernel's inner loop
-    // runs contiguously over j lanes (no reassociated reductions).
-    for (int64_t j = 0; j < bc; ++j) {
-      const float* krow = Kb + (kv0 + j) * d;
-      for (int64_t dd = 0; dd < d; ++dd) kt[dd * bc + j] = krow[dd];
-    }
-    for (int64_t i = 0; i < rows; ++i) {
-      float* __restrict srow = s + i * bc_max;
-      std::fill(srow, srow + bc, 0.0f);
-      const float* qrow = Qb + i * d;
-      for (int64_t dd = 0; dd < d; ++dd) {
-        const float qv = qrow[dd];
-        const float* __restrict krow = kt + dd * bc;
-        for (int64_t j = 0; j < bc; ++j) srow[j] += qv * krow[j];
-      }
-      if (mrow != nullptr) {
-        const float* mk = mrow + i * nkv + kv0;
-        for (int64_t j = 0; j < bc; ++j) srow[j] = srow[j] * scale + mk[j];
-      } else {
-        for (int64_t j = 0; j < bc; ++j) srow[j] *= scale;
-      }
-      // Online softmax: new block max, rescale old stats by
-      // alpha = exp(m_old - m_new), fold in the fresh exponentials.
-      // NaN scores fall out of std::max (as in softmax_rows) but poison
-      // the row sum through exp(NaN), matching unfused semantics.  Max is
-      // exact under any association, so the lane split never changes the
-      // result on NaN-free rows (a NaN row is wholly poisoned anyway).
-      const float bm = lane_max(srow, bc, m[i]);
-      // While the running max is still -inf (every key so far masked with
-      // -inf), subtract 0 instead: exp(-inf - -inf) would manufacture NaN
-      // where the reference softmax — whose max spans the whole row —
-      // yields weight 0.  A NaN score still reaches the exp (NaN - 0 is
-      // NaN), so NaN rows stay poisoned; an all -inf row ends with
-      // l = 0 and finishes as 0/0 = NaN, exactly like the reference.
-      const float bm_eff = bm == kNegInf ? 0.0f : bm;
-      const float alpha = fast_expf(m[i] - bm_eff);
-      m[i] = bm;
-      // Elementwise exp first (vectorizes: fast_expf is branch-free), then
-      // the lane-strided row sum — a single serial chain would bottleneck
-      // on add latency, and fusing the sum into the exp loop would
-      // serialize that loop too.
-      for (int64_t j = 0; j < bc; ++j) srow[j] = fast_expf(srow[j] - bm_eff);
-      const float rowsum = lane_sum(srow, bc);
-      l[i] = alpha * l[i] + rowsum;
-      // acc[i, :] = alpha · acc[i, :] + P · V_block, with two independent
-      // fma chains over j to hide the accumulator latency.  Chain results
-      // combine in a fixed order, so this too is schedule-independent.
-      float* __restrict arow = acc + i * d;
-      const float* __restrict vblock = Vb + kv0 * d;
-      if constexpr (D > 0) {
-        float a0[D] = {}, a1[D] = {};
-        int64_t j = 0;
-        for (; j + 2 <= bc; j += 2) {
-          const float p0 = srow[j], p1 = srow[j + 1];
-          const float* v0 = vblock + j * D;
-          const float* v1 = v0 + D;
-          for (int dd = 0; dd < D; ++dd) a0[dd] += p0 * v0[dd];
-          for (int dd = 0; dd < D; ++dd) a1[dd] += p1 * v1[dd];
-        }
-        if (j < bc) {
-          const float p0 = srow[j];
-          const float* v0 = vblock + j * D;
-          for (int dd = 0; dd < D; ++dd) a0[dd] += p0 * v0[dd];
-        }
-        for (int dd = 0; dd < D; ++dd)
-          arow[dd] = arow[dd] * alpha + (a0[dd] + a1[dd]);
-      } else {
-        for (int64_t dd = 0; dd < d; ++dd) arow[dd] *= alpha;
-        for (int64_t j = 0; j < bc; ++j) {
-          const float p = srow[j];
-          const float* vrow = vblock + j * d;
-          for (int64_t dd = 0; dd < d; ++dd) arow[dd] += p * vrow[dd];
-        }
-      }
-    }
-  }
-  for (int64_t i = 0; i < rows; ++i) {
-    const float inv = 1.0f / l[i];
-    const float* arow = acc + i * d;
-    float* orow = Ob + i * d;
-    for (int64_t dd = 0; dd < d; ++dd) orow[dd] = arow[dd] * inv;
-  }
-  if (stats_out != nullptr) {
-    // The raw running max (possibly -inf on a fully masked row) and the
-    // exponential sum, exactly as the recurrence left them — the backward
-    // reconstructs P[i, j] = fast_expf(S[i, j] - m) / l from these.
-    for (int64_t i = 0; i < rows; ++i) {
-      stats_out[i * 2] = m[i];
-      stats_out[i * 2 + 1] = l[i];
-    }
-  }
-}
-
 }  // namespace
-
-void attention_fused(const float* Q, const float* K, const float* V, float* O,
-                     int64_t nbatch, int64_t nq, int64_t nkv, int64_t d,
-                     float scale, const float* mask,
-                     const std::vector<int64_t>& mask_off, float* stats) {
-  if (nbatch <= 0 || nq <= 0 || nkv <= 0 || d <= 0) return;
-  obs::ScopedStage obs_stage(obs::Stage::kAttention);
-  const KernelConfig& cfg = config();
-  const int64_t bq = std::max<int64_t>(1, cfg.attn_bq);
-  const int64_t bc_max = std::min(std::max<int64_t>(1, cfg.attn_bkv), nkv);
-  const int64_t qblocks = ceil_div(nq, bq);
-  // Head-dim specialization: path choice depends only on d, never on
-  // thread count, so serial and parallel runs stay bitwise identical.
-  auto task = attention_task<0>;
-  switch (d) {
-    case 4: task = attention_task<4>; break;
-    case 8: task = attention_task<8>; break;
-    case 16: task = attention_task<16>; break;
-    case 32: task = attention_task<32>; break;
-    case 64: task = attention_task<64>; break;
-    default: break;
-  }
-  parallel_for(nbatch * qblocks, 2 * bq * nkv * d, [&](int64_t lo, int64_t hi) {
-    for (int64_t t = lo; t < hi; ++t) {
-      const int64_t b = t / qblocks;
-      const int64_t q0 = (t % qblocks) * bq;
-      const int64_t rows = std::min(bq, nq - q0);
-      const float* mrow =
-          mask ? mask + mask_off[static_cast<size_t>(b)] + q0 * nkv : nullptr;
-      task(Q + (b * nq + q0) * d, K + b * nkv * d, V + b * nkv * d,
-           O + (b * nq + q0) * d, mrow, rows, nkv, d, scale, bc_max,
-           stats ? stats + (b * nq + q0) * 2 : nullptr);
-    }
-  });
-}
-
-namespace {
-
-/// One (batch × head) entry of the recompute-based flash backward.  KV
-/// blocks stream in ascending order and query rows are visited in
-/// ascending order inside each block, so every accumulation into
-/// dQ/dK/dV has a fixed, thread-count-independent order.  The probability
-/// block is rebuilt from the saved (m, l) with the same fast_expf the
-/// forward used; P equals the forward's weights exactly when the row's
-/// sweep fit one KV block, and to within float rounding otherwise (the
-/// forward reaches a rescaled block's weight as exp(S − m_blk)·alpha, two
-/// expf results multiplied, where this takes one call) — see the stats
-/// contract in kernels.hpp.
-template <int D>
-void attention_bwd_task(const float* Qb, const float* Kb, const float* Vb,
-                        const float* Ob, const float* dOb,
-                        const float* statsb, const float* mrow, float* dQb,
-                        float* dKb, float* dVb, int64_t nq, int64_t nkv,
-                        int64_t rt_d, float scale, int64_t bc_max) {
-  const int64_t d = D > 0 ? D : rt_d;
-  // Per-thread Workspace scratch: packed Kᵀ/Vᵀ blocks, the rebuilt
-  // probability row, the dO·Vᵀ row, and Δ_i = Σ_d dO∘O per query row.
-  Workspace& ws = workspace();
-  ws.attn_bwd_kt.resize(static_cast<size_t>(d * bc_max));
-  ws.attn_bwd_vt.resize(static_cast<size_t>(d * bc_max));
-  ws.attn_bwd_p.resize(static_cast<size_t>(bc_max));
-  ws.attn_bwd_dp.resize(static_cast<size_t>(bc_max));
-  ws.attn_bwd_delta.resize(static_cast<size_t>(nq));
-  float* kt = ws.attn_bwd_kt.data();
-  float* vt = ws.attn_bwd_vt.data();
-  float* p = ws.attn_bwd_p.data();
-  float* dp = ws.attn_bwd_dp.data();
-  float* delta = ws.attn_bwd_delta.data();
-  std::fill(dQb, dQb + nq * d, 0.0f);
-  std::fill(dKb, dKb + nkv * d, 0.0f);
-  std::fill(dVb, dVb + nkv * d, 0.0f);
-
-  // Δ_i = Σ_d dO[i,:]·O[i,:] — the softmax-backward row dot (Σ_j P·dP) in
-  // flash form, computable without P because O = P·V is already normalized.
-  for (int64_t i = 0; i < nq; ++i) {
-    const float* orow = Ob + i * d;
-    const float* grow = dOb + i * d;
-    float acc = 0.0f;
-    for (int64_t dd = 0; dd < d; ++dd) acc += grow[dd] * orow[dd];
-    delta[i] = acc;
-  }
-
-  for (int64_t kv0 = 0; kv0 < nkv; kv0 += bc_max) {
-    const int64_t bc = std::min(bc_max, nkv - kv0);
-    // Pack K and V transposed, exactly like the forward packs K: the score
-    // and dO·Vᵀ micro-kernels then run contiguously over j lanes with
-    // reductions over d in fixed ascending order.
-    for (int64_t j = 0; j < bc; ++j) {
-      const float* krow = Kb + (kv0 + j) * d;
-      const float* vrow = Vb + (kv0 + j) * d;
-      for (int64_t dd = 0; dd < d; ++dd) {
-        kt[dd * bc + j] = krow[dd];
-        vt[dd * bc + j] = vrow[dd];
-      }
-    }
-    for (int64_t i = 0; i < nq; ++i) {
-      const float* qrow = Qb + i * d;
-      const float* grow = dOb + i * d;
-      // Recompute the score row for this block (same arithmetic as the
-      // forward), then rebuild probabilities from the saved statistics:
-      // P = exp(S - m) / l.  A masked key (-inf or -1e9 bias) yields an
-      // exact 0; a fully masked row carries m = -inf, l = 0 and poisons
-      // its gradients with NaN exactly like the reference backward.
-      std::fill(p, p + bc, 0.0f);
-      for (int64_t dd = 0; dd < d; ++dd) {
-        const float qv = qrow[dd];
-        const float* __restrict krow = kt + dd * bc;
-        float* __restrict prow = p;
-        for (int64_t j = 0; j < bc; ++j) prow[j] += qv * krow[j];
-      }
-      if (mrow != nullptr) {
-        const float* mk = mrow + i * nkv + kv0;
-        for (int64_t j = 0; j < bc; ++j) p[j] = p[j] * scale + mk[j];
-      } else {
-        for (int64_t j = 0; j < bc; ++j) p[j] *= scale;
-      }
-      const float mi = statsb[i * 2];
-      const float inv_l = 1.0f / statsb[i * 2 + 1];
-      for (int64_t j = 0; j < bc; ++j)
-        p[j] = fast_expf(p[j] - mi) * inv_l;
-      // dP = dO · Vᵀ over this block.
-      std::fill(dp, dp + bc, 0.0f);
-      for (int64_t dd = 0; dd < d; ++dd) {
-        const float gv = grow[dd];
-        const float* __restrict vrow = vt + dd * bc;
-        float* __restrict dprow = dp;
-        for (int64_t j = 0; j < bc; ++j) dprow[j] += gv * vrow[j];
-      }
-      // dS = P ∘ (dP - Δ_i) · scale, folded straight into the three
-      // gradient accumulations — dS itself never exists as a row.
-      const float di = delta[i];
-      if constexpr (D > 0) {
-        float dq[D] = {};
-        for (int64_t j = 0; j < bc; ++j) {
-          const float pj = p[j];
-          const float ds = pj * (dp[j] - di) * scale;
-          const float* krow = Kb + (kv0 + j) * D;
-          float* dkrow = dKb + (kv0 + j) * D;
-          float* dvrow = dVb + (kv0 + j) * D;
-          for (int dd = 0; dd < D; ++dd) dq[dd] += ds * krow[dd];
-          for (int dd = 0; dd < D; ++dd) dkrow[dd] += ds * qrow[dd];
-          for (int dd = 0; dd < D; ++dd) dvrow[dd] += pj * grow[dd];
-        }
-        float* dqrow = dQb + i * D;
-        for (int dd = 0; dd < D; ++dd) dqrow[dd] += dq[dd];
-      } else {
-        float* dqrow = dQb + i * d;
-        for (int64_t j = 0; j < bc; ++j) {
-          const float pj = p[j];
-          const float ds = pj * (dp[j] - di) * scale;
-          const float* krow = Kb + (kv0 + j) * d;
-          float* dkrow = dKb + (kv0 + j) * d;
-          float* dvrow = dVb + (kv0 + j) * d;
-          for (int64_t dd = 0; dd < d; ++dd) dqrow[dd] += ds * krow[dd];
-          for (int64_t dd = 0; dd < d; ++dd) dkrow[dd] += ds * qrow[dd];
-          for (int64_t dd = 0; dd < d; ++dd) dvrow[dd] += pj * grow[dd];
-        }
-      }
-    }
-  }
-}
-
-}  // namespace
-
-void attention_fused_backward(const float* Q, const float* K, const float* V,
-                              const float* O, const float* dO,
-                              const float* stats, float* dQ, float* dK,
-                              float* dV, int64_t nbatch, int64_t nq,
-                              int64_t nkv, int64_t d, float scale,
-                              const float* mask,
-                              const std::vector<int64_t>& mask_off) {
-  if (nbatch <= 0 || nq <= 0 || nkv <= 0 || d <= 0) return;
-  obs::ScopedStage obs_stage(obs::Stage::kAttention);
-  const KernelConfig& cfg = config();
-  const int64_t bc_max = std::min(std::max<int64_t>(1, cfg.attn_bkv), nkv);
-  // Head-dim specialization mirrors the forward (path depends only on d).
-  auto task = attention_bwd_task<0>;
-  switch (d) {
-    case 4: task = attention_bwd_task<4>; break;
-    case 8: task = attention_bwd_task<8>; break;
-    case 16: task = attention_bwd_task<16>; break;
-    case 32: task = attention_bwd_task<32>; break;
-    case 64: task = attention_bwd_task<64>; break;
-    default: break;
-  }
-  // One task per (batch × head) entry: dK/dV rows accumulate over *query*
-  // rows, so splitting queries across tasks would either race or need a
-  // deterministic reduction tree.  Batch × heads is the natural grain for
-  // training workloads (B · nW · heads entries) and keeps every gradient
-  // element owned by exactly one task.
-  parallel_for(nbatch, 5 * nq * nkv * d, [&](int64_t lo, int64_t hi) {
-    for (int64_t b = lo; b < hi; ++b) {
-      const float* mrow =
-          mask ? mask + mask_off[static_cast<size_t>(b)] : nullptr;
-      task(Q + b * nq * d, K + b * nkv * d, V + b * nkv * d, O + b * nq * d,
-           dO + b * nq * d, stats + b * nq * 2, mrow, dQ + b * nq * d,
-           dK + b * nkv * d, dV + b * nkv * d, nq, nkv, d, scale, bc_max);
-    }
-  });
-}
 
 // ---------------------------------------------------------------------------
 // Softmax / layer norm
@@ -899,12 +568,11 @@ void softmax_rows(const float* x, float* y, int64_t rows, int64_t cols) {
     for (int64_t r = lo; r < hi; ++r) {
       const float* row = x + r * cols;
       float* orow = y + r * cols;
-      // Same structure as the fused-attention epilogue: lane-strided max,
-      // a branch-free expf pass the compiler vectorizes (libm expf kept
-      // this loop scalar and was the kernel's entire cost), lane-strided
-      // sum — all via the shared lane_max/lane_sum helpers so the
-      // association can never drift from the fused path.  Rows stay
-      // bitwise identical across thread counts.  A NaN score falls out of
+      // Lane-strided max, a branch-free expf pass the compiler
+      // vectorizes (libm expf kept this loop scalar and was the kernel's
+      // entire cost), lane-strided sum.  The association is fixed at
+      // compile time, so rows stay bitwise identical across thread
+      // counts.  A NaN score falls out of
       // the max but poisons the row through exp(NaN); an all -inf row
       // yields exp(-inf - -inf) = NaN like libm.
       const float mx = lane_max(row, cols, kNegInf);

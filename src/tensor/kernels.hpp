@@ -20,8 +20,8 @@
 /// to serial execution for small problems (see KernelConfig thresholds) and
 /// when already running inside a pool worker (no nested parallelism).
 ///
-/// All transient kernel scratch (GEMM packing panels, fused-attention
-/// blocks and statistics) lives in the per-thread `tensor::Workspace`
+/// All transient kernel scratch (GEMM packing panels, offset tables, data
+/// movement tables) lives in the per-thread `tensor::Workspace`
 /// (storage.hpp): grow-only buffers reused across calls, so steady-state
 /// kernel execution allocates nothing inside parallel_for tasks.
 
@@ -62,21 +62,6 @@ struct KernelConfig {
   /// Chunk oversubscription factor (chunks ≈ factor × threads) for load
   /// balance on ragged loops.
   int oversubscribe = 4;
-
-  // Fused (flash-style) attention blocking.  One task owns a Bq-row block
-  // of queries for one (batch × head) entry and streams Bkv-row blocks of
-  // K/V through the online-softmax recurrence — the [N, N] score matrix is
-  // never materialized.
-  int64_t attn_bq = 64;    ///< query rows per task block
-  int64_t attn_bkv = 128;  ///< K/V rows streamed per inner block
-
-  /// `nn::MultiHeadSelfAttention` routes a forward — inference or
-  /// training — through the fused kernels only when this is positive and
-  /// the token count N is at least this value; 0 = never fused (the
-  /// unfused reference path).  Deployments that care more about peak
-  /// activation memory than latency set it to stream attention without
-  /// materializing [N, N] scores; tests pin paths this way.
-  int64_t attn_fused_min_n = 0;
 };
 
 KernelConfig& config();
@@ -121,78 +106,14 @@ void gemm_batched(const float* A, const float* B, float* C, int64_t m,
                   const std::vector<int64_t>& b_off);
 
 // ---------------------------------------------------------------------------
-// Fused attention
-// ---------------------------------------------------------------------------
-
-/// Flash-style fused attention forward:
-///
-///   O[b, i, :] = softmax_j(scale · Q[b, i, :]·K[b, j, :] + M[b, i, j]) · V[b, j, :]
-///
-/// Q: [nbatch, nq, d], K/V: [nbatch, nkv, d], O: [nbatch, nq, d], all
-/// contiguous row-major (nbatch is typically batch × heads).  `mask` is an
-/// optional additive bias: when non-null, row i of batch entry b reads
-/// `mask + mask_off[b] + i·nkv`, so broadcast over batch entries is encoded
-/// by repeated offsets (the Swin [groups, N, N] window mask).
-///
-/// K/V are streamed in `attn_bkv`-row blocks through a packed-K^T
-/// micro-kernel; the online row-max / row-sum recurrence rescales the
-/// output accumulator per block, so the [nq, nkv] score matrix is never
-/// materialized.  Each output row is produced by exactly one task and KV
-/// blocks are consumed in a fixed ascending order, so results are bitwise
-/// identical across thread counts.  NaN/Inf anywhere in a score row
-/// poisons that output row exactly as the unfused softmax does.
-///
-/// `stats` (optional, [nbatch, nq, 2]) receives the final online-softmax
-/// row statistics: stats[(b·nq + i)·2] = the row score max m_i and
-/// stats[(b·nq + i)·2 + 1] = the row exponential sum l_i, both *after* the
-/// full KV sweep, so `P[i, j] = exp(S[i, j] − m_i) / l_i` reconstructs the
-/// forward's normalized weights (same `fast_expf`, same m; exact when the
-/// sweep fits one KV block, and within float rounding otherwise — the
-/// forward reaches a rescaled block's weight through exp(S − m_blk)·alpha,
-/// two expf results multiplied, where the reconstruction is one call).
-/// This is the contract `attention_fused_backward` consumes; a fully
-/// masked row saves m = −inf, l = 0 (its output is NaN on every path).
-void attention_fused(const float* Q, const float* K, const float* V, float* O,
-                     int64_t nbatch, int64_t nq, int64_t nkv, int64_t d,
-                     float scale, const float* mask,
-                     const std::vector<int64_t>& mask_off,
-                     float* stats = nullptr);
-
-/// Recompute-based (flash-style) attention backward.  Given the forward's
-/// inputs, its output O, the upstream gradient dO, and the saved per-row
-/// statistics from `attention_fused` (see above), produces
-///
-///   dV = Pᵀ·dO,   dS = P ∘ (dO·Vᵀ − Δ)·scale,   dQ = dS·K,   dK = dSᵀ·Q,
-///
-/// where Δ_i = Σ_d dO[i,d]·O[i,d], WITHOUT ever materializing P or dS:
-/// K/V blocks are re-streamed through the same packed-Kᵀ/Vᵀ micro-kernels
-/// as the forward and each probability block is rebuilt from (m, l).
-/// Scratch is O(attn_bkv · d) per task.
-///
-/// dQ is [nbatch, nq, d]; dK/dV are [nbatch, nkv, d]; all three are fully
-/// overwritten.  One task owns one (batch × head) entry and consumes KV
-/// blocks and query rows in fixed ascending order, so results are bitwise
-/// identical across thread counts.  NaN/Inf poison exactly the gradient
-/// entries the unfused reference backward (softmax_backward + matmuls)
-/// poisons: a masked-out key (weight exactly 0) contributes nothing, while
-/// a NaN Δ/P row poisons every gradient row it touches.
-void attention_fused_backward(const float* Q, const float* K, const float* V,
-                              const float* O, const float* dO,
-                              const float* stats, float* dQ, float* dK,
-                              float* dV, int64_t nbatch, int64_t nq,
-                              int64_t nkv, int64_t d, float scale,
-                              const float* mask,
-                              const std::vector<int64_t>& mask_off);
-
-// ---------------------------------------------------------------------------
 // Row-wise fused ops (softmax / layer norm); parallel over rows.
 // ---------------------------------------------------------------------------
 
-/// y[r,:] = softmax(x[r,:]).  Lane-strided max/sum reductions and the same
-/// branch-free polynomial expf as the fused attention path (the exp loop
-/// vectorizes; libm expf kept this kernel scalar).  Reduction association
-/// is fixed at compile time, so rows are bitwise identical across hosts
-/// and thread counts; NaN/±inf rows poison exactly as with libm expf.
+/// y[r,:] = softmax(x[r,:]).  Lane-strided max/sum reductions and a
+/// branch-free polynomial expf (the exp loop vectorizes; libm expf kept
+/// this kernel scalar).  Reduction association is fixed at compile time,
+/// so rows are bitwise identical across hosts and thread counts; NaN/±inf
+/// rows poison exactly as with libm expf.
 void softmax_rows(const float* x, float* y, int64_t rows, int64_t cols);
 
 /// gx = softmax backward from output y and upstream g.  The per-row

@@ -400,16 +400,12 @@ Storage Storage::adopt(std::vector<float> v) {
 // ---------------------------------------------------------------------------
 
 size_t Workspace::bytes() const {
-  const size_t f =
-      gemm_apack.capacity() + gemm_bpack.capacity() + attn_kt.capacity() +
-      attn_scores.capacity() + attn_stat.capacity() + attn_bwd_kt.capacity() +
-      attn_bwd_vt.capacity() + attn_bwd_p.capacity() + attn_bwd_dp.capacity() +
-      attn_bwd_delta.capacity() + ln_stash_row.capacity() +
-      move_row.capacity() + norm_stats.capacity();
-  const size_t i = off_a.capacity() + off_b.capacity() + mask_off.capacity() +
-                   move_dims.capacity() + move_sa.capacity() +
-                   move_sb.capacity() + move_table.capacity() +
-                   norm_rows.capacity();
+  const size_t f = gemm_apack.capacity() + gemm_bpack.capacity() +
+                   ln_stash_row.capacity() + move_row.capacity() +
+                   norm_stats.capacity();
+  const size_t i = off_a.capacity() + off_b.capacity() + move_dims.capacity() +
+                   move_sa.capacity() + move_sb.capacity() +
+                   move_table.capacity() + norm_rows.capacity();
   return f * sizeof(float) + i * sizeof(int64_t);
 }
 

@@ -16,9 +16,9 @@
 ///    (one real allocation per tensor — the debugging escape hatch that
 ///    keeps ASan/valgrind byte-precise).
 ///  * **Workspace** — named, grow-only per-thread scratch reused across
-///    kernel calls (GEMM packing panels, fused-attention blocks and
-///    statistics, batched-offset tables), so steady-state kernels never
-///    allocate inside parallel_for tasks.
+///    kernel calls (GEMM packing panels, batched-offset tables, data
+///    movement tables), so steady-state kernels never allocate inside
+///    parallel_for tasks.
 ///  * **ArenaScope** — RAII bump allocator for activation tensors.  While
 ///    a scope is active on a thread, every Storage created on that thread
 ///    is carved out of large pooled chunks and the whole episode's
@@ -33,9 +33,10 @@
 ///    storage is still alive (the escaped tensor's memory stays valid
 ///    until it dies — the error is diagnosable, not a use-after-free).
 ///  * `Tensor::from_vector` / `Storage::adopt` wrap the caller's
-///    std::vector buffer and are **never** arena-backed — long-lived
-///    caches (e.g. the Swin shifted-window mask cache) built inside an
-///    episode are therefore always safe to retain.
+///    std::vector buffer and are **never** arena-backed, so a tensor
+///    built that way inside an episode may safely outlive its scope.
+///    (The Swin shifted-window masks are built this way too, but in the
+///    `SwinBlock4d` constructor, outside any episode.)
 ///  * Accounting is liveness-based: `current_bytes`/`peak_bytes` track
 ///    requested bytes of *live* storages exactly as before the pool
 ///    (Table II benches read these); pool free lists and arena chunk
@@ -170,27 +171,16 @@ struct Workspace {
   // GEMM packing panels (gemm_rowblock / gemm_batched).
   std::vector<float> gemm_apack;
   std::vector<float> gemm_bpack;
-  // Fused attention forward (attention_task).
-  std::vector<float> attn_kt;
-  std::vector<float> attn_scores;
-  std::vector<float> attn_stat;
-  // Fused attention backward (attention_bwd_task).
-  std::vector<float> attn_bwd_kt;
-  std::vector<float> attn_bwd_vt;
-  std::vector<float> attn_bwd_p;
-  std::vector<float> attn_bwd_dp;
-  std::vector<float> attn_bwd_delta;
   // Layer-norm no-stash store target: one cols-sized row, overwritten per
   // row, so the stash-free forward runs the *same* inner loop as the
   // training forward (bitwise checkpoint-recompute consistency) while its
   // stash stores stay L1-resident instead of streaming a numel-sized
   // buffer.
   std::vector<float> ln_stash_row;
-  // Batched-op offset tables (matmul broadcast offsets, attention mask
-  // offsets) rebuilt per call into retained capacity.
+  // Batched-matmul broadcast offset tables, rebuilt per call into
+  // retained capacity.
   std::vector<int64_t> off_a;
   std::vector<int64_t> off_b;
-  std::vector<int64_t> mask_off;
   // Data movement (permute_gather / binary_broadcast): the coalesced axis
   // extents and strides, permute_gather's block offset table, and
   // binary_broadcast's replicated row operand.  Filled by the calling

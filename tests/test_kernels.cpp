@@ -2,7 +2,8 @@
 /// blocked GEMM vs a reference triple loop across odd sizes and broadcast
 /// batch shapes, NaN/Inf propagation semantics, bitwise serial-vs-parallel
 /// agreement, softmax / layer-norm kernels, permute/transpose fast paths,
-/// and the fused attention head split/merge ops.
+/// the attention head split/merge ops, and the attention module's NaN
+/// containment, window mask and stage accounting.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +14,6 @@
 
 #include "core/surrogate.hpp"
 #include "nn/attention.hpp"
-#include "nn/checkpoint.hpp"
 #include "obs/profile.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/tensor.hpp"
@@ -289,7 +289,7 @@ TEST(Kernels, SplitAndMergeHeadsGradcheck) {
       qkv);
 }
 
-TEST(Kernels, AttentionForwardGradcheckThroughFusedPath) {
+TEST(Kernels, AttentionForwardGradcheck) {
   util::Rng rng(20);
   nn::MultiHeadSelfAttention attn(8, 2, rng);
   Tensor x = Tensor::randn({2, 3, 8}, rng);
@@ -298,636 +298,156 @@ TEST(Kernels, AttentionForwardGradcheckThroughFusedPath) {
 }
 
 // ---------------------------------------------------------------------------
-// Fused (flash-style) attention
+// Attention: NaN containment and the window mask
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// Unfused reference: materialize scores, softmax, weighted sum — the same
-/// tensor-op chain the training path records.  q/k/v are [B, h, N, d];
-/// mask (optional) is the additive [groups, N, N] window bias.
-Tensor reference_attention(const Tensor& q, const Tensor& k, const Tensor& v,
-                           const Tensor& mask, float scale) {
-  const int64_t B = q.shape()[0], h = q.shape()[1], N = q.shape()[2];
-  Tensor scores = q.matmul(k.transpose_last()).mul_scalar(scale);
-  if (mask.defined()) {
-    const int64_t groups = mask.shape()[0];
-    Tensor s5 = scores.reshape({B / groups, groups, h, N, N});
-    Tensor m5 = mask.reshape({1, groups, 1, N, N});
-    scores = s5.add(m5).reshape({B, h, N, N});
-  }
-  return scores.softmax_lastdim().matmul(v);
-}
-
-/// Drive kernels::attention_fused on [B, h, N, d] tensors, mirroring the
-/// per-(batch × head) mask-offset layout nn::fused_attention builds.
-Tensor run_fused(const Tensor& q, const Tensor& k, const Tensor& v,
-                 const Tensor& mask, float scale) {
-  const int64_t B = q.shape()[0], h = q.shape()[1], N = q.shape()[2],
-                d = q.shape()[3];
-  const int64_t nb = B * h;
-  std::vector<float> out(static_cast<size_t>(nb * N * d));
-  std::vector<int64_t> moff;
-  const float* mp = nullptr;
-  if (mask.defined()) {
-    const int64_t groups = mask.shape()[0];
-    moff.resize(static_cast<size_t>(nb));
-    for (int64_t e = 0; e < nb; ++e) moff[e] = ((e / h) % groups) * N * N;
-    mp = mask.raw();
-  }
-  ker::attention_fused(q.raw(), k.raw(), v.raw(), out.data(), nb, N, N, d,
-                       scale, mp, moff);
-  return Tensor::from_vector({B, h, N, d}, std::move(out));
+/// True when every element of window `w` (a row of [B, N, C]) passes `ok`.
+template <typename Pred>
+bool window_all(const Tensor& y, int64_t w, Pred ok) {
+  const int64_t per = y.numel() / y.shape()[0];
+  const float* p = y.raw() + w * per;
+  for (int64_t i = 0; i < per; ++i)
+    if (!ok(p[i])) return false;
+  return true;
 }
 
 }  // namespace
 
-TEST(Kernels, FusedAttentionMatchesReferenceAcrossOddShapes) {
-  util::Rng rng(30);
-  tensor::NoGradGuard ng;
-  coastal::testing::KernelConfigOverride guard;
-  // Small blocks so even short sequences cross query/KV block boundaries.
-  ker::config().attn_bq = 8;
-  ker::config().attn_bkv = 16;
-  // Odd / non-power-of-two N straddling both block sizes; odd head dim.
-  const int64_t seqs[] = {1, 3, 17, 33, 97};
-  for (int64_t N : seqs) {
-    const int64_t B = 2, h = 3, d = 5;
-    Tensor q = Tensor::randn({B, h, N, d}, rng);
-    Tensor k = Tensor::randn({B, h, N, d}, rng);
-    Tensor v = Tensor::randn({B, h, N, d}, rng);
-    const float scale = 1.0f / std::sqrt(static_cast<float>(d));
-    Tensor got = run_fused(q, k, v, Tensor(), scale);
-    Tensor want = reference_attention(q, k, v, Tensor(), scale);
-    ASSERT_EQ(got.shape(), want.shape());
-    EXPECT_LT(coastal::testing::max_abs_diff(got, want), 1e-5) << "N=" << N;
-  }
-}
-
-TEST(Kernels, FusedAttentionMaskedWindowsMatchReference) {
-  util::Rng rng(31);
-  tensor::NoGradGuard ng;
-  coastal::testing::KernelConfigOverride guard;
-  ker::config().attn_bq = 4;
-  ker::config().attn_bkv = 8;
-  // B = rep * groups with window index fastest-varying; the -1e9 entries
-  // reproduce the shifted-window cross-boundary mask pattern.
-  const int64_t groups = 2, rep = 2, B = rep * groups, h = 2, N = 21, d = 6;
-  Tensor q = Tensor::randn({B, h, N, d}, rng);
-  Tensor k = Tensor::randn({B, h, N, d}, rng);
-  Tensor v = Tensor::randn({B, h, N, d}, rng);
-  std::vector<float> mdata(static_cast<size_t>(groups * N * N), 0.0f);
-  for (int64_t g = 0; g < groups; ++g)
-    for (int64_t i = 0; i < N; ++i)
-      for (int64_t j = 0; j < N; ++j)
-        // Group 0: block-diagonal halves; group 1: forbid a column stripe.
-        if ((g == 0 && (i < N / 2) != (j < N / 2)) || (g == 1 && j % 5 == 2))
-          mdata[static_cast<size_t>((g * N + i) * N + j)] = -1e9f;
-  Tensor mask = Tensor::from_vector({groups, N, N}, std::move(mdata));
-  const float scale = 0.4f;
-  Tensor got = run_fused(q, k, v, mask, scale);
-  Tensor want = reference_attention(q, k, v, mask, scale);
-  EXPECT_LT(coastal::testing::max_abs_diff(got, want), 1e-5);
-  // Fully-masked scores must not leak weight: disallowed columns get
-  // softmax mass ~e^-1e9 = 0, so rows still sum to the allowed mass only.
-  EXPECT_TRUE(std::isfinite(got.at({0, 0, 0, 0})));
-}
-
-TEST(Kernels, FusedAttentionPropagatesNaNAndInf) {
+TEST(Kernels, AttentionNaNInOneTokenPoisonsExactlyItsWindow) {
+  // A NaN in one token reaches its window's every score row (as a query
+  // in its own row, as a key in the others), so the whole window's output
+  // goes NaN whatever the mask, while the other windows stay finite.  The
+  // verifier relies on exactly this to flag a bad surrogate answer.
   util::Rng rng(32);
-  tensor::NoGradGuard ng;
-  coastal::testing::KernelConfigOverride guard;
-  ker::config().attn_bq = 8;
-  ker::config().attn_bkv = 8;
-  const int64_t B = 1, h = 1, N = 20, d = 4;
-  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const int64_t groups = 2, rep = 2, B = rep * groups, N = 16, C = 8;
+  nn::MultiHeadSelfAttention attn(C, 2, rng);
   const float inf = std::numeric_limits<float>::infinity();
-  const float scale = 0.5f;
-
-  // NaN in one query row poisons exactly that output row (every score in
-  // the row is NaN), and no other row.
-  {
-    Tensor q = Tensor::randn({B, h, N, d}, rng);
-    Tensor k = Tensor::randn({B, h, N, d}, rng);
-    Tensor v = Tensor::randn({B, h, N, d}, rng);
-    q.set({0, 0, 7, 2}, nan);
-    Tensor got = run_fused(q, k, v, Tensor(), scale);
-    for (int64_t dd = 0; dd < d; ++dd)
-      EXPECT_TRUE(std::isnan(got.at({0, 0, 7, dd}))) << "dd=" << dd;
-    for (int64_t dd = 0; dd < d; ++dd)
-      EXPECT_TRUE(std::isfinite(got.at({0, 0, 6, dd}))) << "dd=" << dd;
-  }
-  // NaN in one key row lands in every score row: the whole batch entry
-  // goes NaN, matching the unfused softmax (NaN denom poisons the row).
-  {
-    Tensor q = Tensor::randn({B, h, N, d}, rng);
-    Tensor k = Tensor::randn({B, h, N, d}, rng);
-    Tensor v = Tensor::randn({B, h, N, d}, rng);
-    k.set({0, 0, 13, 1}, nan);
-    Tensor got = run_fused(q, k, v, Tensor(), scale);
-    for (int64_t i = 0; i < N; ++i)
-      EXPECT_TRUE(std::isnan(got.at({0, 0, i, 0}))) << "row " << i;
-  }
-  // NaN in a value row reaches every output row through the (always
-  // positive) softmax weights.
-  {
-    Tensor q = Tensor::randn({B, h, N, d}, rng);
-    Tensor k = Tensor::randn({B, h, N, d}, rng);
-    Tensor v = Tensor::randn({B, h, N, d}, rng);
-    v.set({0, 0, 5, 3}, nan);
-    Tensor got = run_fused(q, k, v, Tensor(), scale);
-    for (int64_t i = 0; i < N; ++i)
-      EXPECT_TRUE(std::isnan(got.at({0, 0, i, 3}))) << "row " << i;
-    EXPECT_TRUE(std::isfinite(got.at({0, 0, 0, 0})));
-  }
-  // A +inf score turns the row into NaN in the unfused softmax
-  // (exp(inf - inf)); the online recurrence must agree, not silently
-  // renormalize it away.
-  {
-    Tensor q = Tensor::zeros({B, h, N, d});
-    Tensor k = Tensor::zeros({B, h, N, d});
-    Tensor v = Tensor::ones({B, h, N, d});
-    q.set({0, 0, 2, 0}, inf);
-    k.set({0, 0, 9, 0}, 1.0f);  // score(2, 9) = inf
-    Tensor got = run_fused(q, k, v, Tensor(), scale);
-    Tensor want = reference_attention(q, k, v, Tensor(), scale);
-    for (int64_t i = 0; i < N; ++i)
-      EXPECT_EQ(std::isnan(got.at({0, 0, i, 0})),
-                std::isnan(want.at({0, 0, i, 0})))
-          << "row " << i;
-    for (int64_t dd = 0; dd < d; ++dd)
-      EXPECT_TRUE(std::isnan(got.at({0, 0, 2, dd})));
-  }
-}
-
-TEST(Kernels, FusedAttentionInfMaskFullyMaskedBlocksMatchReference) {
-  // The conventional additive mask uses -inf, not -1e9.  A query row whose
-  // leading KV blocks are *entirely* -inf must not NaN-poison the online
-  // recurrence (exp(-inf - -inf)): the reference softmax, whose max spans
-  // the whole row, gives those keys weight 0 and a finite result.
-  util::Rng rng(36);
-  tensor::NoGradGuard ng;
-  coastal::testing::KernelConfigOverride guard;
-  ker::config().attn_bq = 8;
-  ker::config().attn_bkv = 8;
-  const int64_t B = 1, h = 2, N = 40, d = 6;
-  const float inf = std::numeric_limits<float>::infinity();
-  Tensor q = Tensor::randn({B, h, N, d}, rng);
-  Tensor k = Tensor::randn({B, h, N, d}, rng);
-  Tensor v = Tensor::randn({B, h, N, d}, rng);
-  std::vector<float> mdata(static_cast<size_t>(N * N), 0.0f);
-  // Every row: first 24 keys (= 3 full KV blocks) disallowed.
+  // Window index fastest in B.  Group 0 splits the window into halves
+  // with -1e9 (the shifted-window pattern); group 1 forbids a column
+  // stripe with -inf, every row keeping unmasked keys.
+  std::vector<float> mdata(static_cast<size_t>(groups * N * N), 0.0f);
   for (int64_t i = 0; i < N; ++i)
-    for (int64_t j = 0; j < 24; ++j)
-      mdata[static_cast<size_t>(i * N + j)] = -inf;
-  // Row 11: *all* keys disallowed — both paths must yield NaN (0/0).
-  for (int64_t j = 0; j < N; ++j)
-    mdata[static_cast<size_t>(11 * N + j)] = -inf;
-  Tensor mask = Tensor::from_vector({1, N, N}, std::move(mdata));
-  Tensor got = run_fused(q, k, v, mask, 0.5f);
-  Tensor want = reference_attention(q, k, v, mask, 0.5f);
-  for (int64_t hh = 0; hh < h; ++hh) {
-    for (int64_t dd = 0; dd < d; ++dd) {
-      EXPECT_TRUE(std::isnan(got.at({0, hh, 11, dd})));
-      EXPECT_TRUE(std::isnan(want.at({0, hh, 11, dd})));
+    for (int64_t j = 0; j < N; ++j) {
+      if ((i < N / 2) != (j < N / 2))
+        mdata[static_cast<size_t>(i * N + j)] = -1e9f;
+      if (j % 5 == 2) mdata[static_cast<size_t>((N + i) * N + j)] = -inf;
     }
-    for (int64_t i = 0; i < N; ++i) {
-      if (i == 11) continue;
-      for (int64_t dd = 0; dd < d; ++dd) {
-        const double g = got.at({0, hh, i, dd}), w = want.at({0, hh, i, dd});
-        EXPECT_TRUE(std::isfinite(g)) << "row " << i;
-        EXPECT_NEAR(g, w, 1e-5) << "row " << i << " dd " << dd;
+  Tensor mask = Tensor::from_vector({groups, N, N}, std::move(mdata));
+  Tensor x = Tensor::randn({B, N, C}, rng);
+  tensor::NoGradGuard ng;
+  Tensor clean = attn.forward(x, mask);
+  for (int64_t w = 0; w < B; ++w)
+    ASSERT_TRUE(window_all(clean, w, [](float v) { return std::isfinite(v); }));
+  for (int64_t w = 0; w < B; ++w) {
+    for (int64_t token : {int64_t{0}, N - 1, int64_t{7}}) {
+      Tensor bad = x.clone();
+      bad.set({w, token, 3}, std::numeric_limits<float>::quiet_NaN());
+      Tensor y = attn.forward(bad, mask);
+      for (int64_t o = 0; o < B; ++o) {
+        if (o == w) {
+          EXPECT_TRUE(window_all(y, o, [](float v) { return std::isnan(v); }))
+              << "window " << w << " token " << token;
+        } else {
+          EXPECT_TRUE(
+              window_all(y, o, [](float v) { return std::isfinite(v); }))
+              << "NaN in window " << w << " leaked into window " << o;
+        }
       }
     }
   }
 }
 
-TEST(Kernels, FusedAttentionSerialVsParallelBitwise) {
+TEST(Kernels, AttentionInfMaskedKeyGetsWeightExactlyZero) {
+  // Key j is masked with -inf in every row but its own, and every row
+  // keeps an unmasked key.  Its weight in the other rows is then exactly
+  // 0, so even a huge finite change to token j (a weight of 1e-38 would
+  // carry it into the sums) leaves their outputs bitwise unchanged.  A
+  // row whose every key is -inf has no distribution at all: it comes out
+  // NaN, and only it.
   util::Rng rng(33);
-  tensor::NoGradGuard ng;
-  const int64_t B = 3, h = 2, N = 70, d = 8;
-  Tensor q = Tensor::randn({B, h, N, d}, rng);
-  Tensor k = Tensor::randn({B, h, N, d}, rng);
-  Tensor v = Tensor::randn({B, h, N, d}, rng);
-  Tensor mask;
-  {
-    std::vector<float> mdata(static_cast<size_t>(3 * N * N), 0.0f);
-    for (size_t i = 0; i < mdata.size(); i += 7) mdata[i] = -1e9f;
-    mask = Tensor::from_vector({3, N, N}, std::move(mdata));
-  }
-  coastal::testing::KernelConfigOverride guard;
-  ker::config().attn_bq = 16;  // several tasks per batch entry
-  ker::config().attn_bkv = 32;
-  ker::config().num_threads = 1;
-  Tensor serial = run_fused(q, k, v, mask, 0.3f);
-  ker::config().num_threads = 8;
-  ker::config().parallel_grain = 1;  // force chunked dispatch
-  Tensor parallel = run_fused(q, k, v, mask, 0.3f);
-  ASSERT_EQ(serial.shape(), parallel.shape());
-  EXPECT_EQ(std::memcmp(serial.raw(), parallel.raw(),
-                        static_cast<size_t>(serial.numel()) * sizeof(float)),
-            0);
-}
-
-TEST(Kernels, AttentionModuleRoutesFusedAndUnfusedConsistently) {
-  util::Rng rng(34);
-  nn::MultiHeadSelfAttention attn(24, 4, rng);
-  const int64_t B = 4, N = 48;
-  Tensor x = Tensor::randn({B, N, 24}, rng);
-  std::vector<float> mdata(static_cast<size_t>(2 * N * N), 0.0f);
+  const int64_t N = 12, C = 8, j = 5, dead = 9;
+  nn::MultiHeadSelfAttention attn(C, 2, rng);
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> mdata(static_cast<size_t>(N * N), 0.0f);
   for (int64_t i = 0; i < N; ++i)
-    for (int64_t j = 0; j < N; ++j)
-      if ((i + j) % 3 == 0) mdata[static_cast<size_t>((N + i) * N + j)] = -1e9f;
-  Tensor mask = Tensor::from_vector({2, N, N}, std::move(mdata));
-
+    if (i != j) mdata[static_cast<size_t>(i * N + j)] = -inf;
+  Tensor mask = Tensor::from_vector({1, N, N}, mdata);
+  Tensor x = Tensor::randn({1, N, C}, rng);
+  Tensor moved = x.clone();
+  for (int64_t c = 0; c < C; ++c)
+    moved.set({0, j, c}, c % 2 == 0 ? 1e34f : -1e34f);
   tensor::NoGradGuard ng;
-  coastal::testing::KernelConfigOverride guard;
-  ker::config().attn_fused_min_n = 1;  // force the fused inference path
-  Tensor fused_plain = attn.forward(x);
-  Tensor fused_masked = attn.forward(x, mask);
-  ker::config().attn_fused_min_n = N + 1;  // force the unfused path
-  Tensor unfused_plain = attn.forward(x);
-  Tensor unfused_masked = attn.forward(x, mask);
-  coastal::testing::expect_tensor_near(fused_plain, unfused_plain, 1e-4);
-  coastal::testing::expect_tensor_near(fused_masked, unfused_masked, 1e-4);
+  Tensor y = attn.forward(x, mask);
+  Tensor ym = attn.forward(moved, mask);
+  const size_t row = static_cast<size_t>(C) * sizeof(float);
+  for (int64_t i = 0; i < N; ++i) {
+    if (i == j) continue;
+    EXPECT_EQ(std::memcmp(y.raw() + i * C, ym.raw() + i * C, row), 0)
+        << "masked key " << j << " reached row " << i;
+  }
+  EXPECT_NE(std::memcmp(y.raw() + j * C, ym.raw() + j * C, row), 0);
+
+  for (int64_t k = 0; k < N; ++k)
+    mdata[static_cast<size_t>(dead * N + k)] = -inf;
+  Tensor yd = attn.forward(
+      x, Tensor::from_vector({1, N, N}, std::move(mdata)));
+  for (int64_t i = 0; i < N; ++i)
+    for (int64_t c = 0; c < C; ++c) {
+      if (i == dead) {
+        EXPECT_TRUE(std::isnan(yd.at({0, i, c}))) << "col " << c;
+      } else {
+        EXPECT_EQ(yd.at({0, i, c}), y.at({0, i, c})) << "row " << i;
+      }
+    }
 }
 
-TEST(Kernels, AttentionFallbackThresholdKeepsTinyWindowsUnfused) {
-  util::Rng rng(35);
-  nn::MultiHeadSelfAttention attn(16, 2, rng);
-  Tensor x = Tensor::randn({2, 8, 16}, rng);  // N = 8
-  tensor::NoGradGuard ng;
-  coastal::testing::KernelConfigOverride guard;
-  // Default config (attn_fused_min_n = 0, never fused): the forward must
-  // be bitwise identical to an explicitly-unfused forward.
-  ASSERT_EQ(0, ker::config().attn_fused_min_n);
-  Tensor below = attn.forward(x);
-  ker::config().attn_fused_min_n = 1000000;
-  Tensor unfused = attn.forward(x);
-  ASSERT_EQ(below.shape(), unfused.shape());
-  EXPECT_EQ(std::memcmp(below.raw(), unfused.raw(),
-                        static_cast<size_t>(below.numel()) * sizeof(float)),
-            0);
-}
-
-TEST(Kernels, FusedAttentionRoutingIsBackedByTheStageCounter) {
-  // The fused kernels are the only recorders of the profiler's attention
-  // stage, so its sample count says which path a forward took.
+TEST(Kernels, AttentionStageTakesOneSamplePerAttentionCall) {
+  // Every MultiHeadSelfAttention::forward times its scores → mask →
+  // softmax → ·V once under obs::Stage::kAttention, whatever the batch,
+  // so tensor.attention_share measures the real share of a forward.
   auto& prof = obs::StageProfiler::instance();
   const bool was = prof.enabled();
   prof.set_enabled(true);
   tensor::NoGradGuard ng;
-  coastal::testing::KernelConfigOverride guard;
-  ASSERT_EQ(0, ker::config().attn_fused_min_n);
 
-  // The paper-miniature surrogate (windows of N = 64 and N = 16 at head
-  // dim 8) never takes the fused path under the default config.
+  // The paper-miniature surrogate: windows of N = 64 and N = 16 tokens.
   util::Rng rng(36);
   core::SurrogateConfig cfg;
   cfg.H = 20;
   cfg.W = 20;
   cfg.D = 6;
   cfg.T = 3;
+  cfg.embed_dim = 8;
+  cfg.heads = {2, 4, 8};
   core::SurrogateModel model(cfg, rng);
   model.set_training(false);
-  Tensor volume = Tensor::randn({2, 3, 20, 20, 6, 4}, rng);
-  Tensor surface = Tensor::randn({2, 1, 20, 20, 4}, rng);
-  prof.reset();
-  (void)model.forward(volume, surface);
-  EXPECT_EQ(prof.snapshot(obs::Stage::kAttention).total, 0u);
-
-  // The explicit threshold is inclusive in N.
-  nn::MultiHeadSelfAttention attn(16, 2, rng);
-  const int64_t N = 16;
-  Tensor x = Tensor::randn({3, N, 16}, rng);
-  ker::config().attn_fused_min_n = N;
-  prof.reset();
-  (void)attn.forward(x);
-  EXPECT_GT(prof.snapshot(obs::Stage::kAttention).total, 0u);
-  ker::config().attn_fused_min_n = N + 1;
-  prof.reset();
-  (void)attn.forward(x);
-  EXPECT_EQ(prof.snapshot(obs::Stage::kAttention).total, 0u);
+  uint64_t calls = 0;
+  for (const auto& [name, p] : model.named_parameters()) {
+    const std::string suffix = "attn.qkv.weight";
+    if (name.size() >= suffix.size() &&
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0)
+      ++calls;
+  }
+  ASSERT_GT(calls, 0u);
+  for (int64_t B : {1, 2}) {
+    Tensor volume = Tensor::randn({B, 3, 20, 20, 6, 4}, rng);
+    Tensor surface = Tensor::randn({B, 1, 20, 20, 4}, rng);
+    prof.reset();
+    (void)model.forward(volume, surface);
+    EXPECT_EQ(prof.snapshot(obs::Stage::kAttention).total, calls)
+        << "B = " << B;
+  }
 
   prof.reset();
   prof.set_enabled(was);
 }
 
-// ---------------------------------------------------------------------------
-// Fused (flash-style) attention backward
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Analytic gradients of sum(attention(q, k, v) * seed) through the
-/// *unfused* reference chain (matmul + softmax autograd) — the ground
-/// truth the fused recompute-based backward must reproduce.
-struct AttnGrads {
-  Tensor dq, dk, dv;
-};
-
-AttnGrads reference_attention_grads(const Tensor& q, const Tensor& k,
-                                    const Tensor& v, const Tensor& mask,
-                                    float scale, const Tensor& seed) {
-  Tensor ql = q.detach(), kl = k.detach(), vl = v.detach();
-  ql.set_requires_grad(true);
-  kl.set_requires_grad(true);
-  vl.set_requires_grad(true);
-  reference_attention(ql, kl, vl, mask, scale).mul(seed).sum().backward();
-  return {ql.grad(), kl.grad(), vl.grad()};
-}
-
-AttnGrads fused_attention_grads(const Tensor& q, const Tensor& k,
-                                const Tensor& v, const Tensor& mask,
-                                float scale, const Tensor& seed) {
-  Tensor ql = q.detach(), kl = k.detach(), vl = v.detach();
-  ql.set_requires_grad(true);
-  kl.set_requires_grad(true);
-  vl.set_requires_grad(true);
-  nn::fused_attention(ql, kl, vl, mask, scale).mul(seed).sum().backward();
-  return {ql.grad(), kl.grad(), vl.grad()};
-}
-
-}  // namespace
-
-TEST(Kernels, FusedBackwardMatchesReferenceAcrossShapesAndHeadDims) {
-  util::Rng rng(40);
-  coastal::testing::KernelConfigOverride guard;
-  ker::config().attn_bq = 8;
-  ker::config().attn_bkv = 16;  // odd N crosses KV-block boundaries
-  struct Case {
-    int64_t B, h, N, d;
-  };
-  // Odd / non-pow2 N straddling the block sizes; head dims covering every
-  // specialized instantiation (4..64) plus the runtime-d fallback (5).
-  const Case cases[] = {{2, 3, 17, 4},  {1, 2, 33, 8},  {2, 1, 21, 16},
-                        {1, 2, 97, 32}, {1, 1, 40, 64}, {2, 2, 19, 5}};
-  for (const auto& c : cases) {
-    Tensor q = Tensor::randn({c.B, c.h, c.N, c.d}, rng);
-    Tensor k = Tensor::randn({c.B, c.h, c.N, c.d}, rng);
-    Tensor v = Tensor::randn({c.B, c.h, c.N, c.d}, rng);
-    Tensor seed = Tensor::randn({c.B, c.h, c.N, c.d}, rng);
-    const float scale = 1.0f / std::sqrt(static_cast<float>(c.d));
-    AttnGrads want = reference_attention_grads(q, k, v, Tensor(), scale, seed);
-    AttnGrads got = fused_attention_grads(q, k, v, Tensor(), scale, seed);
-    const std::string label = "N=" + std::to_string(c.N) +
-                              " d=" + std::to_string(c.d);
-    EXPECT_LT(coastal::testing::max_abs_diff(got.dq, want.dq), 2e-4) << label;
-    EXPECT_LT(coastal::testing::max_abs_diff(got.dk, want.dk), 2e-4) << label;
-    EXPECT_LT(coastal::testing::max_abs_diff(got.dv, want.dv), 2e-4) << label;
-  }
-}
-
-TEST(Kernels, FusedBackwardMaskedWindowsMatchReference) {
-  util::Rng rng(41);
-  coastal::testing::KernelConfigOverride guard;
-  ker::config().attn_bq = 4;
-  ker::config().attn_bkv = 8;
-  // Same shifted-window mask pattern as the forward test: group 0 is
-  // block-diagonal halves, group 1 forbids a column stripe; B = rep*groups
-  // with window index fastest-varying.
-  const int64_t groups = 2, rep = 2, B = rep * groups, h = 2, N = 21, d = 6;
-  Tensor q = Tensor::randn({B, h, N, d}, rng);
-  Tensor k = Tensor::randn({B, h, N, d}, rng);
-  Tensor v = Tensor::randn({B, h, N, d}, rng);
-  Tensor seed = Tensor::randn({B, h, N, d}, rng);
-  std::vector<float> mdata(static_cast<size_t>(groups * N * N), 0.0f);
-  for (int64_t g = 0; g < groups; ++g)
-    for (int64_t i = 0; i < N; ++i)
-      for (int64_t j = 0; j < N; ++j)
-        if ((g == 0 && (i < N / 2) != (j < N / 2)) || (g == 1 && j % 5 == 2))
-          mdata[static_cast<size_t>((g * N + i) * N + j)] = -1e9f;
-  Tensor mask = Tensor::from_vector({groups, N, N}, std::move(mdata));
-  const float scale = 0.4f;
-  AttnGrads want = reference_attention_grads(q, k, v, mask, scale, seed);
-  AttnGrads got = fused_attention_grads(q, k, v, mask, scale, seed);
-  EXPECT_LT(coastal::testing::max_abs_diff(got.dq, want.dq), 2e-4);
-  EXPECT_LT(coastal::testing::max_abs_diff(got.dk, want.dk), 2e-4);
-  EXPECT_LT(coastal::testing::max_abs_diff(got.dv, want.dv), 2e-4);
-  // Masked-out keys must get gradient contributions of exactly zero from
-  // the rows that exclude them (weight is exactly 0 on both paths), so no
-  // NaN/garbage leaks through a -1e9 bias.
-  for (int64_t dd = 0; dd < d; ++dd)
-    EXPECT_TRUE(std::isfinite(got.dk.at({0, 0, 2, dd})));
-}
-
-TEST(Kernels, FusedBackwardGradcheckOddShapes) {
-  util::Rng rng(42);
-  coastal::testing::KernelConfigOverride guard;
-  ker::config().attn_bq = 4;
-  ker::config().attn_bkv = 8;
-  // Numeric gradcheck straight through nn::fused_attention (forward is the
-  // fused kernel on every loss evaluation, backward is the recompute
-  // kernel).  Small odd shape to keep central differences cheap.
-  const int64_t B = 1, h = 2, N = 11, d = 4;
-  Tensor q = Tensor::randn({B, h, N, d}, rng);
-  Tensor k = Tensor::randn({B, h, N, d}, rng);
-  Tensor v = Tensor::randn({B, h, N, d}, rng);
-  const float scale = 0.5f;
-  coastal::testing::gradcheck(
-      [&](const Tensor& t) {
-        return nn::fused_attention(t, k, v, Tensor(), scale).mul(t).sum();
-      },
-      q);
-  coastal::testing::gradcheck(
-      [&](const Tensor& t) {
-        return nn::fused_attention(q, t, v, Tensor(), scale).sum();
-      },
-      k);
-  coastal::testing::gradcheck(
-      [&](const Tensor& t) {
-        return nn::fused_attention(q, k, t, Tensor(), scale).sum();
-      },
-      v);
-}
-
-TEST(Kernels, AttentionModuleTrainingGradcheckThroughFusedPath) {
-  util::Rng rng(43);
-  coastal::testing::KernelConfigOverride guard;
-  ker::config().attn_fused_min_n = 1;  // force the fused training path
-  nn::MultiHeadSelfAttention attn(8, 2, rng);
-  Tensor x = Tensor::randn({2, 5, 8}, rng);
-  coastal::testing::gradcheck(
-      [&](const Tensor& t) { return attn.forward(t).mul(t).sum(); }, x);
-}
-
-TEST(Kernels, FusedBackwardSerialVsParallelBitwise) {
-  util::Rng rng(44);
-  const int64_t B = 3, h = 2, N = 70, d = 8;
-  Tensor q = Tensor::randn({B, h, N, d}, rng);
-  Tensor k = Tensor::randn({B, h, N, d}, rng);
-  Tensor v = Tensor::randn({B, h, N, d}, rng);
-  Tensor seed = Tensor::randn({B, h, N, d}, rng);
-  Tensor mask;
-  {
-    std::vector<float> mdata(static_cast<size_t>(3 * N * N), 0.0f);
-    for (size_t i = 0; i < mdata.size(); i += 7) mdata[i] = -1e9f;
-    mask = Tensor::from_vector({3, N, N}, std::move(mdata));
-  }
-  coastal::testing::KernelConfigOverride guard;
-  ker::config().attn_bq = 16;
-  ker::config().attn_bkv = 32;
-  ker::config().num_threads = 1;
-  AttnGrads serial = fused_attention_grads(q, k, v, mask, 0.3f, seed);
-  ker::config().num_threads = 8;
-  ker::config().parallel_grain = 1;  // force chunked dispatch
-  AttnGrads parallel = fused_attention_grads(q, k, v, mask, 0.3f, seed);
-  const Tensor* s[] = {&serial.dq, &serial.dk, &serial.dv};
-  const Tensor* p[] = {&parallel.dq, &parallel.dk, &parallel.dv};
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_EQ(s[i]->shape(), p[i]->shape()) << "grad " << i;
-    EXPECT_EQ(std::memcmp(s[i]->raw(), p[i]->raw(),
-                          static_cast<size_t>(s[i]->numel()) * sizeof(float)),
-              0)
-        << "serial vs parallel mismatch in grad " << i;
-  }
-}
-
-TEST(Kernels, FusedTrainingPathNeverMaterializesScoreTensor) {
-  // The whole point of the fused training path: the autograd node holds
-  // [B, h, N] row statistics, not [B, h, N, N] scores.  Compare peak
-  // allocation of a forward+backward on both paths; the unfused chain
-  // materializes several N^2 tensors, the fused one none.
-  util::Rng rng(45);
-  const int64_t B = 2, h = 2, N = 128, d = 8;
-  Tensor q = Tensor::randn({B, h, N, d}, rng);
-  Tensor k = Tensor::randn({B, h, N, d}, rng);
-  Tensor v = Tensor::randn({B, h, N, d}, rng);
-  Tensor seed = Tensor::randn({B, h, N, d}, rng);
-
-  auto peak_of = [&](auto&& fn) {
-    tensor::reset_peak_bytes();
-    const uint64_t before = tensor::alloc_stats().current_bytes;
-    fn();
-    return tensor::alloc_stats().peak_bytes - before;
-  };
-  const uint64_t peak_unfused = peak_of(
-      [&] { reference_attention_grads(q, k, v, Tensor(), 0.35f, seed); });
-  const uint64_t peak_fused = peak_of(
-      [&] { fused_attention_grads(q, k, v, Tensor(), 0.35f, seed); });
-  const uint64_t score_bytes =
-      static_cast<uint64_t>(B * h * N * N) * sizeof(float);
-  // The unfused chain must hold at least one score tensor at peak; the
-  // fused chain must peak below a single score tensor's footprint (it
-  // allocates only [B, h, N, d] tensors and the 2-float-per-row stats).
-  EXPECT_GT(peak_unfused, score_bytes);
-  EXPECT_LT(peak_fused, score_bytes);
-  EXPECT_LT(peak_fused * 3, peak_unfused);
-}
-
-TEST(Kernels, FusedBackwardPropagatesNaN) {
-  // A NaN query entry poisons a probability row on both paths; the fused
-  // backward must poison exactly the gradient entries the reference
-  // backward poisons — pin NaN-location equality elementwise rather than a
-  // hardcoded scope.
-  util::Rng rng(46);
-  coastal::testing::KernelConfigOverride guard;
-  ker::config().attn_bq = 8;
-  ker::config().attn_bkv = 8;
-  const int64_t B = 1, h = 1, N = 20, d = 4;
-  Tensor q = Tensor::randn({B, h, N, d}, rng);
-  Tensor k = Tensor::randn({B, h, N, d}, rng);
-  Tensor v = Tensor::randn({B, h, N, d}, rng);
-  Tensor seed = Tensor::ones({B, h, N, d});
-  q.set({0, 0, 7, 2}, std::numeric_limits<float>::quiet_NaN());
-  AttnGrads want = reference_attention_grads(q, k, v, Tensor(), 0.5f, seed);
-  AttnGrads got = fused_attention_grads(q, k, v, Tensor(), 0.5f, seed);
-  const Tensor* w[] = {&want.dq, &want.dk, &want.dv};
-  const Tensor* g[] = {&got.dq, &got.dk, &got.dv};
-  for (int t = 0; t < 3; ++t) {
-    auto pw = w[t]->data();
-    auto pg = g[t]->data();
-    for (size_t i = 0; i < pw.size(); ++i)
-      EXPECT_EQ(std::isnan(pw[i]), std::isnan(pg[i]))
-          << "grad " << t << " flat index " << i;
-  }
-}
-
-TEST(Kernels, CheckpointedFusedAttentionGradsMatchDirect) {
-  // A checkpointed region recomputes through the same fused kernel as the
-  // direct training forward, so gradients must agree bitwise — this is the
-  // recompute-consistency contract that let attention stop consulting
-  // inside_checkpoint_region().
-  util::Rng rng(47);
-  coastal::testing::KernelConfigOverride guard;
-  ker::config().attn_fused_min_n = 1;  // fused even at this small N
-  nn::MultiHeadSelfAttention attn(16, 2, rng);
-  Tensor x = Tensor::randn({2, 40, 16}, rng);
-
-  auto grads_of = [&](bool ckpt) {
-    attn.zero_grad();
-    Tensor xl = x.detach();
-    xl.set_requires_grad(true);
-    Tensor y = ckpt ? nn::checkpoint(
-                          [&](const std::vector<Tensor>& in) {
-                            return attn.forward(in[0]);
-                          },
-                          {xl}, attn.parameters())
-                    : attn.forward(xl);
-    y.mul(y).sum().backward();
-    std::vector<float> flat(xl.grad().data().begin(), xl.grad().data().end());
-    for (auto& p : attn.parameters()) {
-      EXPECT_TRUE(p.grad().defined());
-      flat.insert(flat.end(), p.grad().data().begin(), p.grad().data().end());
-    }
-    return flat;
-  };
-  std::vector<float> direct = grads_of(false);
-  std::vector<float> ckpt = grads_of(true);
-  ASSERT_EQ(direct.size(), ckpt.size());
-  EXPECT_EQ(std::memcmp(direct.data(), ckpt.data(),
-                        direct.size() * sizeof(float)),
-            0)
-      << "checkpointed recompute diverged from the direct fused path";
-}
-
-TEST(Kernels, FusedAttentionRejectsRecordedMaskGradientLoudly) {
-  // The fused kernels treat the mask as a constant additive bias.  A mask
-  // that would receive a recorded gradient must be rejected with an error
-  // — even when q/k/v record nothing — never silently dropped; and the
-  // module router must send graph-carrying masks down the unfused path
-  // regardless of recording mode, so checkpoint initial passes and
-  // recomputes stay consistent.
-  util::Rng rng(49);
-  const int64_t B = 1, h = 2, N = 9, d = 4;
-  Tensor q = Tensor::randn({B, h, N, d}, rng);
-  Tensor k = Tensor::randn({B, h, N, d}, rng);
-  Tensor v = Tensor::randn({B, h, N, d}, rng);
-  Tensor mask = Tensor::zeros({1, N, N});
-  mask.set_requires_grad(true);
-  EXPECT_THROW(nn::fused_attention(q, k, v, mask, 0.5f),
-               coastal::util::CheckError);
-  {
-    // Under NoGrad the same call is legal (inference over trainable
-    // params) and matches the reference.
-    tensor::NoGradGuard ng;
-    Tensor got = nn::fused_attention(q, k, v, mask, 0.5f);
-    Tensor want = reference_attention(q, k, v, mask.detach(), 0.5f);
-    EXPECT_LT(coastal::testing::max_abs_diff(got, want), 1e-5);
-  }
-  // Module routing: a graph-carrying mask takes the unfused path in both
-  // recording modes — bitwise equal to a forced-unfused forward.
-  coastal::testing::KernelConfigOverride guard;
-  nn::MultiHeadSelfAttention attn(8, 2, rng);
-  Tensor x = Tensor::randn({1, 40, 8}, rng);
-  Tensor mask2 = Tensor::zeros({1, 40, 40});
-  mask2.set_requires_grad(true);
-  tensor::NoGradGuard ng;
-  ker::config().attn_fused_min_n = 1;
-  Tensor routed = attn.forward(x, mask2);
-  ker::config().attn_fused_min_n = 1000000;
-  Tensor unfused = attn.forward(x, mask2);
-  ASSERT_EQ(routed.shape(), unfused.shape());
-  EXPECT_EQ(std::memcmp(routed.raw(), unfused.raw(),
-                        static_cast<size_t>(routed.numel()) * sizeof(float)),
-            0);
-}
-
 TEST(Kernels, SoftmaxRowsPolynomialExpfStaysWithinTolerance) {
-  // softmax_rows now runs the branch-free polynomial expf (rel err
-  // <= ~2e-7); pin agreement against libm at double precision, including
-  // large-magnitude logits, and pin the unfused-vs-fused agreement this
-  // shared expf guarantees.
+  // softmax_rows runs the branch-free polynomial expf (rel err <= ~2e-7);
+  // pin agreement against libm at double precision, including
+  // large-magnitude logits.
   util::Rng rng(48);
   Tensor x = Tensor::randn({13, 67}, rng).mul_scalar(10.0f);
   tensor::NoGradGuard ng;
@@ -940,9 +460,11 @@ TEST(Kernels, SoftmaxRowsPolynomialExpfStaysWithinTolerance) {
       EXPECT_NEAR(y.at({r, c}), std::exp(x.at({r, c}) - mx) / denom, 1e-5)
           << "row " << r << " col " << c;
   }
-  // -1e9-masked logits must get weight exactly 0 (flush below -104), and a
-  // row poisoned by NaN stays all-NaN — same contract as libm expf.
-  Tensor m = Tensor::from_vector({1, 4}, {0.0f, -1e9f, 1.0f, -1e9f});
+  // -1e9- and -inf-masked logits must get weight exactly 0 (flush below
+  // -104), and a row poisoned by NaN stays all-NaN — same contract as libm
+  // expf.
+  Tensor m = Tensor::from_vector(
+      {1, 4}, {0.0f, -1e9f, 1.0f, -std::numeric_limits<float>::infinity()});
   Tensor ym = m.softmax_lastdim();
   EXPECT_EQ(ym.at({0, 1}), 0.0f);
   EXPECT_EQ(ym.at({0, 3}), 0.0f);

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 
 #include "nn/attention.hpp"
@@ -369,31 +370,68 @@ TEST(Optimizer, ClipGradNormScales) {
   EXPECT_NEAR(std::sqrt(post), 1.0, 1e-4);
 }
 
+namespace {
+
+/// y = fn(x), run directly or inside nn::checkpoint, then backward from
+/// sum(y ∘ y): returns y, x's gradient and every parameter gradient of
+/// `m`, flattened in that order.
+std::vector<float> forward_and_grads(
+    const std::function<Tensor(const Tensor&)>& fn, nn::Module& m,
+    const Tensor& x, bool ckpt) {
+  m.zero_grad();
+  Tensor xl = x.detach();
+  xl.set_requires_grad(true);
+  Tensor y = ckpt ? nn::checkpoint(
+                        [&](const std::vector<Tensor>& in) {
+                          return fn(in[0]);
+                        },
+                        {xl}, m.parameters())
+                  : fn(xl);
+  y.mul(y).sum().backward();
+  std::vector<float> flat(y.data().begin(), y.data().end());
+  flat.insert(flat.end(), xl.grad().data().begin(), xl.grad().data().end());
+  for (auto& [name, p] : m.named_parameters()) {
+    EXPECT_TRUE(p.grad().defined()) << name;
+    if (p.grad().defined())
+      flat.insert(flat.end(), p.grad().data().begin(), p.grad().data().end());
+  }
+  return flat;
+}
+
+void expect_checkpoint_bitwise(const std::function<Tensor(const Tensor&)>& fn,
+                               nn::Module& m, const Tensor& x) {
+  const std::vector<float> direct = forward_and_grads(fn, m, x, false);
+  const std::vector<float> ckpt = forward_and_grads(fn, m, x, true);
+  ASSERT_EQ(direct.size(), ckpt.size());
+  EXPECT_EQ(std::memcmp(direct.data(), ckpt.data(),
+                        direct.size() * sizeof(float)),
+            0);
+}
+
+}  // namespace
+
 TEST(Checkpoint, MatchesUncheckpointedForwardAndGrads) {
+  // The region's saved output (a no-grad pass) and its backward-time
+  // recompute run the same kernels as the direct training forward, so
+  // the output and every gradient agree bitwise.
   Rng rng(18);
   nn::Mlp mlp(4, 8, rng);
-  Tensor x1 = Tensor::randn({3, 4}, rng);
-  Tensor x2 = x1.detach();
-  x1.set_requires_grad(true);
-  x2.set_requires_grad(true);
+  expect_checkpoint_bitwise([&](const Tensor& t) { return mlp.forward(t); },
+                            mlp, Tensor::randn({3, 4}, rng));
 
-  Tensor y_plain = mlp.forward(x1);
-  y_plain.sum().backward();
-  Tensor gx_plain = x1.grad();
-  std::vector<float> gw_plain(mlp.parameters()[0].grad().data().begin(),
-                              mlp.parameters()[0].grad().data().end());
-
-  mlp.zero_grad();
-  Tensor y_ckpt = nn::checkpoint(
-      [&](const std::vector<Tensor>& in) { return mlp.forward(in[0]); },
-      {x2}, mlp.parameters());
-  expect_tensor_near(y_ckpt, y_plain, 1e-6);
-  y_ckpt.sum().backward();
-  expect_tensor_near(x2.grad(), gx_plain, 1e-5);
-  Tensor gw_ckpt = mlp.parameters()[0].grad();
-  ASSERT_TRUE(gw_ckpt.defined());
-  for (size_t i = 0; i < gw_plain.size(); ++i)
-    EXPECT_NEAR(gw_ckpt.data()[i], gw_plain[i], 1e-5f);
+  // Windowed attention under a shifted-window mask: two mask groups, the
+  // window index fastest in B, group 1 split into halves with -1e9.
+  const int64_t groups = 2, N = 16;
+  nn::MultiHeadSelfAttention attn(16, 2, rng);
+  std::vector<float> m(static_cast<size_t>(groups * N * N), 0.0f);
+  for (int64_t i = 0; i < N; ++i)
+    for (int64_t j = 0; j < N; ++j)
+      if ((i < N / 2) != (j < N / 2))
+        m[static_cast<size_t>((N + i) * N + j)] = -1e9f;
+  Tensor mask = Tensor::from_vector({groups, N, N}, std::move(m));
+  expect_checkpoint_bitwise(
+      [&](const Tensor& t) { return attn.forward(t, mask); }, attn,
+      Tensor::randn({2 * groups, N, 16}, rng));
 }
 
 TEST(Checkpoint, WorksWhenInputsDoNotRequireGrad) {

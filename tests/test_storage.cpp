@@ -4,8 +4,8 @@
 /// The load-bearing invariants:
 ///  * recycled (dirty) pool blocks never change results — every op fully
 ///    initializes what it reads, so pool reuse is bitwise invisible;
-///  * steady-state fused inference inside an ArenaScope performs zero
-///    heap allocations (the PR 4 acceptance pin);
+///  * steady-state inference inside an ArenaScope performs zero heap
+///    allocations;
 ///  * a tensor outliving its arena is a loud, diagnosable error;
 ///  * COASTAL_DISABLE_POOL degrades everything to one-real-allocation-
 ///    per-tensor so ASan/valgrind stay byte-precise.
@@ -76,7 +76,6 @@ TEST(StoragePool, BitwiseIdenticalAcrossReuseAndThreadCounts) {
   Tensor x = Tensor::randn({4, 40, 24}, rng);
   tensor::NoGradGuard ng;
   coastal::testing::KernelConfigOverride guard;
-  ker::config().attn_fused_min_n = 1;  // fused path: workspace-heavy
   ker::config().num_threads = 1;
   ct::pool_trim();
   Tensor cold = attn.forward(x);
@@ -147,9 +146,8 @@ TEST(StorageArena, EscapingTensorIsALoudError) {
 
 TEST(StorageArena, AdoptedVectorsMaySafelyOutliveTheScope) {
   if (!ct::pool_enabled()) GTEST_SKIP() << "pool disabled via env";
-  // from_vector wraps the caller's buffer and is never arena-backed —
-  // the rule that makes lazily-built caches (e.g. the Swin window-mask
-  // cache) safe to create inside an episode arena.
+  // from_vector wraps the caller's buffer and is never arena-backed, so
+  // a tensor built that way inside an episode arena may outlive it.
   Tensor kept;
   {
     ct::ArenaScope arena;
@@ -158,17 +156,15 @@ TEST(StorageArena, AdoptedVectorsMaySafelyOutliveTheScope) {
   EXPECT_EQ(kept.raw()[3], 4.0f);
 }
 
-TEST(StorageArena, FusedInferenceStepZeroHeapAllocs) {
-  // The PR 4 acceptance pin: a steady-state fused-attention forecast step
-  // inside an ArenaScope performs ZERO heap allocations — every tensor
-  // buffer is bump-allocated from recycled arena chunks.
+TEST(StorageArena, AttentionInferenceStepZeroHeapAllocs) {
+  // A steady-state attention forward inside an ArenaScope performs ZERO
+  // heap allocations — every tensor buffer, the [B, h, N, N] scores
+  // included, is bump-allocated from recycled arena chunks.
   if (!ct::pool_enabled()) GTEST_SKIP() << "pool disabled via env";
   util::Rng rng(5);
   nn::MultiHeadSelfAttention attn(32, 4, rng);
   Tensor x = Tensor::randn({8, 64, 32}, rng);
   tensor::NoGradGuard ng;
-  coastal::testing::KernelConfigOverride guard;
-  ker::config().attn_fused_min_n = 1;  // force the fused inference path
   for (int i = 0; i < 2; ++i) {  // warm: pool chunks + workspace scratch
     ct::ArenaScope arena;
     (void)attn.forward(x);
@@ -180,15 +176,15 @@ TEST(StorageArena, FusedInferenceStepZeroHeapAllocs) {
   }
   const auto after = ct::alloc_stats();
   EXPECT_EQ(after.total_allocs, before.total_allocs)
-      << "steady-state fused inference hit the heap";
+      << "steady-state attention inference hit the heap";
   EXPECT_GT(after.arena_allocs, before.arena_allocs);
 }
 
 TEST(StorageArena, SurrogateEpisodeStepAllocBudget) {
   // Same pin at full-model scale: one forward of the miniature surrogate
   // (the BM_TrainStep model) in an episode arena — after warmup, the
-  // per-episode heap-allocation budget is exactly zero.  Warmup builds
-  // the window-mask caches (vector-backed) and sizes the pool chunks.
+  // per-episode heap-allocation budget is exactly zero.  Warmup sizes
+  // the pool chunks and the workspace scratch.
   if (!ct::pool_enabled()) GTEST_SKIP() << "pool disabled via env";
   util::Rng rng(10);
   core::SurrogateConfig cfg;
@@ -207,8 +203,6 @@ TEST(StorageArena, SurrogateEpisodeStepAllocBudget) {
   Tensor volume = Tensor::randn({1, 3, 20, 20, 6, 4}, drng);
   Tensor surface = Tensor::randn({1, 1, 20, 20, 4}, drng);
   tensor::NoGradGuard ng;
-  coastal::testing::KernelConfigOverride guard;
-  ker::config().attn_fused_min_n = 1;  // fused attention end to end
   for (int i = 0; i < 2; ++i) {
     ct::ArenaScope arena;
     (void)model.forward(volume, surface);
