@@ -1,6 +1,7 @@
 /// Table III: MAE and RMSE of the surrogate for u, v, w, zeta on held-out
 /// test data, at the short horizon (one episode — the paper's "12 hours")
-/// and the long horizon (dual-model rollout — the paper's "12 days").
+/// and the long horizon (an autoregressive core::rollout across the test
+/// span — the paper's "12 days", which it forecasts with a dual model).
 ///
 /// Expected shape (matches the paper): w errors orders of magnitude below
 /// u/v (vertical velocity is tiny), zeta errors the largest in absolute

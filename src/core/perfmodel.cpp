@@ -58,39 +58,6 @@ SurrogateConfig PerfModel::paper_config() {
   return cfg;
 }
 
-double PerfModel::surrogate_flops(const SurrogateConfig& cfg) {
-  // Per stage: tokens * (qkv + proj + mlp) + windowed attention.
-  double flops = 0.0;
-  double h = static_cast<double>(cfg.h1());
-  double w = static_cast<double>(cfg.w1());
-  double d = static_cast<double>(cfg.d1());
-  const double t = static_cast<double>(cfg.tn());
-  double c = static_cast<double>(cfg.embed_dim);
-  for (int s = 0; s < cfg.stages; ++s) {
-    const double tokens = h * w * d * t;
-    const Window4d& win = (s == 0) ? cfg.window_first : cfg.window_rest;
-    const double n = static_cast<double>(win[0] * win[1] * win[2] * win[3]);
-    // Two blocks per stage: 2 * (4 c^2 projections + 2 n c attention +
-    // 2 * mlp_ratio c^2 MLP) per token.
-    flops += 2.0 * tokens *
-             (4.0 * c * c + 2.0 * n * c +
-              2.0 * static_cast<double>(cfg.mlp_ratio) * c * c);
-    if (s + 1 < cfg.stages) {
-      h /= 2;
-      w /= 2;
-      d /= 2;
-      c *= 2;
-    }
-  }
-  // Embedding + decoder are a small constant fraction; fold in 20%.
-  return flops * 1.2;
-}
-
-double PerfModel::surrogate_inference_seconds(const SurrogateConfig& cfg) {
-  static const double paper_flops = surrogate_flops(paper_config());
-  return kPaperInferenceSeconds * surrogate_flops(cfg) / paper_flops;
-}
-
 double PerfModel::forecast_12day_seconds() {
   return (kCoarseEpisodesPer12Day + kFineEpisodesPer12Day) *
          kPaperInferenceSeconds;

@@ -36,11 +36,6 @@ class PerfModel {
                              double sim_seconds, int cores);
 
   // --- surrogate (GPU) ---------------------------------------------------
-  /// Attention+MLP FLOPs of one forward pass (used for relative scaling).
-  static double surrogate_flops(const SurrogateConfig& config);
-  /// Seconds for one inference on an A100, scaled from the paper's
-  /// 0.888 s anchor by relative FLOPs.
-  static double surrogate_inference_seconds(const SurrogateConfig& config);
   /// The paper's full-mesh configuration (patch 5), for anchoring.
   static SurrogateConfig paper_config();
 

@@ -85,44 +85,4 @@ std::vector<data::CenterFields> rollout(
   return predictions;
 }
 
-std::vector<data::CenterFields> dual_rollout(
-    SurrogateModel& coarse_model, SurrogateModel& fine_model,
-    const data::SampleSpec& coarse_spec, const data::SampleSpec& fine_spec,
-    const data::Normalizer& norm,
-    std::span<const data::CenterFields> coarse_truth,
-    std::span<const data::CenterFields> fine_truth, int coarse_episodes) {
-  const int Tc = coarse_spec.T;
-  const int Tf = fine_spec.T;
-  const int coarse_steps = coarse_episodes * Tc;
-  COASTAL_CHECK(fine_truth.size() >=
-                static_cast<size_t>(coarse_steps * Tf + 1));
-
-  // Stage 1: coarse horizon.
-  auto coarse_frames =
-      rollout(coarse_model, coarse_spec, norm, coarse_truth, coarse_episodes);
-
-  fine_model.set_training(false);
-  tensor::NoGradGuard ng;
-
-  // Stage 2: each coarse frame (or the true IC for the first segment)
-  // seeds one fine episode.
-  std::vector<data::CenterFields> out;
-  out.reserve(static_cast<size_t>(coarse_steps * Tf));
-  for (int c = 0; c < coarse_steps; ++c) {
-    tensor::ArenaScope arena;  // bulk-release this fine episode's tensors
-    std::span<const data::CenterFields> window = fine_truth.subspan(
-        static_cast<size_t>(c * Tf), static_cast<size_t>(Tf) + 1);
-    data::CenterFields ic;
-    if (c > 0) {
-      ic = coarse_frames[static_cast<size_t>(c - 1)];
-      norm.normalize_fields(ic);
-    }
-    for (auto& f : forecast_episode(fine_model, fine_spec, norm, window,
-                                    c > 0 ? &ic : nullptr))
-      out.push_back(std::move(f));
-  }
-  fine_model.set_training(true);
-  return out;
-}
-
 }  // namespace coastal::core

@@ -15,6 +15,11 @@ void check_window_divides(const Grid4d& g, const Window4d& w) {
 
 namespace {
 
+/// Cells of a grid or a window.
+int64_t volume(const std::array<int64_t, 4>& a) {
+  return a[0] * a[1] * a[2] * a[3];
+}
+
 /// Calls fn(window, token, h, w, d, t) for every token slot of the rolled
 /// grid in partition order — windows (wh, ww, wd, wt) row-major, then
 /// tokens (ih, iw, id, it) row-major within the window — with (h, w, d, t)
@@ -99,27 +104,19 @@ WindowPlan::WindowPlan(const Grid4d& grid, const Window4d& window,
   check_window_divides(grid, window);
   // Slot (window, token) reads the grid position the roll by -shift put
   // there: rolled[p] = x[(p + shift) mod size] on every axis.
-  std::vector<int64_t> table(static_cast<size_t>(windows() * tokens()));
+  const int64_t N = volume(window);
+  std::vector<int64_t> table(static_cast<size_t>(volume(grid)));
   for_each_slot(grid, window, [&](int64_t widx, int64_t tok, int64_t h,
                                   int64_t w, int64_t d, int64_t t) {
     const int64_t sh = (h + shift[0]) % grid[0], sw = (w + shift[1]) % grid[1],
                   sd = (d + shift[2]) % grid[2], st = (t + shift[3]) % grid[3];
-    table[static_cast<size_t>(widx * tokens() + tok)] =
+    table[static_cast<size_t>(widx * N + tok)] =
         ((sh * grid[1] + sw) * grid[2] + sd) * grid[3] + st;
   });
   rows_ = std::make_shared<const tensor::RowPermutation>(std::move(table));
   if (shift[0] || shift[1] || shift[2] || shift[3]) {
     mask_ = shifted_window_mask(grid, window, shift);
   }
-}
-
-int64_t WindowPlan::windows() const {
-  return (grid_[0] / window_[0]) * (grid_[1] / window_[1]) *
-         (grid_[2] / window_[2]) * (grid_[3] / window_[3]);
-}
-
-int64_t WindowPlan::tokens() const {
-  return window_[0] * window_[1] * window_[2] * window_[3];
 }
 
 Tensor WindowPlan::partition(const Tensor& x) const {
@@ -129,16 +126,16 @@ Tensor WindowPlan::partition(const Tensor& x) const {
                     "window partition expects [B, " << grid_[0] << ", "
                         << grid_[1] << ", " << grid_[2] << ", " << grid_[3]
                         << ", C], got " << tensor::shape_str(x.shape()));
-  const int64_t B = x.shape()[0], C = x.shape()[5];
+  const int64_t B = x.shape()[0], C = x.shape()[5], N = volume(window_);
   return tensor::gather_rows(x, rows_, /*inverse=*/false,
-                             {B * windows(), tokens(), C});
+                             {B * volume(grid_) / N, N, C});
 }
 
 Tensor WindowPlan::reverse(const Tensor& tokens_in) const {
-  COASTAL_CHECK(tokens_in.ndim() == 3 && tokens_in.shape()[1] == tokens() &&
-                tokens_in.shape()[0] % windows() == 0);
-  const int64_t B = tokens_in.shape()[0] / windows(),
-                C = tokens_in.shape()[2];
+  const int64_t N = volume(window_), windows = volume(grid_) / N;
+  COASTAL_CHECK(tokens_in.ndim() == 3 && tokens_in.shape()[1] == N &&
+                tokens_in.shape()[0] % windows == 0);
+  const int64_t B = tokens_in.shape()[0] / windows, C = tokens_in.shape()[2];
   return tensor::gather_rows(tokens_in, rows_, /*inverse=*/true,
                              {B, grid_[0], grid_[1], grid_[2], grid_[3], C});
 }

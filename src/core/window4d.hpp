@@ -51,8 +51,6 @@ class WindowPlan {
 
   /// [nW, N, N] shifted-window mask; undefined when nothing is shifted.
   const Tensor& mask() const { return mask_; }
-  int64_t windows() const;
-  int64_t tokens() const;  ///< N
 
  private:
   Grid4d grid_;

@@ -154,12 +154,4 @@ BatchedInput make_batched_input(
   return batch;
 }
 
-tensor::Tensor valid_mask(const SampleSpec& spec) {
-  tensor::Tensor m = tensor::Tensor::zeros({spec.H, spec.W});
-  for (int iy = 0; iy < spec.src_ny; ++iy)
-    for (int ix = 0; ix < spec.src_nx; ++ix)
-      m.raw()[static_cast<size_t>(iy) * spec.W + ix] = 1.0f;
-  return m;
-}
-
 }  // namespace coastal::data

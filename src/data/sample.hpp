@@ -81,7 +81,4 @@ BatchedInput make_batched_input(
     std::span<const std::span<const CenterFields>> windows,
     std::span<const CenterFields* const> initial_conditions = {});
 
-/// [H, W] mask: 1 inside the original mesh, 0 in the zero-padding.
-tensor::Tensor valid_mask(const SampleSpec& spec);
-
 }  // namespace coastal::data

@@ -143,16 +143,6 @@ PatchConvTransposeNd::Projection PatchConvTransposeNd::project(
   return p;
 }
 
-Tensor PatchConvTransposeNd::forward(const Tensor& x,
-                                     const tensor::View& view) const {
-  Projection p = project(x, view);
-  tensor::Shape fine{view.shape[0], view.shape[1]};
-  for (size_t i = 0; i < kernel_.size(); ++i)
-    fine.push_back(view.shape[2 + i] * kernel_[i]);
-  fine.push_back(out_);
-  return tensor::gather(p.y, p.fine, std::move(fine));
-}
-
 PointwiseConvNd::PointwiseConvNd(int64_t in_channels, int64_t out_channels,
                                  util::Rng& rng) {
   proj_ = register_module<Linear>("proj", in_channels, out_channels, rng);

@@ -76,9 +76,6 @@ class PatchConvTransposeNd : public Module {
   /// `field` of x: [B, F, d1..dk, Cin].
   Projection project(const Tensor& x, const tensor::View& field) const;
 
-  /// The upsampled field [B, F, d1*k1 .. dk*kk, Cout].
-  Tensor forward(const Tensor& x, const tensor::View& field) const;
-
   int64_t in_channels() const { return in_; }
   int64_t out_channels() const { return out_; }
   const std::vector<int64_t>& kernel() const { return kernel_; }

@@ -110,16 +110,6 @@ BatchNorm::BatchNorm(int64_t channels, float eps, float momentum,
   running_var = register_buffer("running_var", Tensor::ones({channels}));
 }
 
-Tensor BatchNorm::forward(const Tensor& x) {
-  COASTAL_CHECK_MSG(x.ndim() >= 2,
-                    "BatchNorm: expected [...," << channels_ << "], got "
-                                                << tensor::shape_str(x.shape()));
-  std::vector<size_t> order(x.ndim() - 1);
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  return forward(x, {x.shape(), tensor::strides_of(x.shape()), 0}, order,
-                 x.shape());
-}
-
 Tensor BatchNorm::forward(const Tensor& x, const tensor::View& rows,
                           const std::vector<size_t>& order,
                           tensor::Shape shape) {

@@ -95,11 +95,9 @@ class BatchNorm : public Module {
                      float momentum = 0.1f,
                      bool use_batch_stats_in_eval = false);
 
-  /// x: channels-last [..., C], statistics over its rows in x's order.
-  Tensor forward(const Tensor& x);
-  /// The general form: x's rows of C channels as `rows` views them,
-  /// [r1..rk, C], the row axes in the order the statistics accumulate over
-  /// them — the reduction order, which fixes the float sums bit for bit.
+  /// x's rows of C channels as `rows` views them, [r1..rk, C], the row
+  /// axes in the order the statistics accumulate over them — the
+  /// reduction order, which fixes the float sums bit for bit.
   /// The result lays the row axes out in `order` (a permutation of 0..k-1)
   /// followed by C, labelled `shape`.  An eval forward outside a recorded
   /// graph with contiguous channels runs as one kernel

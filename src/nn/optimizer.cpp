@@ -4,36 +4,10 @@
 
 namespace coastal::nn {
 
-Sgd::Sgd(std::vector<Tensor> params, float lr_in, float momentum)
-    : Optimizer(std::move(params)), lr(lr_in), momentum_(momentum) {
-  velocity_.resize(params_.size());
-  for (size_t i = 0; i < params_.size(); ++i)
-    velocity_[i].assign(static_cast<size_t>(params_[i].numel()), 0.0f);
-}
-
-void Sgd::step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    Tensor g = params_[i].grad();
-    if (!g.defined()) continue;
-    float* p = params_[i].raw();
-    const float* gp = g.raw();
-    float* vel = velocity_[i].data();
-    const int64_t n = params_[i].numel();
-    if (momentum_ != 0.0f) {
-      for (int64_t j = 0; j < n; ++j) {
-        vel[j] = momentum_ * vel[j] + gp[j];
-        p[j] -= lr * vel[j];
-      }
-    } else {
-      for (int64_t j = 0; j < n; ++j) p[j] -= lr * gp[j];
-    }
-  }
-}
-
 Adam::Adam(std::vector<Tensor> params, float lr_in, float beta1, float beta2,
            float eps, float weight_decay, bool decoupled)
-    : Optimizer(std::move(params)),
-      lr(lr_in),
+    : lr(lr_in),
+      params_(std::move(params)),
       beta1_(beta1),
       beta2_(beta2),
       eps_(eps),

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file optimizer.hpp
-/// First-order optimizers over a parameter list.  Parameters are Tensor
+/// The first-order optimizer over a parameter list.  Parameters are Tensor
 /// handles shared with the model; step() updates them in place (outside
 /// the autograd graph, like torch's optimizers).
 
@@ -14,47 +14,24 @@ namespace coastal::nn {
 
 using tensor::Tensor;
 
-class Optimizer {
+/// Adam / AdamW (decoupled weight decay when weight_decay > 0 and
+/// `decoupled` is true), the optimizer used for surrogate training.
+class Adam {
  public:
-  explicit Optimizer(std::vector<Tensor> params) : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
-
-  virtual void step() = 0;
+  Adam(std::vector<Tensor> params, float lr, float beta1 = 0.9f,
+       float beta2 = 0.999f, float eps = 1e-8f, float weight_decay = 0.0f,
+       bool decoupled = true);
+  void step();
   void zero_grad() {
     for (auto& p : params_) p.zero_grad();
   }
 
   const std::vector<Tensor>& params() const { return params_; }
 
- protected:
+  float lr;
+
+ private:
   std::vector<Tensor> params_;
-};
-
-/// Plain SGD with optional momentum — baseline and test reference.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Tensor> params, float lr, float momentum = 0.0f);
-  void step() override;
-
-  float lr;
-
- private:
-  float momentum_;
-  std::vector<std::vector<float>> velocity_;
-};
-
-/// Adam / AdamW (decoupled weight decay when weight_decay > 0 and
-/// `decoupled` is true), the optimizer used for surrogate training.
-class Adam : public Optimizer {
- public:
-  Adam(std::vector<Tensor> params, float lr, float beta1 = 0.9f,
-       float beta2 = 0.999f, float eps = 1e-8f, float weight_decay = 0.0f,
-       bool decoupled = true);
-  void step() override;
-
-  float lr;
-
- private:
   float beta1_, beta2_, eps_, weight_decay_;
   bool decoupled_;
   int64_t t_ = 0;

@@ -39,8 +39,6 @@ const char* move_name(Move m) {
       return "window";
     case Move::kReshape:
       return "reshape";
-    case Move::kRoll:
-      return "roll";
     case Move::kSlice:
       return "slice";
     case Move::kConcat:

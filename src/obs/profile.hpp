@@ -49,7 +49,6 @@ enum class Move : int {
   kPermute = 0,  ///< kernels::permute_gather / permute_scatter
   kWindow,       ///< window partition / reverse row gathers
   kReshape,      ///< a Tensor::reshape that copies
-  kRoll,         ///< Tensor::roll
   kSlice,        ///< Tensor::slice
   kConcat,       ///< tensor::concat
   kCount

@@ -1,9 +1,9 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "util/env.hpp"
 
@@ -44,8 +44,11 @@ void bind_trace(uint64_t id) { tl_trace = id; }
 
 TraceConfig trace_config_from_env(TraceConfig base) {
   if (const char* v = std::getenv("COASTAL_TRACE"); v && *v) {
-    const double rate = std::atof(v);
-    if (std::strcmp(v, "0") == 0 || rate <= 0.0) {
+    char* end = nullptr;
+    const double rate = std::strtod(v, &end);
+    COASTAL_CHECK_MSG(end != v && *end == '\0' && !std::isnan(rate),
+                      "COASTAL_TRACE=\"" << v << "\" is not a sampling rate");
+    if (rate <= 0.0) {
       base.enabled = false;
     } else {
       base.enabled = true;
@@ -114,8 +117,9 @@ TraceRecorder::Ring* TraceRecorder::acquire_ring() {
 }
 
 void TraceRecorder::configure(const TraceConfig& cfg) {
+  const double rate = cfg.sample_rate;
+  COASTAL_CHECK_MSG(!std::isnan(rate), "trace sample_rate is NaN");
   ring_spans_.store(std::max(1, cfg.ring_spans), std::memory_order_relaxed);
-  double rate = cfg.sample_rate;
   if (rate >= 1.0) {
     sample_threshold_.store(~0ull, std::memory_order_relaxed);
   } else if (rate <= 0.0) {

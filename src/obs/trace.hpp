@@ -23,8 +23,10 @@
 /// worker) without threading parent state through the stack.
 ///
 /// Env knobs: COASTAL_TRACE ("0"/unset off, "1" all requests, a float in
-/// (0,1) samples that fraction deterministically by id hash) and
-/// COASTAL_TRACE_RING (spans per thread ring, default 4096).
+/// (0,1) samples that fraction deterministically by id hash; at or below
+/// 0 is off and above 1 is all; NaN, or text that is not one number,
+/// throws util::CheckError naming the variable) and COASTAL_TRACE_RING
+/// (spans per thread ring, default 4096).
 
 #include <atomic>
 #include <chrono>

@@ -6,7 +6,6 @@
 
 namespace coastal::par {
 
-int Comm::size() const { return world_->size(); }
 
 void Comm::send(int dest, int tag, std::span<const float> data) {
   COASTAL_CHECK_MSG(dest >= 0 && dest < world_->size(),
@@ -22,8 +21,6 @@ void Comm::recv(int source, int tag, std::span<float> out) {
   world_->pop_message(rank_, source, tag, out);
 }
 
-void Comm::barrier() { world_->barrier_wait(); }
-
 void Comm::allreduce_sum(std::span<float> data) {
   // Rank 0 resets the shared accumulator, everyone adds, everyone copies
   // back.  Three barriers — simple and correct; fine at in-process scale.
@@ -34,17 +31,17 @@ void Comm::allreduce_sum(std::span<float> data) {
     world_->reduce_buf_.assign(data.size(), 0.0f);
     world_->reduce_len_ = data.size();
   }
-  barrier();
+  world_->barrier_wait();
   COASTAL_CHECK_MSG(world_->reduce_len_ == data.size(),
                     "allreduce size mismatch across ranks");
   {
     std::lock_guard<std::mutex> lock(world_->reduce_mutex_);
     for (size_t i = 0; i < data.size(); ++i) world_->reduce_buf_[i] += data[i];
   }
-  barrier();
+  world_->barrier_wait();
   std::copy(world_->reduce_buf_.begin(), world_->reduce_buf_.end(),
             data.begin());
-  barrier();
+  world_->barrier_wait();
 }
 
 World::World(int size) : size_(size) {

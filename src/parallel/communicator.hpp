@@ -59,7 +59,6 @@ class CommAborted : public CommError {
 class Comm {
  public:
   int rank() const { return rank_; }
-  int size() const;
 
   /// Blocking two-sided send/recv of a float buffer, matched by
   /// (source, tag) like MPI_Send/MPI_Recv with explicit tags.
@@ -68,9 +67,8 @@ class Comm {
   /// `out.size()` elements.
   void recv(int source, int tag, std::span<float> out);
 
-  /// Collectives (all block until every rank participates).
-  void barrier();
-  /// In-place sum-allreduce over all ranks.
+  /// In-place sum-allreduce over all ranks (blocks until every rank
+  /// participates).
   void allreduce_sum(std::span<float> data);
 
   /// Message accounting for the halo-cost model (bytes sent by this rank).

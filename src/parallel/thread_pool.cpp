@@ -1,10 +1,10 @@
 #include "parallel/thread_pool.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <exception>
 
 #include "util/check.hpp"
+#include "util/env.hpp"
 
 namespace coastal::par {
 
@@ -27,10 +27,8 @@ inline void cpu_relax() {
 }  // namespace
 
 int env_thread_override() {
-  const char* e = std::getenv("COASTAL_NUM_THREADS");
-  if (!e || !*e) return 0;
-  const long v = std::strtol(e, nullptr, 10);
-  return v > 0 ? static_cast<int>(v) : 0;
+  return static_cast<int>(
+      util::env_int("COASTAL_NUM_THREADS", 0, 1024).value_or(0));
 }
 
 ThreadPool::ThreadPool(size_t num_threads) {
@@ -82,25 +80,13 @@ void ThreadPool::resize(size_t num_threads) {
   }
   cv_.notify_all();
   for (auto& w : old) w.join();
-  // Spawn the new generation.  A submit() racing this window simply lands
-  // on the queue and is picked up by the fresh workers.
+  // Spawn the new generation.  A helper slot queued in this window is
+  // picked up by the fresh workers or taken back by its caller.
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stop_ = false;
     spawn_locked(num_threads);
   }
-}
-
-std::future<void> ThreadPool::submit(std::function<void()> fn) {
-  std::packaged_task<void()> task(std::move(fn));
-  auto fut = task.get_future();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(Item{std::move(task), nullptr});
-  }
-  pending_.fetch_add(1, std::memory_order_release);
-  cv_.notify_one();
-  return fut;
 }
 
 /// One parallel_for in flight.  Lives on the caller's stack: the caller
@@ -152,7 +138,7 @@ void ThreadPool::parallel_for(size_t begin, size_t end,
   const size_t nhelpers = std::min(job.nchunks - 1, size());
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (size_t i = 0; i < nhelpers; ++i) queue_.push_back(Item{{}, &job});
+    queue_.insert(queue_.end(), nhelpers, &job);
   }
   pending_.fetch_add(static_cast<int64_t>(nhelpers),
                      std::memory_order_release);
@@ -166,9 +152,7 @@ void ThreadPool::parallel_for(size_t begin, size_t end,
   // Every chunk is claimed.  Take back the slots no worker has popped yet,
   // then wait out the helpers still finishing a chunk they claimed.
   std::unique_lock<std::mutex> lock(mutex_);
-  const auto unclaimed =
-      std::remove_if(queue_.begin(), queue_.end(),
-                     [&job](const Item& item) { return item.job == &job; });
+  const auto unclaimed = std::remove(queue_.begin(), queue_.end(), &job);
   pending_.fetch_sub(queue_.end() - unclaimed, std::memory_order_relaxed);
   queue_.erase(unclaimed, queue_.end());
   if (job.helpers.load(std::memory_order_relaxed) != 0) {
@@ -190,7 +174,7 @@ void ThreadPool::parallel_for(size_t begin, size_t end,
 void ThreadPool::worker_loop() {
   t_in_worker = true;
   for (;;) {
-    Item item;
+    Job* job;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       if (!stop_ && queue_.empty()) {
@@ -207,21 +191,17 @@ void ThreadPool::worker_loop() {
       }
       cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
       if (stop_ && queue_.empty()) return;
-      item = std::move(queue_.front());
+      job = queue_.front();
       queue_.pop_front();
       pending_.fetch_sub(1, std::memory_order_relaxed);
-      if (item.job) item.job->helpers.fetch_add(1, std::memory_order_relaxed);
+      job->helpers.fetch_add(1, std::memory_order_relaxed);
     }
-    if (!item.job) {
-      item.task();
-      continue;
-    }
-    run_chunks(*item.job);
+    run_chunks(*job);
     // Under the lock, so the caller cannot see zero and destroy the job
     // before this notify is done with it.
     std::lock_guard<std::mutex> lock(mutex_);
-    item.job->helpers.fetch_sub(1, std::memory_order_release);
-    item.job->idle.notify_one();
+    job->helpers.fetch_sub(1, std::memory_order_release);
+    job->idle.notify_one();
   }
 }
 

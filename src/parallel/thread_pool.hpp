@@ -1,11 +1,10 @@
 #pragma once
 
 /// \file thread_pool.hpp
-/// Fixed-size worker pool with a parallel_for helper.  Used by the tensor
-/// ops for intra-op parallelism and by the data loader for prefetch
-/// workers.  On a single-core host the pool still provides the concurrency
-/// structure (overlapping simulated I/O with compute) even though it cannot
-/// provide speedup.
+/// Resizable worker pool behind the tensor kernels' intra-op parallelism:
+/// parallel_for splits a range into chunks that the caller and the
+/// workers claim from one counter.  (The data loader runs its own
+/// prefetch threads.)
 
 #include <atomic>
 #include <condition_variable>
@@ -13,16 +12,17 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace coastal::par {
 
-/// Thread-count override from the `COASTAL_NUM_THREADS` env var; 0 when
-/// unset or unparsable.  Shared by ThreadPool::global() sizing and the
-/// tensor kernels' chunking decisions so the two never drift.
+/// Thread-count override from the `COASTAL_NUM_THREADS` env var: an
+/// integer in [0, 1024], 0 (or unset) meaning hardware concurrency;
+/// anything else throws util::CheckError naming the variable.  Shared by
+/// ThreadPool::global() sizing and the tensor kernels' chunking decisions
+/// so the two never drift.
 int env_thread_override();
 
 class ThreadPool {
@@ -40,15 +40,11 @@ class ThreadPool {
   /// workers, and spawns `num_threads` fresh ones (0 re-reads
   /// `COASTAL_NUM_THREADS`, falling back to hardware_concurrency) — so a
   /// long-lived server can re-size kernel parallelism per deployment
-  /// without a process restart.  Tasks already queued complete under the
-  /// old workers before the swap; tasks submitted concurrently with the
-  /// resize land on whichever generation's queue is open and are never
-  /// lost.  Must not be called from inside a worker (the joining thread
-  /// would deadlock on itself); concurrent resize() calls serialize.
+  /// without a process restart.  A parallel_for running across the swap
+  /// loses nothing: its caller claims every chunk no worker took.  Must
+  /// not be called from inside a worker (the joining thread would
+  /// deadlock on itself); concurrent resize() calls serialize.
   void resize(size_t num_threads);
-
-  /// Enqueue a task; returns a future for its completion.
-  std::future<void> submit(std::function<void()> fn);
 
   /// Run fn(begin..end) split into contiguous chunks and wait.  fn
   /// receives (chunk_begin, chunk_end).
@@ -82,12 +78,9 @@ class ThreadPool {
   static ThreadPool& global();
 
  private:
+  /// One parallel_for in flight; each queue entry is a helper slot of
+  /// one.
   struct Job;
-  /// A queue entry: a submitted task, or a helper slot of a parallel_for.
-  struct Item {
-    std::packaged_task<void()> task;
-    Job* job = nullptr;
-  };
 
   void worker_loop();
   void spawn_locked(size_t num_threads);
@@ -96,10 +89,10 @@ class ThreadPool {
   mutable std::mutex mutex_;
   std::mutex resize_mutex_;  ///< serializes resize(); never held by workers
   std::vector<std::thread> workers_;
-  std::deque<Item> queue_;
+  std::deque<Job*> queue_;
   std::condition_variable cv_;
   bool stop_ = false;
-  /// Queued-but-unclaimed task count, readable without the mutex: idle
+  /// Queued-but-unclaimed helper slots, readable without the mutex: idle
   /// workers spin on it briefly before parking on the condition variable,
   /// so back-to-back parallel_for batches (the serving steady state) reach
   /// warm workers without paying a futex wake per dispatch.

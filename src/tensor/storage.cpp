@@ -90,7 +90,6 @@ void free_block(float* ptr) {
 struct Pool {
   std::mutex mu;
   std::vector<float*> free_lists[kNumBuckets];
-  uint64_t cached_bytes = 0;
   std::atomic<bool> enabled;
 
   Pool() {
@@ -117,8 +116,6 @@ float* pool_acquire(int64_t n, int32_t* bucket_out) {
       if (!list.empty()) {
         float* ptr = list.back();
         list.pop_back();
-        p.cached_bytes -=
-            static_cast<uint64_t>(bucket_floats(b)) * sizeof(float);
         g_pool_hits.fetch_add(1, std::memory_order_relaxed);
         *bucket_out = b;
         return ptr;
@@ -144,8 +141,6 @@ void pool_release(float* ptr, int32_t bucket) {
   if (p.enabled.load(std::memory_order_relaxed)) {
     std::lock_guard<std::mutex> lock(p.mu);
     p.free_lists[bucket].push_back(ptr);
-    p.cached_bytes +=
-        static_cast<uint64_t>(bucket_floats(bucket)) * sizeof(float);
     return;
   }
   free_block(ptr);
@@ -168,13 +163,6 @@ void pool_trim() {
     for (float* ptr : list) free_block(ptr);
     list.clear();
   }
-  p.cached_bytes = 0;
-}
-
-uint64_t pool_cached_bytes() {
-  Pool& p = pool();
-  std::lock_guard<std::mutex> lock(p.mu);
-  return p.cached_bytes;
 }
 
 // ---------------------------------------------------------------------------
@@ -192,7 +180,6 @@ struct ArenaState {
   std::vector<Chunk> chunks;
   int64_t used = 0;           ///< floats consumed in the active (last) chunk
   int64_t chunk_floats = 0;   ///< default chunk size
-  int64_t served_floats = 0;  ///< total floats bump-served (diagnostics)
   std::atomic<int64_t> live{0};  ///< arena-backed storages still alive
 
   ~ArenaState() {
@@ -214,7 +201,6 @@ struct ArenaState {
     }
     float* ptr = chunks.back().ptr + used;
     used += need;
-    served_floats += need;
     return ptr;
   }
 };
@@ -289,10 +275,6 @@ ArenaScope::~ArenaScope() noexcept(false) {
 }
 
 bool ArenaScope::active() { return !t_arena_stack.empty(); }
-
-int64_t ArenaScope::allocated_bytes() const {
-  return state_ ? state_->served_floats * 4 : 0;
-}
 
 // ---------------------------------------------------------------------------
 // Storage
@@ -398,18 +380,6 @@ Storage Storage::adopt(std::vector<float> v) {
 // ---------------------------------------------------------------------------
 // Workspace
 // ---------------------------------------------------------------------------
-
-size_t Workspace::bytes() const {
-  const size_t f = gemm_apack.capacity() + gemm_bpack.capacity() +
-                   ln_stash_row.capacity() + move_row.capacity() +
-                   norm_stats.capacity();
-  const size_t i = off_a.capacity() + off_b.capacity() + move_dims.capacity() +
-                   move_sa.capacity() + move_sb.capacity() +
-                   move_table.capacity() + norm_rows.capacity();
-  return f * sizeof(float) + i * sizeof(int64_t);
-}
-
-void Workspace::release() { *this = Workspace(); }
 
 Workspace& workspace() {
   thread_local Workspace ws;

@@ -71,8 +71,6 @@ bool pool_enabled();
 void set_pool_enabled(bool enabled);
 /// Frees every cached free-list block back to the heap.
 void pool_trim();
-/// Bytes currently parked in pool free lists (excludes live storages).
-uint64_t pool_cached_bytes();
 
 namespace detail {
 struct ArenaState;
@@ -155,8 +153,6 @@ class ArenaScope {
 
   /// True when any arena is active on the calling thread.
   static bool active();
-  /// Total bytes bump-served by this scope so far.
-  int64_t allocated_bytes() const;
 
  private:
   std::shared_ptr<detail::ArenaState> state_;
@@ -165,8 +161,8 @@ class ArenaScope {
 /// Named per-thread scratch reused across kernel calls.  Buffers only
 /// ever grow (std::vector resize keeps capacity), so steady-state kernel
 /// execution performs no allocation at all.  One struct instead of
-/// scattered function-local thread_locals so the retained footprint is
-/// inspectable (bytes()) and releasable (release()) as a unit.
+/// scattered function-local thread_locals, so every scratch buffer is
+/// named in one place.
 struct Workspace {
   // GEMM packing panels (gemm_rowblock / gemm_batched).
   std::vector<float> gemm_apack;
@@ -193,11 +189,6 @@ struct Workspace {
   // Batch norm: row offsets in reduction order, per-channel statistics.
   std::vector<int64_t> norm_rows;
   std::vector<float> norm_stats;
-
-  /// Bytes currently retained by this thread's workspace.
-  size_t bytes() const;
-  /// Releases all retained buffers (tests / memory pressure).
-  void release();
 };
 
 /// The calling thread's workspace.

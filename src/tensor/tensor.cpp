@@ -22,9 +22,6 @@ TensorImpl::TensorImpl(Shape s, Storage d)
                                  << shape_str(shape));
 }
 
-TensorImpl::TensorImpl(Shape s, std::vector<float> d)
-    : TensorImpl(std::move(s), Storage::adopt(std::move(d))) {}
-
 TensorImpl::~TensorImpl() = default;
 
 namespace {
@@ -74,7 +71,7 @@ Tensor make_result(
 /// buffers are never aliased).
 void add_into(Tensor& acc, const Tensor& g) {
   if (!acc.defined()) {
-    acc = g.clone();
+    acc = g.detach();
     return;
   }
   COASTAL_CHECK(acc.shape() == g.shape());
@@ -139,12 +136,6 @@ Tensor Tensor::uniform(const Shape& shape, util::Rng& rng, float lo, float hi) {
   return from_storage(shape, std::move(v));
 }
 
-Tensor Tensor::arange(int64_t n) {
-  Storage v = Storage::uninit(n);
-  for (int64_t i = 0; i < n; ++i) v[i] = static_cast<float>(i);
-  return from_storage({n}, std::move(v));
-}
-
 // ---------------------------------------------------------------------------
 // Accessors
 // ---------------------------------------------------------------------------
@@ -152,18 +143,6 @@ Tensor Tensor::arange(int64_t n) {
 float Tensor::item() const {
   COASTAL_CHECK_MSG(numel() == 1, "item() on tensor of " << numel() << " elems");
   return impl_->data[0];
-}
-
-float Tensor::at(const std::vector<int64_t>& coords) const {
-  COASTAL_CHECK(coords.size() == ndim());
-  const Shape st = strides_of(shape());
-  return impl_->data[dot_strides(coords, st)];
-}
-
-void Tensor::set(const std::vector<int64_t>& coords, float v) {
-  COASTAL_CHECK(coords.size() == ndim());
-  const Shape st = strides_of(shape());
-  impl_->data[dot_strides(coords, st)] = v;
 }
 
 // ---------------------------------------------------------------------------
@@ -186,7 +165,7 @@ void Tensor::zero_grad() { impl_->grad.reset(); }
 void Tensor::accumulate_grad(const Tensor& g) {
   COASTAL_CHECK(g.shape() == shape());
   if (!impl_->grad) {
-    impl_->grad = g.clone().impl();
+    impl_->grad = g.detach().impl();
     return;
   }
   kernels::binary_same(kernels::BinOp::kAdd, impl_->grad->data.data(),
@@ -233,7 +212,7 @@ void Tensor::backward(const Tensor& seed) const {
       if (impl_->requires_grad) const_cast<Tensor*>(this)->accumulate_grad(s);
       return;
     }
-    gradmap[impl_.get()] = s.clone();
+    gradmap[impl_.get()] = s.detach();
   }
 
   NoGradGuard no_grad;
@@ -265,13 +244,22 @@ Tensor Tensor::detach() const {
   return from_storage(shape(), Storage::copy_of(raw(), numel()));
 }
 
-Tensor Tensor::clone() const { return detach(); }
-
 // ---------------------------------------------------------------------------
 // Elementwise binary ops with broadcasting
 // ---------------------------------------------------------------------------
 
 namespace {
+
+/// -x, outside the graph: the sub and div backwards negate gradients,
+/// which run with recording off.
+Tensor neg(const Tensor& x) {
+  Storage out = Storage::uninit(x.numel());
+  kernels::map(x.raw(), out.data(), x.numel(), 1,
+               [](const float* in, float* o, int64_t n) {
+                 for (int64_t i = 0; i < n; ++i) o[i] = -in[i];
+               });
+  return Tensor::from_storage(x.shape(), std::move(out));
+}
 
 Storage broadcast_apply(const Tensor& a, const Tensor& b,
                         const Shape& out_shape, kernels::BinOp op) {
@@ -305,7 +293,7 @@ Tensor Tensor::sub(const Tensor& o) const {
   const Shape sa = shape(), sb = o.shape();
   return make_result(out_shape, std::move(out), "sub", {*this, o},
                      [sa, sb](const Tensor& g) -> std::vector<Tensor> {
-                       return {g.sum_to(sa), g.neg().sum_to(sb)};
+                       return {g.sum_to(sa), neg(g).sum_to(sb)};
                      });
 }
 
@@ -329,7 +317,7 @@ Tensor Tensor::div(const Tensor& o) const {
       out_shape, std::move(out), "div", {a, b},
       [a, b](const Tensor& g) -> std::vector<Tensor> {
         Tensor ga = g.div(b).sum_to(a.shape());
-        Tensor gb = g.mul(a).div(b.mul(b)).neg().sum_to(b.shape());
+        Tensor gb = neg(g.mul(a).div(b.mul(b))).sum_to(b.shape());
         return {ga, gb};
       });
 }
@@ -372,11 +360,6 @@ Tensor unary_op(const Tensor& x, const char* name, FwdFn fwd, BwdFn bwd) {
 
 }  // namespace
 
-Tensor Tensor::neg() const {
-  return unary_op(*this, "neg", [](float x) { return -x; },
-                  [](float g, float) { return -g; });
-}
-
 Tensor Tensor::add_scalar(float s) const {
   return unary_op(*this, "add_scalar", [s](float x) { return x + s; },
                   [](float g, float) { return g; });
@@ -387,51 +370,11 @@ Tensor Tensor::mul_scalar(float s) const {
                   [s](float g, float) { return g * s; });
 }
 
-Tensor Tensor::pow_scalar(float p) const {
-  return unary_op(*this, "pow_scalar",
-                  [p](float x) { return std::pow(x, p); },
-                  [p](float g, float x) {
-                    return g * p * std::pow(x, p - 1.0f);
-                  });
-}
-
-Tensor Tensor::exp() const {
-  return unary_op(*this, "exp", [](float x) { return std::exp(x); },
-                  [](float g, float x) { return g * std::exp(x); });
-}
-
-Tensor Tensor::log() const {
-  return unary_op(*this, "log", [](float x) { return std::log(x); },
-                  [](float g, float x) { return g / x; });
-}
-
 Tensor Tensor::sqrt() const {
   return unary_op(*this, "sqrt", [](float x) { return std::sqrt(x); },
                   [](float g, float x) {
                     return g * 0.5f / std::sqrt(x);
                   });
-}
-
-Tensor Tensor::tanh() const {
-  return unary_op(*this, "tanh", [](float x) { return std::tanh(x); },
-                  [](float g, float x) {
-                    const float t = std::tanh(x);
-                    return g * (1.0f - t * t);
-                  });
-}
-
-Tensor Tensor::sigmoid() const {
-  return unary_op(*this, "sigmoid",
-                  [](float x) { return 1.0f / (1.0f + std::exp(-x)); },
-                  [](float g, float x) {
-                    const float s = 1.0f / (1.0f + std::exp(-x));
-                    return g * s * (1.0f - s);
-                  });
-}
-
-Tensor Tensor::relu() const {
-  return unary_op(*this, "relu", [](float x) { return x > 0 ? x : 0.0f; },
-                  [](float g, float x) { return x > 0 ? g : 0.0f; });
 }
 
 Tensor Tensor::gelu() const {
@@ -445,13 +388,6 @@ Tensor Tensor::gelu() const {
                                               g.numel());
                        return {Tensor::from_storage(x.shape(), std::move(gx))};
                      });
-}
-
-Tensor Tensor::abs() const {
-  return unary_op(*this, "abs", [](float x) { return std::abs(x); },
-                  [](float g, float x) {
-                    return x >= 0 ? g : -g;
-                  });
 }
 
 // ---------------------------------------------------------------------------
@@ -502,48 +438,6 @@ Tensor Tensor::mean_axis(int axis, bool keepdim) const {
   const int a = normalize_axis(axis, ndim());
   const float inv = 1.0f / static_cast<float>(shape()[static_cast<size_t>(a)]);
   return sum_axis(axis, keepdim).mul_scalar(inv);
-}
-
-Tensor Tensor::max_axis(int axis, bool keepdim) const {
-  const int a = normalize_axis(axis, ndim());
-  const Shape in = shape();
-  Shape keep = in;
-  keep[static_cast<size_t>(a)] = 1;
-  int64_t outer = 1, inner = 1;
-  for (int i = 0; i < a; ++i) outer *= in[static_cast<size_t>(i)];
-  for (size_t i = static_cast<size_t>(a) + 1; i < in.size(); ++i) inner *= in[i];
-  const int64_t len = in[static_cast<size_t>(a)];
-  Storage out =
-      Storage::full(outer * inner, -std::numeric_limits<float>::infinity());
-  auto argmax = std::make_shared<std::vector<int64_t>>(
-      static_cast<size_t>(outer * inner), 0);
-  const float* p = raw();
-  for (int64_t o = 0; o < outer; ++o)
-    for (int64_t l = 0; l < len; ++l)
-      for (int64_t i = 0; i < inner; ++i) {
-        const float v = p[static_cast<size_t>((o * len + l) * inner + i)];
-        const int64_t oi = o * inner + i;
-        if (v > out[oi]) {
-          out[oi] = v;
-          (*argmax)[static_cast<size_t>(oi)] = l;
-        }
-      }
-  Shape out_shape = keep;
-  if (!keepdim) out_shape.erase(out_shape.begin() + a);
-  if (out_shape.empty()) out_shape = {1};
-  return make_result(
-      out_shape, std::move(out), "max_axis", {*this},
-      [in, outer, inner, len, argmax](const Tensor& g) -> std::vector<Tensor> {
-        Storage gx = Storage::zeros(tensor::numel(in));
-        const float* pg = g.raw();
-        for (int64_t o = 0; o < outer; ++o)
-          for (int64_t i = 0; i < inner; ++i) {
-            const size_t oi = static_cast<size_t>(o * inner + i);
-            const int64_t l = (*argmax)[oi];
-            gx[(o * len + l) * inner + i] = pg[oi];
-          }
-        return {Tensor::from_storage(in, std::move(gx))};
-      });
 }
 
 Tensor Tensor::sum_to(const Shape& target) const {
@@ -729,64 +623,18 @@ Tensor Tensor::slice(int axis, int64_t start, int64_t len) const {
                 p + (o * dlen + start) * inner,
                 static_cast<size_t>(len * inner) * sizeof(float));
 
-  const int64_t before = start;
-  const int64_t after = dlen - start - len;
-  return make_result(out_shape, std::move(out), "slice", {*this},
-                     [a, before, after](const Tensor& g) -> std::vector<Tensor> {
-                       return {g.pad_axis(a, before, after)};
-                     });
-}
-
-Tensor Tensor::pad_axis(int axis, int64_t before, int64_t after) const {
-  const int a = normalize_axis(axis, ndim());
-  const Shape in = shape();
-  Shape out_shape = in;
-  out_shape[static_cast<size_t>(a)] += before + after;
-  int64_t outer = 1, inner = 1;
-  for (int i = 0; i < a; ++i) outer *= in[static_cast<size_t>(i)];
-  for (size_t i = static_cast<size_t>(a) + 1; i < in.size(); ++i) inner *= in[i];
-  const int64_t dlen = in[static_cast<size_t>(a)];
-  const int64_t olen = out_shape[static_cast<size_t>(a)];
-
-  Storage out = Storage::zeros(outer * olen * inner);
-  const float* p = raw();
-  for (int64_t o = 0; o < outer; ++o)
-    std::memcpy(out.data() + (o * olen + before) * inner,
-                p + o * dlen * inner,
-                static_cast<size_t>(dlen * inner) * sizeof(float));
-
-  const int64_t start = before, len = dlen;
-  return make_result(out_shape, std::move(out), "pad_axis", {*this},
-                     [a, start, len](const Tensor& g) -> std::vector<Tensor> {
-                       return {g.slice(a, start, len)};
-                     });
-}
-
-Tensor Tensor::roll(int axis, int64_t shift) const {
-  const int a = normalize_axis(axis, ndim());
-  const Shape in = shape();
-  const int64_t dlen = in[static_cast<size_t>(a)];
-  int64_t s = ((shift % dlen) + dlen) % dlen;
-  int64_t outer = 1, inner = 1;
-  for (int i = 0; i < a; ++i) outer *= in[static_cast<size_t>(i)];
-  for (size_t i = static_cast<size_t>(a) + 1; i < in.size(); ++i) inner *= in[i];
-
-  Storage out = Storage::uninit(numel());
-  obs::count_move(obs::Move::kRoll,
-                  numel() * static_cast<int64_t>(sizeof(float)));
-  const float* p = raw();
-  for (int64_t o = 0; o < outer; ++o)
-    for (int64_t l = 0; l < dlen; ++l) {
-      const int64_t dst = (l + s) % dlen;
-      std::memcpy(out.data() + (o * dlen + dst) * inner,
-                  p + (o * dlen + l) * inner,
-                  static_cast<size_t>(inner) * sizeof(float));
-    }
-
-  return make_result(in, std::move(out), "roll", {*this},
-                     [a, shift](const Tensor& g) -> std::vector<Tensor> {
-                       return {g.roll(a, -shift)};
-                     });
+  // Backward: the gradient back in place, zeros around it.
+  return make_result(
+      out_shape, std::move(out), "slice", {*this},
+      [in, outer, inner, dlen, start, len](const Tensor& g)
+          -> std::vector<Tensor> {
+        Storage gx = Storage::zeros(tensor::numel(in));
+        for (int64_t o = 0; o < outer; ++o)
+          std::memcpy(gx.data() + (o * dlen + start) * inner,
+                      g.raw() + o * len * inner,
+                      static_cast<size_t>(len * inner) * sizeof(float));
+        return {Tensor::from_storage(in, std::move(gx))};
+      });
 }
 
 Tensor concat(const std::vector<Tensor>& parts, int axis) {
@@ -975,22 +823,10 @@ Tensor custom_op(Shape shape, Storage data, const char* name,
                      std::move(parents), std::move(backward));
 }
 
-Tensor custom_op(Shape shape, std::vector<float> data, const char* name,
-                 std::vector<Tensor> parents,
-                 std::function<std::vector<Tensor>(const Tensor&)> backward) {
-  return make_result(std::move(shape), Storage::adopt(std::move(data)), name,
-                     std::move(parents), std::move(backward));
-}
-
 Tensor mse_loss(const Tensor& pred, const Tensor& target) {
   COASTAL_CHECK(pred.shape() == target.shape());
   Tensor diff = pred.sub(target);
   return diff.mul(diff).mean();
-}
-
-Tensor l1_loss(const Tensor& pred, const Tensor& target) {
-  COASTAL_CHECK(pred.shape() == target.shape());
-  return pred.sub(target).abs().mean();
 }
 
 }  // namespace coastal::tensor

@@ -6,8 +6,8 @@
 /// This stands in for libtorch in the reproduction: it provides exactly the
 /// operator set the paper's 4-D Swin Transformer surrogate needs (broadcast
 /// elementwise ops, batched matmul, softmax, layer/batch norm building
-/// blocks, shape ops including roll for shifted windows) plus gradient
-/// checkpointing hooks.  Tensors are always contiguous; shape ops
+/// blocks, shape ops, strided and row gathers for the windows) plus
+/// gradient checkpointing hooks.  Tensors are always contiguous; shape ops
 /// materialize.  Compute is FP32; FP16 is a storage format (see half.hpp),
 /// mirroring mixed-precision training where master math stays in higher
 /// precision.
@@ -53,8 +53,6 @@ struct TensorImpl {
   std::shared_ptr<TensorImpl> grad;      ///< accumulated gradient (leaves)
 
   TensorImpl(Shape s, Storage d);
-  /// Convenience: adopts the vector's buffer (heap-backed, never pooled).
-  TensorImpl(Shape s, std::vector<float> d);
   ~TensorImpl();
   TensorImpl(const TensorImpl&) = delete;
   TensorImpl& operator=(const TensorImpl&) = delete;
@@ -102,7 +100,6 @@ class Tensor {
   /// Gaussian init, N(0, stddev^2).
   static Tensor randn(const Shape& shape, util::Rng& rng, float stddev = 1.0f);
   static Tensor uniform(const Shape& shape, util::Rng& rng, float lo, float hi);
-  static Tensor arange(int64_t n);
 
   // ---- metadata -------------------------------------------------------
   const Shape& shape() const { return impl_->shape; }
@@ -121,9 +118,6 @@ class Tensor {
 
   /// Value of a scalar (1-element) tensor.
   float item() const;
-  /// Element access by full coordinates (slow; for tests and field I/O).
-  float at(const std::vector<int64_t>& coords) const;
-  void set(const std::vector<int64_t>& coords, float v);
 
   // ---- autograd -------------------------------------------------------
   /// Marks a leaf tensor as a trainable parameter.
@@ -144,36 +138,26 @@ class Tensor {
 
   /// Copy that shares no storage and is detached from the graph.
   Tensor detach() const;
-  Tensor clone() const;
 
   // ---- elementwise ----------------------------------------------------
   Tensor add(const Tensor& o) const;
   Tensor sub(const Tensor& o) const;
   Tensor mul(const Tensor& o) const;
   Tensor div(const Tensor& o) const;
-  Tensor neg() const;
   Tensor add_scalar(float s) const;
   Tensor mul_scalar(float s) const;
-  Tensor pow_scalar(float p) const;
-  Tensor exp() const;
-  Tensor log() const;
   Tensor sqrt() const;
-  Tensor tanh() const;
-  Tensor sigmoid() const;
-  Tensor relu() const;
   /// Erf-form GELU, 0.5 x (1 + erf(x / sqrt(2))) — the paper's decoder
   /// activation.  erf is a branch-free rational polynomial (absolute GELU
   /// error ≤ 2e-6 on [-12, 12], IEEE specials as with std::erf; see
   /// kernels::gelu), not the tanh approximation.
   Tensor gelu() const;
-  Tensor abs() const;
 
   // ---- reductions -----------------------------------------------------
   Tensor sum() const;
   Tensor mean() const;
   Tensor sum_axis(int axis, bool keepdim = false) const;
   Tensor mean_axis(int axis, bool keepdim = false) const;
-  Tensor max_axis(int axis, bool keepdim = false) const;
   /// Reduce-by-summation to a broadcast-compatible smaller shape (the
   /// adjoint of broadcasting).  Non-differentiable helper.
   Tensor sum_to(const Shape& target) const;
@@ -196,11 +180,6 @@ class Tensor {
   Tensor permute(const std::vector<size_t>& perm) const;
   /// Slice along `axis`: elements [start, start + len).
   Tensor slice(int axis, int64_t start, int64_t len) const;
-  /// Zero-pad along `axis`: `before` elements in front, `after` behind.
-  Tensor pad_axis(int axis, int64_t before, int64_t after) const;
-  /// Circular shift along `axis` (positive = toward higher indices); the
-  /// cyclic-shift primitive of SW-MSA.
-  Tensor roll(int axis, int64_t shift) const;
 
   // ---- fused NN ops ---------------------------------------------------
   /// Softmax over the last axis.
@@ -215,7 +194,6 @@ class Tensor {
   Tensor operator-(const Tensor& o) const { return sub(o); }
   Tensor operator*(const Tensor& o) const { return mul(o); }
   Tensor operator/(const Tensor& o) const { return div(o); }
-  Tensor operator-() const { return neg(); }
 
  private:
   std::shared_ptr<TensorImpl> impl_;
@@ -252,18 +230,11 @@ Tensor gather_rows(const Tensor& x, std::shared_ptr<const RowPermutation> perm,
 /// backward function — the extension point used by activation
 /// checkpointing.  `backward` maps grad-wrt-output to grads-wrt-parents
 /// (same order as `parents`; undefined Tensors mark non-diff inputs).
-/// The Storage overload is the allocation-free hot path; the vector
-/// overload adopts the buffer (heap-backed).
 Tensor custom_op(Shape shape, Storage data, const char* name,
-                 std::vector<Tensor> parents,
-                 std::function<std::vector<Tensor>(const Tensor&)> backward);
-Tensor custom_op(Shape shape, std::vector<float> data, const char* name,
                  std::vector<Tensor> parents,
                  std::function<std::vector<Tensor>(const Tensor&)> backward);
 
 /// Mean squared error between prediction and target (scalar output).
 Tensor mse_loss(const Tensor& pred, const Tensor& target);
-/// Mean absolute (L1) error.
-Tensor l1_loss(const Tensor& pred, const Tensor& target);
 
 }  // namespace coastal::tensor

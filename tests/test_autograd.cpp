@@ -11,6 +11,7 @@
 namespace ct = coastal::tensor;
 using coastal::tensor::Tensor;
 using coastal::testing::gradcheck;
+using coastal::testing::arange;
 
 namespace {
 Tensor rand_tensor(const ct::Shape& shape, uint64_t seed, float scale = 1.0f) {
@@ -33,6 +34,8 @@ TEST(Autograd, SubMulDiv) {
   Tensor b = rand_tensor({2, 3}, 5).add_scalar(3.0f);  // keep away from 0
   gradcheck([&](const Tensor& x) { return x.sub(b).mul(x).sum(); },
             rand_tensor({2, 3}, 6));
+  gradcheck([&](const Tensor& x) { return b.sub(x).mul(x).sum(); },
+            rand_tensor({2, 3}, 10));
   gradcheck([&](const Tensor& x) { return x.div(b).sum(); },
             rand_tensor({2, 3}, 7));
   Tensor a = rand_tensor({2, 3}, 8);
@@ -41,36 +44,10 @@ TEST(Autograd, SubMulDiv) {
 }
 
 TEST(Autograd, UnaryOps) {
-  gradcheck([](const Tensor& x) { return x.exp().sum(); },
-            rand_tensor({8}, 10, 0.5f));
-  gradcheck([](const Tensor& x) { return x.add_scalar(3.0f).log().sum(); },
-            rand_tensor({8}, 11, 0.3f));
   gradcheck([](const Tensor& x) { return x.add_scalar(4.0f).sqrt().sum(); },
             rand_tensor({8}, 12, 0.5f));
-  gradcheck([](const Tensor& x) { return x.tanh().sum(); },
-            rand_tensor({8}, 13));
-  gradcheck([](const Tensor& x) { return x.sigmoid().sum(); },
-            rand_tensor({8}, 14));
   gradcheck([](const Tensor& x) { return x.gelu().sum(); },
             rand_tensor({8}, 15));
-  gradcheck([](const Tensor& x) { return x.neg().mul(x).sum(); },
-            rand_tensor({8}, 16));
-}
-
-TEST(Autograd, PowScalar) {
-  gradcheck([](const Tensor& x) { return x.add_scalar(3.0f).pow_scalar(2.5f).sum(); },
-            rand_tensor({6}, 17, 0.4f));
-}
-
-TEST(Autograd, ReluSubgradientAwayFromKink) {
-  // Shift values away from 0 so finite differences are valid.
-  Tensor x = Tensor::from_vector({4}, {-2.0f, -1.0f, 1.0f, 2.0f});
-  gradcheck([](const Tensor& t) { return t.relu().sum(); }, x);
-}
-
-TEST(Autograd, AbsAwayFromKink) {
-  Tensor x = Tensor::from_vector({4}, {-2.0f, -1.0f, 1.0f, 2.0f});
-  gradcheck([](const Tensor& t) { return t.abs().sum(); }, x);
 }
 
 TEST(Autograd, Reductions) {
@@ -79,17 +56,6 @@ TEST(Autograd, Reductions) {
             rand_tensor({3, 4}, 19));
   gradcheck([](const Tensor& x) { return x.mean_axis(1, true).mul(x).sum(); },
             rand_tensor({3, 4}, 20));
-}
-
-TEST(Autograd, MaxAxisRoutesGradientToArgmax) {
-  Tensor x = Tensor::from_vector({2, 3}, {1, 5, 3, 6, 2, 4});
-  x.set_requires_grad(true);
-  x.max_axis(1).sum().backward();
-  Tensor g = x.grad();
-  EXPECT_EQ(g.at({0, 0}), 0.0f);
-  EXPECT_EQ(g.at({0, 1}), 1.0f);
-  EXPECT_EQ(g.at({1, 0}), 1.0f);
-  EXPECT_EQ(g.at({1, 2}), 0.0f);
 }
 
 TEST(Autograd, Matmul) {
@@ -112,19 +78,13 @@ TEST(Autograd, MatmulBatchedWithBroadcast) {
 
 TEST(Autograd, ShapeOps) {
   gradcheck([](const Tensor& x) {
-    return x.reshape({6}).mul(Tensor::arange(6)).sum();
+    return x.reshape({6}).mul(arange(6)).sum();
   }, rand_tensor({2, 3}, 29));
   gradcheck([](const Tensor& x) {
     return x.permute({1, 0}).mul(rand_tensor({3, 2}, 30)).sum();
   }, rand_tensor({2, 3}, 31));
   gradcheck([](const Tensor& x) { return x.slice(1, 1, 2).sum(); },
             rand_tensor({2, 4}, 32));
-  gradcheck([](const Tensor& x) {
-    return x.pad_axis(0, 1, 1).mul(rand_tensor({4, 2}, 33)).sum();
-  }, rand_tensor({2, 2}, 34));
-  gradcheck([](const Tensor& x) {
-    return x.roll(1, 2).mul(rand_tensor({2, 5}, 35)).sum();
-  }, rand_tensor({2, 5}, 36));
 }
 
 TEST(Autograd, Concat) {
@@ -164,14 +124,10 @@ TEST(Autograd, LayerNormParamGrads) {
   }, rand_tensor({6}, 49));
 }
 
-TEST(Autograd, MseAndL1Loss) {
+TEST(Autograd, MseLoss) {
   Tensor target = rand_tensor({3, 3}, 50);
   gradcheck([&](const Tensor& x) { return ct::mse_loss(x, target); },
             rand_tensor({3, 3}, 51));
-  // Shift to avoid |.| kinks at equality.
-  gradcheck([&](const Tensor& x) {
-    return ct::l1_loss(x.add_scalar(5.0f), target);
-  }, rand_tensor({3, 3}, 52));
 }
 
 TEST(Autograd, GradAccumulatesAcrossBackwards) {
@@ -237,8 +193,7 @@ TEST(Autograd, CustomOpBackward) {
   // A custom "times 3" op with a hand-written backward.
   Tensor x = Tensor::from_vector({2}, {1.0f, 2.0f});
   x.set_requires_grad(true);
-  std::vector<float> data{3.0f, 6.0f};
-  Tensor y = ct::custom_op({2}, std::move(data), "times3", {x},
+  Tensor y = ct::custom_op({2}, ct::Storage::adopt({3.0f, 6.0f}), "times3", {x},
                            [](const Tensor& g) -> std::vector<Tensor> {
                              return {g.mul_scalar(3.0f)};
                            });

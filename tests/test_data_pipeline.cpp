@@ -21,6 +21,7 @@ namespace data = coastal::data;
 namespace ocean = coastal::ocean;
 namespace ct = coastal::tensor;
 using coastal::tensor::Tensor;
+using coastal::testing::at;
 
 namespace {
 
@@ -164,38 +165,29 @@ TEST(Sample, PackingSemantics) {
 
   // t=0 carries the full initial condition.
   const auto& f0 = fields[0];
-  EXPECT_FLOAT_EQ(s.surface.at({0, 5, 7, 0}), f0.zeta[f0.cell2(5, 7)]);
-  EXPECT_FLOAT_EQ(s.volume.at({0, 5, 7, 2, 0}), f0.u[f0.cell3(2, 5, 7)]);
+  EXPECT_FLOAT_EQ(at(s.surface, {0, 5, 7, 0}), f0.zeta[f0.cell2(5, 7)]);
+  EXPECT_FLOAT_EQ(at(s.volume, {0, 5, 7, 2, 0}), f0.u[f0.cell3(2, 5, 7)]);
 
   // t>=1: interior zeroed, boundary ring kept.
   const auto& f1 = fields[1];
-  EXPECT_FLOAT_EQ(s.surface.at({0, 5, 7, 1}), 0.0f);             // interior
-  EXPECT_FLOAT_EQ(s.surface.at({0, 0, 7, 1}), f1.zeta[f1.cell2(0, 7)]);
-  EXPECT_FLOAT_EQ(s.surface.at({0, 5, 0, 1}), f1.zeta[f1.cell2(5, 0)]);
+  EXPECT_FLOAT_EQ(at(s.surface, {0, 5, 7, 1}), 0.0f);             // interior
+  EXPECT_FLOAT_EQ(at(s.surface, {0, 0, 7, 1}), f1.zeta[f1.cell2(0, 7)]);
+  EXPECT_FLOAT_EQ(at(s.surface, {0, 5, 0, 1}), f1.zeta[f1.cell2(5, 0)]);
   EXPECT_FLOAT_EQ(
-      s.surface.at({0, static_cast<int64_t>(g.ny() - 1), 7, 2}),
+      at(s.surface, {0, static_cast<int64_t>(g.ny() - 1), 7, 2}),
       fields[2].zeta[fields[2].cell2(g.ny() - 1, 7)]);
 
   // Targets carry full frames at t=1..T.
-  EXPECT_FLOAT_EQ(s.target_surface.at({0, 5, 7, 0}),
+  EXPECT_FLOAT_EQ(at(s.target_surface, {0, 5, 7, 0}),
                   f1.zeta[f1.cell2(5, 7)]);
-  EXPECT_FLOAT_EQ(s.target_volume.at({1, 5, 7, 3, 2}),
+  EXPECT_FLOAT_EQ(at(s.target_volume, {1, 5, 7, 3, 2}),
                   fields[3].v[fields[3].cell3(3, 5, 7)]);
 
   // Padding region stays zero everywhere.
   if (spec.W > g.nx()) {
-    EXPECT_FLOAT_EQ(s.surface.at({0, 0, spec.W - 1, 0}), 0.0f);
-    EXPECT_FLOAT_EQ(s.target_surface.at({0, 0, spec.W - 1, 0}), 0.0f);
+    EXPECT_FLOAT_EQ(at(s.surface, {0, 0, spec.W - 1, 0}), 0.0f);
+    EXPECT_FLOAT_EQ(at(s.target_surface, {0, 0, spec.W - 1, 0}), 0.0f);
   }
-}
-
-TEST(Sample, ValidMaskMarksOriginalMesh) {
-  auto spec = data::make_spec(19, 22, 5, 2, 10, 2);
-  Tensor m = data::valid_mask(spec);
-  EXPECT_EQ(m.shape(), (ct::Shape{20, 30}));
-  EXPECT_EQ(m.at({18, 21}), 1.0f);
-  EXPECT_EQ(m.at({19, 0}), 0.0f);
-  EXPECT_EQ(m.at({0, 22}), 0.0f);
 }
 
 TEST(Store, Fp16RoundTripAccuracy) {

@@ -2,17 +2,21 @@
 
 /// \file test_helpers.hpp
 /// Shared test utilities: numeric gradient checking by central differences,
-/// tensor comparison helpers.
+/// tensor comparison helpers, and the element access and reference ops
+/// tests build expectations with.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <functional>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "nn/layers.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/tensor.hpp"
 #include "util/check.hpp"
@@ -63,6 +67,52 @@ void expect_check_error_naming(Fn&& fn, const std::string& what) {
     EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
         << e.what();
   }
+}
+
+/// [0, 1, .., n-1] as a 1-d tensor.
+inline Tensor arange(int64_t n) {
+  std::vector<float> v(static_cast<size_t>(n));
+  std::iota(v.begin(), v.end(), 0.0f);
+  return Tensor::from_vector({n}, std::move(v));
+}
+
+/// Flat offset of full coordinates `c` in a contiguous tensor.
+inline int64_t offset_of(const Tensor& t, const std::vector<int64_t>& c) {
+  EXPECT_EQ(c.size(), t.ndim());
+  return tensor::dot_strides(c, tensor::strides_of(t.shape()));
+}
+
+/// Element access by full coordinates.
+inline float at(const Tensor& t, const std::vector<int64_t>& c) {
+  return t.raw()[offset_of(t, c)];
+}
+inline void set(Tensor& t, const std::vector<int64_t>& c, float v) {
+  t.raw()[offset_of(t, c)] = v;
+}
+
+/// Reference circular shift along `axis` (positive = toward higher
+/// indices), outside the graph: what the fused window shift must equal.
+inline Tensor roll(const Tensor& x, int axis, int64_t shift) {
+  const size_t a = static_cast<size_t>(axis);
+  const int64_t len = x.shape()[a];
+  const int64_t s = ((shift % len) + len) % len;
+  int64_t outer = 1, inner = 1;
+  for (size_t i = 0; i < a; ++i) outer *= x.shape()[i];
+  for (size_t i = a + 1; i < x.ndim(); ++i) inner *= x.shape()[i];
+  std::vector<float> out(static_cast<size_t>(x.numel()));
+  for (int64_t o = 0; o < outer; ++o)
+    for (int64_t l = 0; l < len; ++l)
+      std::copy_n(x.raw() + (o * len + l) * inner, inner,
+                  out.data() + (o * len + (l + s) % len) * inner);
+  return Tensor::from_vector(x.shape(), std::move(out));
+}
+
+/// BatchNorm of a contiguous [..., C] tensor, its rows in layout order.
+inline Tensor bn_forward(nn::BatchNorm& bn, const Tensor& x) {
+  std::vector<size_t> order(x.ndim() - 1);
+  std::iota(order.begin(), order.end(), size_t{0});
+  return bn.forward(x, {x.shape(), tensor::strides_of(x.shape()), 0}, order,
+                    x.shape());
 }
 
 /// Max absolute elementwise difference.

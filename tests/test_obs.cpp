@@ -373,6 +373,45 @@ TEST(ObsTrace, RingEnvKnobParsesAWholeBoundedInteger) {
   }
 }
 
+TEST(ObsTrace, TraceEnvKnobReadsOneRate) {
+  coastal::testing::ScopedEnv trace("COASTAL_TRACE", "0");
+  obs::TraceConfig on;
+  on.enabled = true;
+  EXPECT_FALSE(obs::trace_config_from_env(on).enabled);  // 0 disables
+  trace.set("-1");
+  EXPECT_FALSE(obs::trace_config_from_env(on).enabled);
+  trace.set("0.25");
+  obs::TraceConfig cfg = obs::trace_config_from_env({});
+  EXPECT_TRUE(cfg.enabled);
+  EXPECT_EQ(cfg.sample_rate, 0.25);
+  trace.set("1");
+  EXPECT_EQ(obs::trace_config_from_env({}).sample_rate, 1.0);
+  trace.set("7.5");  // above 1 clamps to every request
+  cfg = obs::trace_config_from_env({});
+  EXPECT_TRUE(cfg.enabled);
+  EXPECT_EQ(cfg.sample_rate, 1.0);
+  trace.set(nullptr);
+  EXPECT_TRUE(obs::trace_config_from_env(on).enabled);  // unset keeps base
+}
+
+TEST(ObsTrace, TraceEnvKnobRejectsTrailingTextAndNaN) {
+  coastal::testing::ScopedEnv trace("COASTAL_TRACE", nullptr);
+  for (const char* bad : {"0.5x", "1 ", "on", "nan", "NaN", "-nan"}) {
+    SCOPED_TRACE(bad);
+    trace.set(bad);
+    coastal::testing::expect_check_error_naming(
+        [] { obs::trace_config_from_env({}); }, "COASTAL_TRACE");
+  }
+  // A NaN rate set in code is refused too, before it reaches the
+  // sampling threshold's integer conversion.
+  TraceGuard guard;
+  obs::TraceConfig cfg;
+  cfg.enabled = true;
+  cfg.sample_rate = std::nan("");
+  EXPECT_THROW(obs::TraceRecorder::instance().configure(cfg),
+               coastal::util::CheckError);
+}
+
 TEST(ObsProfiler, ScopedStagesFeedPerStageHistograms) {
   auto& prof = obs::StageProfiler::instance();
   const bool was = prof.enabled();

@@ -1,6 +1,5 @@
 /// Unit tests for the message-passing substrate: thread pool,
-/// communicator (point-to-point + collectives), Cartesian decomposition,
-/// and halo exchange.
+/// communicator (point-to-point + collectives), Cartesian decomposition.
 
 #include <gtest/gtest.h>
 
@@ -18,18 +17,9 @@
 #include "parallel/communicator.hpp"
 #include "parallel/decomposition.hpp"
 #include "parallel/thread_pool.hpp"
+#include "test_helpers.hpp"
 
 namespace par = coastal::par;
-
-TEST(ThreadPool, RunsSubmittedTasks) {
-  par::ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futs;
-  for (int i = 0; i < 20; ++i)
-    futs.push_back(pool.submit([&] { counter.fetch_add(1); }));
-  for (auto& f : futs) f.get();
-  EXPECT_EQ(counter.load(), 20);
-}
 
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
   par::ThreadPool pool(4);
@@ -122,16 +112,25 @@ TEST(ThreadPool, ConcurrentCallersEachCoverTheirRangeExactlyOnce) {
 TEST(ThreadPool, ResizeSwapsWorkerGenerationsSafely) {
   par::ThreadPool pool(2);
   EXPECT_EQ(pool.size(), 2u);
-  // Queue work, then resize mid-flight: nothing may be lost — queued
-  // tasks drain under the old generation or the new one.
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futs;
-  for (int i = 0; i < 16; ++i)
-    futs.push_back(pool.submit([&] { counter.fetch_add(1); }));
+  // Resize while another thread runs parallel_for rounds: nothing may be
+  // lost — every chunk runs, under the old generation, the new one or the
+  // caller.
+  constexpr int kRounds = 200, kN = 64;
+  std::vector<std::atomic<int>> hits(kN);
+  std::atomic<bool> started{false};
+  std::thread caller([&] {
+    for (int r = 0; r < kRounds; ++r) {
+      pool.parallel_for(0, kN, [&](size_t lo, size_t hi) {
+        for (size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
+      });
+      started.store(true);
+    }
+  });
+  while (!started.load()) std::this_thread::yield();
   pool.resize(3);
   EXPECT_EQ(pool.size(), 3u);
-  for (auto& f : futs) f.get();
-  EXPECT_EQ(counter.load(), 16);
+  caller.join();
+  for (auto& h : hits) EXPECT_EQ(h.load(), kRounds);
   // The fresh generation serves parallel_for as usual.
   std::atomic<int> sum{0};
   pool.parallel_for(0, 100, [&](size_t lo, size_t hi) {
@@ -164,17 +163,37 @@ TEST(ThreadPool, ResizeZeroRereadsEnvOverride) {
   }
 }
 
+TEST(ThreadPool, EnvThreadOverrideParsesTheWholeValue) {
+  // Only parsed, never used to build a pool: a bad or huge value must
+  // throw before any worker is spawned.
+  coastal::testing::ScopedEnv env("COASTAL_NUM_THREADS", nullptr);
+  EXPECT_EQ(par::env_thread_override(), 0);
+  env.set("");
+  EXPECT_EQ(par::env_thread_override(), 0);
+  env.set("0");  // hardware concurrency
+  EXPECT_EQ(par::env_thread_override(), 0);
+  env.set("4");
+  EXPECT_EQ(par::env_thread_override(), 4);
+  env.set("1024");
+  EXPECT_EQ(par::env_thread_override(), 1024);
+  for (const char* bad : {"4x", "abc", "-3", "1025", "100000"}) {
+    env.set(bad);
+    coastal::testing::expect_check_error_naming(
+        [] { par::env_thread_override(); }, "COASTAL_NUM_THREADS");
+  }
+}
+
 TEST(Communicator, PointToPointDelivery) {
-  par::World world(3);
+  constexpr int kRanks = 3;
+  par::World world(kRanks);
   world.run([](par::Comm& comm) {
     // Ring: send rank id to the right, receive from the left.
     std::vector<float> payload{static_cast<float>(comm.rank())};
-    comm.send((comm.rank() + 1) % comm.size(), /*tag=*/7, payload);
+    comm.send((comm.rank() + 1) % kRanks, /*tag=*/7, payload);
     std::vector<float> got(1);
-    comm.recv((comm.rank() + comm.size() - 1) % comm.size(), 7, got);
+    comm.recv((comm.rank() + kRanks - 1) % kRanks, 7, got);
     EXPECT_FLOAT_EQ(got[0],
-                    static_cast<float>((comm.rank() + comm.size() - 1) %
-                                       comm.size()));
+                    static_cast<float>((comm.rank() + kRanks - 1) % kRanks));
   });
 }
 
@@ -328,33 +347,6 @@ TEST(Decomposition, TilesPartitionTheDomain) {
       }
   }
   for (int v : owner) EXPECT_NE(v, -1);
-}
-
-TEST(Decomposition, NeighborsAtEdgesAreMinusOne) {
-  auto t = par::make_tile(0, 2, 2, 10, 10, 1);
-  EXPECT_EQ(t.neighbor(-1, 0), -1);
-  EXPECT_EQ(t.neighbor(0, -1), -1);
-  EXPECT_EQ(t.neighbor(1, 0), 1);
-  EXPECT_EQ(t.neighbor(0, 1), 2);
-}
-
-TEST(Decomposition, HaloExchangeFillsGhosts) {
-  // 2 ranks side by side in x; each fills its interior with its rank id
-  // and after exchange must see the neighbour's id in its ghost column.
-  par::World world(2);
-  world.run([](par::Comm& comm) {
-    auto tile = par::make_tile(comm.rank(), 2, 1, 8, 4, 1);
-    std::vector<float> field(
-        static_cast<size_t>(tile.nx_padded()) * tile.ny_padded(),
-        static_cast<float>(comm.rank()));
-    par::exchange_halo(comm, tile, field);
-    const int ghost_x = comm.rank() == 0 ? tile.nx_local() : -1;
-    const int other = 1 - comm.rank();
-    for (int iy = 0; iy < tile.ny_local(); ++iy)
-      EXPECT_FLOAT_EQ(field[tile.padded_index(ghost_x, iy)],
-                      static_cast<float>(other));
-    EXPECT_GT(comm.bytes_sent(), 0u);
-  });
 }
 
 TEST(Decomposition, RejectsInvalidConfigurations) {

@@ -136,12 +136,12 @@ TEST(BatchStatScope, GroupedEvalMatchesPerSampleBitwise) {
   tensor::NoGradGuard ng;
   tensor::Tensor a = tensor::Tensor::randn({1, 7, 5}, rng);
   tensor::Tensor b = tensor::Tensor::randn({1, 7, 5}, rng);
-  tensor::Tensor ya = bn.forward(a);
-  tensor::Tensor yb = bn.forward(b);
+  tensor::Tensor ya = coastal::testing::bn_forward(bn, a);
+  tensor::Tensor yb = coastal::testing::bn_forward(bn, b);
   tensor::Tensor stacked = tensor::concat({a, b}, 0);
 
   // Whole-batch stats mix the two samples: outputs differ.
-  tensor::Tensor mixed = bn.forward(stacked);
+  tensor::Tensor mixed = coastal::testing::bn_forward(bn, stacked);
   double max_mix = 0.0;
   for (int64_t i = 0; i < ya.numel(); ++i) {
     max_mix = std::max(max_mix,
@@ -151,7 +151,7 @@ TEST(BatchStatScope, GroupedEvalMatchesPerSampleBitwise) {
   EXPECT_GT(max_mix, 1e-4) << "stacking should change whole-batch stats";
 
   nn::BatchStatScope scope(2);
-  tensor::Tensor grouped = bn.forward(stacked);
+  tensor::Tensor grouped = coastal::testing::bn_forward(bn, stacked);
   for (int64_t i = 0; i < ya.numel(); ++i) {
     ASSERT_EQ(grouped.raw()[i], ya.raw()[i]) << "entry 0 idx " << i;
     ASSERT_EQ(grouped.raw()[ya.numel() + i], yb.raw()[i])

@@ -92,19 +92,6 @@ TEST(StoragePool, BitwiseIdenticalAcrossReuseAndThreadCounts) {
       << "thread count changed results on recycled buffers";
 }
 
-TEST(Workspace, RetainsScratchAcrossCallsAndReleases) {
-  ct::workspace().release();
-  EXPECT_EQ(ct::workspace().bytes(), 0u);
-  util::Rng rng(3);
-  Tensor a = Tensor::randn({64, 64}, rng);
-  Tensor b = Tensor::randn({64, 64}, rng);
-  tensor::NoGradGuard ng;
-  (void)a.matmul(b);  // packs panels + offset tables into the workspace
-  EXPECT_GT(ct::workspace().bytes(), 0u);
-  ct::workspace().release();
-  EXPECT_EQ(ct::workspace().bytes(), 0u);
-}
-
 TEST(StorageArena, NestedScopesBumpAndBulkRelease) {
   if (!ct::pool_enabled()) GTEST_SKIP() << "pool disabled via env";
   EXPECT_FALSE(ct::ArenaScope::active());

@@ -9,6 +9,10 @@
 namespace ct = coastal::tensor;
 using coastal::tensor::Tensor;
 using coastal::testing::expect_tensor_near;
+using coastal::testing::arange;
+using coastal::testing::at;
+using coastal::testing::roll;
+using coastal::testing::set;
 
 TEST(TensorBasic, ZerosOnesFull) {
   Tensor z = Tensor::zeros({2, 3});
@@ -22,12 +26,12 @@ TEST(TensorBasic, ZerosOnesFull) {
 
 TEST(TensorBasic, FromVectorAndAt) {
   Tensor t = Tensor::from_vector({2, 3}, {1, 2, 3, 4, 5, 6});
-  EXPECT_EQ(t.at({0, 0}), 1.0f);
-  EXPECT_EQ(t.at({0, 2}), 3.0f);
-  EXPECT_EQ(t.at({1, 0}), 4.0f);
-  EXPECT_EQ(t.at({1, 2}), 6.0f);
-  t.set({1, 1}, 42.0f);
-  EXPECT_EQ(t.at({1, 1}), 42.0f);
+  EXPECT_EQ(at(t, {0, 0}), 1.0f);
+  EXPECT_EQ(at(t, {0, 2}), 3.0f);
+  EXPECT_EQ(at(t, {1, 0}), 4.0f);
+  EXPECT_EQ(at(t, {1, 2}), 6.0f);
+  set(t, {1, 1}, 42.0f);
+  EXPECT_EQ(at(t, {1, 1}), 42.0f);
 }
 
 TEST(TensorBasic, FromVectorRejectsWrongSize) {
@@ -38,11 +42,6 @@ TEST(TensorBasic, FromVectorRejectsWrongSize) {
 TEST(TensorBasic, ItemRequiresScalar) {
   EXPECT_THROW(Tensor::zeros({2}).item(), coastal::util::CheckError);
   EXPECT_EQ(Tensor::full({1}, 7.0f).item(), 7.0f);
-}
-
-TEST(TensorBasic, Arange) {
-  Tensor t = Tensor::arange(5);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(t.data()[static_cast<size_t>(i)], i);
 }
 
 TEST(TensorBasic, RandnStatistics) {
@@ -59,13 +58,13 @@ TEST(TensorBasic, RandnStatistics) {
 }
 
 TEST(TensorBasic, ReshapeInfersDim) {
-  Tensor t = Tensor::arange(12).reshape({3, -1});
+  Tensor t = arange(12).reshape({3, -1});
   EXPECT_EQ(t.shape(), (ct::Shape{3, 4}));
-  EXPECT_EQ(t.at({2, 3}), 11.0f);
+  EXPECT_EQ(at(t, {2, 3}), 11.0f);
 }
 
 TEST(TensorBasic, ReshapeRejectsBadNumel) {
-  EXPECT_THROW(Tensor::arange(12).reshape({5, 3}), coastal::util::CheckError);
+  EXPECT_THROW(arange(12).reshape({5, 3}), coastal::util::CheckError);
 }
 
 TEST(TensorBasic, ReshapeInferringNextToAZeroDimThrows) {
@@ -80,19 +79,19 @@ TEST(TensorBasic, ReshapeInferringNextToAZeroDimThrows) {
 }
 
 TEST(TensorBasic, ReshapeOfASoleTemporaryRelabelsWithoutCopying) {
-  Tensor t = Tensor::arange(12);
+  Tensor t = arange(12);
   const float* buf = t.raw();
   Tensor r = std::move(t).reshape({3, -1});
   EXPECT_EQ(r.raw(), buf);
   EXPECT_EQ(r.shape(), (ct::Shape{3, 4}));
-  EXPECT_EQ(r.at({2, 1}), 9.0f);
+  EXPECT_EQ(at(r, {2, 1}), 9.0f);
 
   // A second handle, or a graph, keeps the copying reshape.
   Tensor shared = r;
   Tensor copied = std::move(r).reshape({12});
   EXPECT_NE(copied.raw(), buf);
   EXPECT_EQ(shared.shape(), (ct::Shape{3, 4}));
-  Tensor leaf = Tensor::arange(6);
+  Tensor leaf = arange(6);
   leaf.set_requires_grad(true);
   const float* leaf_buf = leaf.raw();
   Tensor tracked = std::move(leaf).reshape({2, 3});
@@ -104,67 +103,57 @@ TEST(TensorBasic, PermuteTransposes) {
   Tensor t = Tensor::from_vector({2, 3}, {1, 2, 3, 4, 5, 6});
   Tensor p = t.permute({1, 0});
   EXPECT_EQ(p.shape(), (ct::Shape{3, 2}));
-  EXPECT_EQ(p.at({0, 0}), 1.0f);
-  EXPECT_EQ(p.at({0, 1}), 4.0f);
-  EXPECT_EQ(p.at({2, 1}), 6.0f);
+  EXPECT_EQ(at(p, {0, 0}), 1.0f);
+  EXPECT_EQ(at(p, {0, 1}), 4.0f);
+  EXPECT_EQ(at(p, {2, 1}), 6.0f);
 }
 
 TEST(TensorBasic, Permute3d) {
-  Tensor t = Tensor::arange(24).reshape({2, 3, 4});
+  Tensor t = arange(24).reshape({2, 3, 4});
   Tensor p = t.permute({2, 0, 1});
   EXPECT_EQ(p.shape(), (ct::Shape{4, 2, 3}));
   // p[d, a, b] == t[a, b, d]
-  EXPECT_EQ(p.at({1, 1, 2}), t.at({1, 2, 1}));
-  EXPECT_EQ(p.at({3, 0, 0}), t.at({0, 0, 3}));
+  EXPECT_EQ(at(p, {1, 1, 2}), at(t, {1, 2, 1}));
+  EXPECT_EQ(at(p, {3, 0, 0}), at(t, {0, 0, 3}));
 }
 
 TEST(TensorBasic, SliceMiddleAxis) {
-  Tensor t = Tensor::arange(24).reshape({2, 3, 4});
+  Tensor t = arange(24).reshape({2, 3, 4});
   Tensor s = t.slice(1, 1, 2);
   EXPECT_EQ(s.shape(), (ct::Shape{2, 2, 4}));
-  EXPECT_EQ(s.at({0, 0, 0}), t.at({0, 1, 0}));
-  EXPECT_EQ(s.at({1, 1, 3}), t.at({1, 2, 3}));
+  EXPECT_EQ(at(s, {0, 0, 0}), at(t, {0, 1, 0}));
+  EXPECT_EQ(at(s, {1, 1, 3}), at(t, {1, 2, 3}));
 }
 
 TEST(TensorBasic, SliceNegativeAxis) {
-  Tensor t = Tensor::arange(6).reshape({2, 3});
+  Tensor t = arange(6).reshape({2, 3});
   Tensor s = t.slice(-1, 0, 1);
   EXPECT_EQ(s.shape(), (ct::Shape{2, 1}));
-  EXPECT_EQ(s.at({1, 0}), 3.0f);
+  EXPECT_EQ(at(s, {1, 0}), 3.0f);
 }
 
 TEST(TensorBasic, SliceOutOfRangeThrows) {
-  EXPECT_THROW(Tensor::arange(6).reshape({2, 3}).slice(1, 2, 2),
+  EXPECT_THROW(arange(6).reshape({2, 3}).slice(1, 2, 2),
                coastal::util::CheckError);
 }
 
-TEST(TensorBasic, PadAxisZeroFills) {
-  Tensor t = Tensor::from_vector({2, 2}, {1, 2, 3, 4});
-  Tensor p = t.pad_axis(1, 1, 2);
-  EXPECT_EQ(p.shape(), (ct::Shape{2, 5}));
-  EXPECT_EQ(p.at({0, 0}), 0.0f);
-  EXPECT_EQ(p.at({0, 1}), 1.0f);
-  EXPECT_EQ(p.at({0, 2}), 2.0f);
-  EXPECT_EQ(p.at({0, 3}), 0.0f);
-  EXPECT_EQ(p.at({1, 4}), 0.0f);
-}
-
+// The reference roll the fused window shift is checked against.
 TEST(TensorBasic, RollWrapsAround) {
-  Tensor t = Tensor::arange(4);
-  Tensor r = t.roll(0, 1);
+  Tensor t = arange(4);
+  Tensor r = roll(t, 0, 1);
   EXPECT_EQ(r.data()[0], 3.0f);
   EXPECT_EQ(r.data()[1], 0.0f);
   EXPECT_EQ(r.data()[3], 2.0f);
   // Negative shift inverts.
-  expect_tensor_near(r.roll(0, -1), t, 0.0);
+  expect_tensor_near(roll(r, 0, -1), t, 0.0);
 }
 
 TEST(TensorBasic, RollOnAxis0Of2d) {
   Tensor t = Tensor::from_vector({3, 2}, {1, 2, 3, 4, 5, 6});
-  Tensor r = t.roll(0, 1);
-  EXPECT_EQ(r.at({0, 0}), 5.0f);
-  EXPECT_EQ(r.at({1, 0}), 1.0f);
-  EXPECT_EQ(r.at({2, 1}), 4.0f);
+  Tensor r = roll(t, 0, 1);
+  EXPECT_EQ(at(r, {0, 0}), 5.0f);
+  EXPECT_EQ(at(r, {1, 0}), 1.0f);
+  EXPECT_EQ(at(r, {2, 1}), 4.0f);
 }
 
 TEST(TensorBasic, ConcatAxis0) {
@@ -172,8 +161,8 @@ TEST(TensorBasic, ConcatAxis0) {
   Tensor b = Tensor::from_vector({2, 2}, {3, 4, 5, 6});
   Tensor c = ct::concat({a, b}, 0);
   EXPECT_EQ(c.shape(), (ct::Shape{3, 2}));
-  EXPECT_EQ(c.at({0, 1}), 2.0f);
-  EXPECT_EQ(c.at({2, 0}), 5.0f);
+  EXPECT_EQ(at(c, {0, 1}), 2.0f);
+  EXPECT_EQ(at(c, {2, 0}), 5.0f);
 }
 
 TEST(TensorBasic, ConcatLastAxis) {
@@ -181,9 +170,9 @@ TEST(TensorBasic, ConcatLastAxis) {
   Tensor b = Tensor::from_vector({2, 2}, {3, 4, 5, 6});
   Tensor c = ct::concat({a, b}, -1);
   EXPECT_EQ(c.shape(), (ct::Shape{2, 3}));
-  EXPECT_EQ(c.at({0, 0}), 1.0f);
-  EXPECT_EQ(c.at({0, 1}), 3.0f);
-  EXPECT_EQ(c.at({1, 2}), 6.0f);
+  EXPECT_EQ(at(c, {0, 0}), 1.0f);
+  EXPECT_EQ(at(c, {0, 1}), 3.0f);
+  EXPECT_EQ(at(c, {1, 2}), 6.0f);
 }
 
 TEST(TensorBasic, ConcatShapeMismatchThrows) {
@@ -196,8 +185,8 @@ TEST(TensorBasic, BroadcastAdd) {
   Tensor a = Tensor::from_vector({2, 3}, {1, 2, 3, 4, 5, 6});
   Tensor b = Tensor::from_vector({3}, {10, 20, 30});
   Tensor c = a.add(b);
-  EXPECT_EQ(c.at({0, 0}), 11.0f);
-  EXPECT_EQ(c.at({1, 2}), 36.0f);
+  EXPECT_EQ(at(c, {0, 0}), 11.0f);
+  EXPECT_EQ(at(c, {1, 2}), 36.0f);
 }
 
 TEST(TensorBasic, BroadcastIncompatibleThrows) {
@@ -221,24 +210,24 @@ TEST(TensorBasic, Matmul2d) {
   Tensor b = Tensor::from_vector({3, 2}, {7, 8, 9, 10, 11, 12});
   Tensor c = a.matmul(b);
   EXPECT_EQ(c.shape(), (ct::Shape{2, 2}));
-  EXPECT_EQ(c.at({0, 0}), 58.0f);
-  EXPECT_EQ(c.at({0, 1}), 64.0f);
-  EXPECT_EQ(c.at({1, 0}), 139.0f);
-  EXPECT_EQ(c.at({1, 1}), 154.0f);
+  EXPECT_EQ(at(c, {0, 0}), 58.0f);
+  EXPECT_EQ(at(c, {0, 1}), 64.0f);
+  EXPECT_EQ(at(c, {1, 0}), 139.0f);
+  EXPECT_EQ(at(c, {1, 1}), 154.0f);
 }
 
 TEST(TensorBasic, MatmulBatchBroadcast) {
   // [2, 2, 3] x [3, 2] broadcasts the second operand over the batch.
-  Tensor a = Tensor::arange(12).reshape({2, 2, 3});
+  Tensor a = arange(12).reshape({2, 2, 3});
   Tensor b = Tensor::from_vector({3, 2}, {1, 0, 0, 1, 1, 1});
   Tensor c = a.matmul(b);
   EXPECT_EQ(c.shape(), (ct::Shape{2, 2, 2}));
   // Row [0,1,2] -> [0+2, 1+2]
-  EXPECT_EQ(c.at({0, 0, 0}), 2.0f);
-  EXPECT_EQ(c.at({0, 0, 1}), 3.0f);
+  EXPECT_EQ(at(c, {0, 0, 0}), 2.0f);
+  EXPECT_EQ(at(c, {0, 0, 1}), 3.0f);
   // Row [9,10,11] -> [9+11, 10+11]
-  EXPECT_EQ(c.at({1, 1, 0}), 20.0f);
-  EXPECT_EQ(c.at({1, 1, 1}), 21.0f);
+  EXPECT_EQ(at(c, {1, 1, 0}), 20.0f);
+  EXPECT_EQ(at(c, {1, 1, 1}), 21.0f);
 }
 
 TEST(TensorBasic, MatmulInnerMismatchThrows) {
@@ -247,7 +236,7 @@ TEST(TensorBasic, MatmulInnerMismatchThrows) {
 }
 
 TEST(TensorBasic, SumAxisAndKeepdim) {
-  Tensor t = Tensor::arange(6).reshape({2, 3});
+  Tensor t = arange(6).reshape({2, 3});
   Tensor s0 = t.sum_axis(0);
   EXPECT_EQ(s0.shape(), (ct::Shape{3}));
   EXPECT_EQ(s0.data()[0], 3.0f);
@@ -258,13 +247,10 @@ TEST(TensorBasic, SumAxisAndKeepdim) {
   EXPECT_EQ(s1k.data()[1], 12.0f);
 }
 
-TEST(TensorBasic, MeanAndMaxAxis) {
+TEST(TensorBasic, MeanAxis) {
   Tensor t = Tensor::from_vector({2, 3}, {1, 5, 3, 4, 2, 6});
   EXPECT_FLOAT_EQ(t.mean_axis(1).data()[0], 3.0f);
   EXPECT_FLOAT_EQ(t.mean_axis(1).data()[1], 4.0f);
-  Tensor m = t.max_axis(1);
-  EXPECT_FLOAT_EQ(m.data()[0], 5.0f);
-  EXPECT_FLOAT_EQ(m.data()[1], 6.0f);
 }
 
 TEST(TensorBasic, SoftmaxRowsSumToOne) {
@@ -273,7 +259,7 @@ TEST(TensorBasic, SoftmaxRowsSumToOne) {
   Tensor s = t.softmax_lastdim();
   for (int r = 0; r < 4; ++r) {
     double sum = 0;
-    for (int c = 0; c < 7; ++c) sum += s.at({r, c});
+    for (int c = 0; c < 7; ++c) sum += at(s, {r, c});
     EXPECT_NEAR(sum, 1.0, 1e-5);
   }
 }
@@ -285,10 +271,10 @@ TEST(TensorBasic, SoftmaxIsShiftInvariant) {
 }
 
 TEST(TensorBasic, TransposeLast) {
-  Tensor t = Tensor::arange(6).reshape({1, 2, 3});
+  Tensor t = arange(6).reshape({1, 2, 3});
   Tensor tt = t.transpose_last();
   EXPECT_EQ(tt.shape(), (ct::Shape{1, 3, 2}));
-  EXPECT_EQ(tt.at({0, 2, 1}), t.at({0, 1, 2}));
+  EXPECT_EQ(at(tt, {0, 2, 1}), at(t, {0, 1, 2}));
 }
 
 TEST(TensorBasic, AllocStatsTrackPeak) {

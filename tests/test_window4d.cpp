@@ -14,6 +14,9 @@ using coastal::core::Window4d;
 using coastal::core::WindowPlan;
 using coastal::tensor::Tensor;
 using coastal::testing::expect_tensor_near;
+using coastal::testing::roll;
+using coastal::testing::at;
+using coastal::testing::set;
 
 namespace {
 
@@ -25,7 +28,7 @@ Tensor roll_then_partition(const Tensor& x, const Window4d& w,
   Tensor r = x;
   for (int a = 0; a < 4; ++a)
     if (shift[static_cast<size_t>(a)] != 0)
-      r = r.roll(a + 1, -shift[static_cast<size_t>(a)]);
+      r = roll(r, a + 1, -shift[static_cast<size_t>(a)]);
   const ct::Shape& s = x.shape();
   const int64_t nh = s[1] / w[0], nw = s[2] / w[1], nd = s[3] / w[2],
                 nt = s[4] / w[3];
@@ -43,8 +46,6 @@ TEST(Window4d, PartitionShape) {
   Tensor tokens = plan.partition(x);
   // nW = 2*2*1*1 = 4; N = 16.
   EXPECT_EQ(tokens.shape(), (ct::Shape{2 * 4, 16, 3}));
-  EXPECT_EQ(plan.windows(), 4);
-  EXPECT_EQ(plan.tokens(), 16);
 }
 
 TEST(Window4d, PartitionReverseRoundTrip) {
@@ -76,14 +77,14 @@ TEST(Window4d, WindowContentIsSpatiallyContiguous) {
     for (int64_t w = 0; w < W; ++w)
       for (int64_t d = 0; d < D; ++d)
         for (int64_t t = 0; t < T; ++t)
-          x.set({0, h, w, d, t, 0},
+          set(x, {0, h, w, d, t, 0},
                 static_cast<float>(((h * W + w) * D + d) * T + t));
   Tensor tokens =
       WindowPlan({H, W, D, T}, {2, 2, 2, 2}, {0, 0, 0, 0}).partition(x);
   // First window = h in [0,2), w in [0,2), all d, t.
   // Its first token is (0,0,0,0) -> 0; last is (1,1,1,1).
-  EXPECT_EQ(tokens.at({0, 0, 0}), 0.0f);
-  EXPECT_EQ(tokens.at({0, 15, 0}),
+  EXPECT_EQ(at(tokens, {0, 0, 0}), 0.0f);
+  EXPECT_EQ(at(tokens, {0, 15, 0}),
             static_cast<float>(((1 * W + 1) * D + 1) * T + 1));
 }
 
@@ -150,9 +151,9 @@ TEST(Window4d, MaskIsSymmetricAndZeroDiagonal) {
   const int64_t nW = m.shape()[0], N = m.shape()[1];
   for (int64_t b = 0; b < nW; ++b)
     for (int64_t i = 0; i < N; ++i) {
-      EXPECT_EQ(m.at({b, i, i}), 0.0f);
+      EXPECT_EQ(at(m, {b, i, i}), 0.0f);
       for (int64_t j = i + 1; j < N; ++j)
-        EXPECT_EQ(m.at({b, i, j}), m.at({b, j, i}));
+        EXPECT_EQ(at(m, {b, i, j}), at(m, {b, j, i}));
     }
 }
 
@@ -169,13 +170,13 @@ TEST(Window4d, OnlyBoundaryWindowsAreMasked) {
   for (int64_t b = 0; b < 3 * windows_per_h; ++b)
     for (int64_t i = 0; i < N; ++i)
       for (int64_t j = 0; j < N; ++j)
-        ASSERT_EQ(m.at({b, i, j}), 0.0f) << "window " << b;
+        ASSERT_EQ(at(m, {b, i, j}), 0.0f) << "window " << b;
   // The last row of windows (wrap boundary) must mask something.
   double masked = 0;
   for (int64_t b = 3 * windows_per_h; b < m.shape()[0]; ++b)
     for (int64_t i = 0; i < N; ++i)
       for (int64_t j = 0; j < N; ++j)
-        if (m.at({b, i, j}) < -1.0f) ++masked;
+        if (at(m, {b, i, j}) < -1.0f) ++masked;
   EXPECT_GT(masked, 0);
 }
 
@@ -196,7 +197,7 @@ TEST(Window4d, ShiftedAttentionRespectsOriginalNeighborhoods) {
   const int64_t last_win = mask.shape()[0] - 1;
   // rolled h = 4..7 -> original 6, 7, 0, 1.
   auto blocked = [&](int64_t hi, int64_t hj) {
-    return mask.at({last_win, hi * per_h, hj * per_h}) < -1.0f;
+    return at(mask, {last_win, hi * per_h, hj * per_h}) < -1.0f;
   };
   EXPECT_FALSE(blocked(0, 1));  // orig 6 <-> 7: neighbours
   EXPECT_FALSE(blocked(2, 3));  // orig 0 <-> 1: neighbours
@@ -210,6 +211,6 @@ TEST(Window4d, ShiftedAttentionRespectsOriginalNeighborhoods) {
     for (int64_t i = 0; i < 8; ++i) x.raw()[h * 8 + i] = static_cast<float>(h);
   Tensor tokens = WindowPlan(grid, win, shift).partition(x);
   for (int64_t hi = 0; hi < 4; ++hi)
-    EXPECT_EQ(tokens.at({last_win, hi * per_h, 0}),
+    EXPECT_EQ(at(tokens, {last_win, hi * per_h, 0}),
               static_cast<float>((4 + hi + 2) % H));
 }

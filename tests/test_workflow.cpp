@@ -240,24 +240,6 @@ TEST(Rollout, ChainsEpisodesAutoRegressively) {
     for (float z : f.zeta) ASSERT_LT(std::abs(z), 5.0f);
 }
 
-TEST(Rollout, DualModelComposesCoarseAndFine) {
-  auto& p = Pipeline::instance();
-  // Use the same model for both resolutions at test scale (the interval
-  // semantics differ only through the data fed in).
-  const int coarse_episodes = 1;
-  const int Tc = p.dataset.spec.T;  // 3 coarse steps
-  const int Tf = p.dataset.spec.T;
-  // Coarse truth: every 3rd fine frame.
-  std::vector<data::CenterFields> coarse_truth;
-  for (int i = 0; i <= coarse_episodes * Tc; ++i)
-    coarse_truth.push_back(p.fields_norm[static_cast<size_t>(i * Tf)]);
-  auto pred = core::dual_rollout(*p.model, *p.model, p.dataset.spec,
-                                 p.dataset.spec, p.dataset.normalizer,
-                                 coarse_truth, p.fields_norm,
-                                 coarse_episodes);
-  EXPECT_EQ(pred.size(), static_cast<size_t>(coarse_episodes * Tc * Tf));
-}
-
 TEST(Workflow, StrictThresholdForcesRomsFallback) {
   auto& p = Pipeline::instance();
   core::WorkflowConfig wcfg;

@@ -27,14 +27,9 @@ older bare-array file carries none and counts as recorded elsewhere.
   reference when it slows down.  The limits: a slowdown that hits every
   op alike reads as a slower host and passes, and a pooled row can hide a
   slowdown up to its speedup from the extra cores.
-* BM_HaloExchange times how fast the host wakes a blocked thread more than
-  any code, so it is gated by its ratio to BM_HaloPingPong from the same
-  run: against the baseline's ratio when the baseline has a ping-pong row,
-  else against the bound 1.0 (in a 1x2 exchange step each rank blocks at
-  most once; a round trip blocks twice).
 
-Reference rows (the seed loop, the ping-pong) time no library code; they
-are reported, never gated.
+Reference rows (the seed loop) time no library code; they are reported,
+never gated.
 
 With --run, the bench runs three times and each row's median over the
 passes is written to --fresh and diffed.
@@ -62,10 +57,7 @@ import time
 # Gated op -> the reference op of the same size it is normalized by on a
 # foreign host.
 SAME_SIZE_REFERENCE = {"BM_Matmul": "BM_MatmulSeedScalar"}
-HALO, PING_PONG = "BM_HaloExchange", "BM_HaloPingPong"
-REFERENCE_OPS = set(SAME_SIZE_REFERENCE.values()) | {PING_PONG}
-# A 1x2 exchange step blocks each rank at most once, a round trip twice.
-HALO_BOUND = 1.0
+REFERENCE_OPS = set(SAME_SIZE_REFERENCE.values())
 # --run times the bench this often and diffs each row's median.  A shared
 # host has slow stretches lasting seconds to minutes; one then lands on
 # one pass of the rows it overlaps instead of on their only measurement.
@@ -220,15 +212,12 @@ def main():
 
     same_host = base_fp is not None and base_fp == fresh_fp
     ratio = {k: fresh[k] / base[k] if base[k] > 0 else 1.0 for k in common}
-    ping_pong = (PING_PONG, 0)
 
     def kind(key):
         if ignore and ignore.search(name(key)):
             return "ignored"
         if key[0] in REFERENCE_OPS:
             return "reference"
-        if key[0] == HALO and ping_pong in fresh:
-            return "halo"
         return "gated"
 
     gated = [k for k in common if kind(k) == "gated"]
@@ -270,22 +259,7 @@ def main():
     for key in common:
         b, f = base[key], fresh[key]
         k = kind(key)
-        if k == "halo":
-            # Halo time over ping-pong time, both from one run.
-            halo = f / fresh[ping_pong]
-            if ping_pong in base:
-                ref_label = "ping-pong ratio vs baseline"
-                delta = (halo / (base[key] / base[ping_pong]) - 1.0) * 100.0
-                failed = delta > args.threshold
-            else:
-                ref_label = f"ping-pong, bound {HALO_BOUND:.2f}"
-                delta = (halo / HALO_BOUND - 1.0) * 100.0
-                failed = halo > HALO_BOUND
-            flag = (f"  halo/ping-pong {halo:.2f}"
-                    + ("  << REGRESSION" if failed else ""))
-            if failed:
-                regressions.append((key, delta))
-        elif k in ("ignored", "reference"):
+        if k in ("ignored", "reference"):
             ref_label, flag = "-", f"  ({k})"
             delta = (ratio[key] - 1.0) * 100.0
         else:
