@@ -405,7 +405,6 @@ static void BM_ServeThroughput(benchmark::State& state) {
   cfg.batch.max_batch = static_cast<int>(state.range(0) % 100);
   cfg.batch.max_wait_us = 20000;
   cfg.queue_capacity = 64;
-  cfg.verify = false;
   // The forecast cache would serve every iteration after the first from
   // memory; keep it out so this stays a forward-path schedule benchmark
   // (the cache has its own figure, BM_ServeCached).
@@ -451,7 +450,6 @@ static void BM_ServeFaulty(benchmark::State& state) {
   cfg.batch.max_batch = 8;
   cfg.batch.max_wait_us = 20000;
   cfg.queue_capacity = 64;
-  cfg.verify = false;
   cfg.cache.enabled = false;  // measure the retry path, not cache hits
   cfg.reliability.retry.max_attempts = 4;
   cfg.reliability.retry.backoff_us = 100;
@@ -507,7 +505,6 @@ static void BM_ServeCached(benchmark::State& state, int mode) {
   cfg.batch.max_batch = 8;
   cfg.batch.max_wait_us = 20000;
   cfg.queue_capacity = 64;
-  cfg.verify = false;
   serve::ForecastServer server({{w.model.get(), w.spec}}, w.norm, nullptr,
                                cfg);
   const int episodes = mode == 2 ? 2 : 1;
@@ -570,7 +567,6 @@ static void BM_ServeObserved(benchmark::State& state, bool obs_on) {
   cfg.batch.max_batch = 8;
   cfg.batch.max_wait_us = 20000;
   cfg.queue_capacity = 64;
-  cfg.verify = false;
   cfg.cache.enabled = false;  // forward path, as in BM_ServeThroughput
   cfg.obs.profile_stages = obs_on;
   cfg.obs.trace.enabled = obs_on;
@@ -638,7 +634,7 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
     // Benchmarks run one after another, each reported when it ends, so the
     // pool dispatches since the last report are this row's (its set-up
     // included, which can only mark a row as pooled, never as inline).
-    const uint64_t dispatches = par::ThreadPool::global().dispatches();
+    const uint64_t dispatches = tensor::kernels::pool().dispatches();
     const bool ran_inline = dispatches == dispatches_seen_;
     dispatches_seen_ = dispatches;
     for (const Run& run : runs) {
@@ -689,7 +685,7 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
   bench::BenchJsonWriter writer;
 
  private:
-  uint64_t dispatches_seen_ = par::ThreadPool::global().dispatches();
+  uint64_t dispatches_seen_ = tensor::kernels::pool().dispatches();
 };
 
 }  // namespace

@@ -5,7 +5,6 @@
 
 #include "core/decode.hpp"
 #include "obs/profile.hpp"
-#include "obs/trace.hpp"
 #include "util/check.hpp"
 #include "util/fault.hpp"
 
@@ -34,14 +33,12 @@ std::vector<data::CenterFields> forecast_episode(
   const util::FaultAction fa = COASTAL_FAULT_POINT("rollout.step");
   data::BatchedInput in = [&] {
     obs::ScopedStage stage(obs::Stage::kPack);
-    obs::ScopedSpan span("pack");
     const std::span<const data::CenterFields> windows[] = {window};
     const data::CenterFields* const ics[] = {ic_normalized};
     return make_batched_input(spec, windows, ics);
   }();
   SurrogateOutput out = [&] {
     obs::ScopedStage stage(obs::Stage::kForward);
-    obs::ScopedSpan span("model.forward");
     return model.forward(in.volume, in.surface);
   }();
   auto frames = [&] {

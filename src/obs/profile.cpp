@@ -1,7 +1,6 @@
 #include "obs/profile.hpp"
 
-#include <cstdlib>
-#include <cstring>
+#include "util/env.hpp"
 
 namespace coastal::obs {
 
@@ -50,10 +49,7 @@ const char* move_name(Move m) {
 }
 
 bool profile_from_env(bool base) {
-  if (const char* v = std::getenv("COASTAL_PROFILE"); v && *v) {
-    return std::strcmp(v, "0") != 0;
-  }
-  return base;
+  return util::env_flag("COASTAL_PROFILE").value_or(base);
 }
 
 StageProfiler& StageProfiler::instance() {

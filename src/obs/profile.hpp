@@ -56,8 +56,8 @@ enum class Move : int {
 
 const char* move_name(Move m);
 
-/// Apply the COASTAL_PROFILE environment override ("0" disables,
-/// anything else enables) on top of `base`.
+/// Apply the COASTAL_PROFILE environment override (0 or 1, see
+/// util::env_flag) on top of `base`.
 bool profile_from_env(bool base);
 
 class StageProfiler {

@@ -27,8 +27,6 @@ std::chrono::steady_clock::time_point trace_epoch() {
   return t0;
 }
 
-thread_local uint64_t tl_trace = 0;
-
 }  // namespace
 
 int64_t to_us(std::chrono::steady_clock::time_point tp) {
@@ -38,9 +36,6 @@ int64_t to_us(std::chrono::steady_clock::time_point tp) {
 }
 
 int64_t now_us() { return to_us(std::chrono::steady_clock::now()); }
-
-uint64_t current_trace() { return tl_trace; }
-void bind_trace(uint64_t id) { tl_trace = id; }
 
 TraceConfig trace_config_from_env(TraceConfig base) {
   if (const char* v = std::getenv("COASTAL_TRACE"); v && *v) {
@@ -285,22 +280,6 @@ std::string TraceRecorder::dump_json() const {
   }
   out += "\n]}\n";
   return out;
-}
-
-ScopedSpan::ScopedSpan(const char* stage) {
-  auto& rec = TraceRecorder::instance();
-  const uint64_t tid = current_trace();
-  if (tid == 0 || !rec.enabled()) return;
-  armed_ = true;
-  span_.trace_id = tid;
-  span_.stage = stage;
-  span_.start_us = now_us();
-}
-
-ScopedSpan::~ScopedSpan() {
-  if (!armed_) return;
-  span_.end_us = now_us();
-  TraceRecorder::instance().record(span_);
 }
 
 }  // namespace coastal::obs

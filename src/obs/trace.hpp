@@ -84,26 +84,6 @@ struct TraceSpan {
 int64_t now_us();
 int64_t to_us(std::chrono::steady_clock::time_point tp);
 
-/// The calling thread's ambient trace id (0 = unbound).  Deep layers
-/// (rollout) attach spans to it without plumbing ids through their
-/// signatures.
-uint64_t current_trace();
-void bind_trace(uint64_t id);
-
-/// RAII ambient binding (restores the previous id).
-class TraceBinding {
- public:
-  explicit TraceBinding(uint64_t id) : prev_(current_trace()) {
-    bind_trace(id);
-  }
-  ~TraceBinding() { bind_trace(prev_); }
-  TraceBinding(const TraceBinding&) = delete;
-  TraceBinding& operator=(const TraceBinding&) = delete;
-
- private:
-  uint64_t prev_;
-};
-
 /// Global span sink.
 class TraceRecorder {
  public:
@@ -146,23 +126,6 @@ class TraceRecorder {
   mutable std::mutex rings_m_;
   std::vector<std::unique_ptr<Ring>> rings_;  ///< owned for process life
   std::vector<Ring*> free_rings_;             ///< rings of exited threads
-};
-
-/// RAII span on the ambient trace: records [ctor, dtor] when tracing is
-/// enabled and a trace is bound, otherwise costs one relaxed load.
-class ScopedSpan {
- public:
-  explicit ScopedSpan(const char* stage);
-  ~ScopedSpan();
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-  void set_flags(uint32_t f) { span_.flags |= f; }
-  void set_extra(int64_t e) { span_.extra = e; }
-
- private:
-  TraceSpan span_;
-  bool armed_ = false;
 };
 
 }  // namespace coastal::obs

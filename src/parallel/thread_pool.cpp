@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <exception>
 
-#include "util/check.hpp"
 #include "util/env.hpp"
 
 namespace coastal::par {
@@ -32,19 +31,11 @@ int env_thread_override() {
 }
 
 ThreadPool::ThreadPool(size_t num_threads) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  spawn_locked(num_threads);
-}
-
-void ThreadPool::spawn_locked(size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  workers_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
+  const size_t nworkers = std::max<size_t>(1, num_threads) - 1;
+  workers_.reserve(nworkers);
+  for (size_t i = 0; i < nworkers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
-  size_.store(workers_.size(), std::memory_order_relaxed);
 }
 
 ThreadPool::~ThreadPool() {
@@ -54,39 +45,6 @@ ThreadPool::~ThreadPool() {
   }
   cv_.notify_all();
   for (auto& w : workers_) w.join();
-}
-
-size_t ThreadPool::size() const {
-  return size_.load(std::memory_order_relaxed);
-}
-
-void ThreadPool::resize(size_t num_threads) {
-  COASTAL_CHECK_MSG(!in_worker(),
-                    "ThreadPool::resize() called from a pool worker");
-  std::lock_guard<std::mutex> resize_lock(resize_mutex_);
-  // 0 re-reads the env override *now* (unlike the constructor, which is
-  // also reached at static-init time before a deployment could set it),
-  // falling back to hardware concurrency via spawn_locked.
-  if (num_threads == 0) {
-    num_threads = static_cast<size_t>(env_thread_override());
-  }
-  // Retire the current generation: workers drain the queue (stop_ only
-  // exits a worker once the queue is empty), then join.
-  std::vector<std::thread> old;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-    old.swap(workers_);
-  }
-  cv_.notify_all();
-  for (auto& w : old) w.join();
-  // Spawn the new generation.  A helper slot queued in this window is
-  // picked up by the fresh workers or taken back by its caller.
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = false;
-    spawn_locked(num_threads);
-  }
 }
 
 /// One parallel_for in flight.  Lives on the caller's stack: the caller
@@ -117,7 +75,7 @@ void ThreadPool::run_chunks(Job& job) {
 
 void ThreadPool::parallel_for(size_t begin, size_t end,
                               const std::function<void(size_t, size_t)>& fn,
-                              size_t nchunks) {
+                              size_t threads) {
   if (begin >= end) return;
   const size_t n = end - begin;
   if (in_worker()) {
@@ -126,16 +84,17 @@ void ThreadPool::parallel_for(size_t begin, size_t end,
     fn(begin, end);
     return;
   }
-  if (nchunks == 0) nchunks = 4 * size();
-  nchunks = std::min(n, nchunks);
-  if (nchunks <= 1 || size() == 0) {
+  threads = threads == 0 ? size() : std::min(threads, size());
+  const size_t nchunks = std::min(n, kOversubscribe * threads);
+  if (threads <= 1 || nchunks <= 1) {
     fn(begin, end);
     return;
   }
   const size_t chunk = (n + nchunks - 1) / nchunks;
   Job job{fn, begin, end, chunk, (n + chunk - 1) / chunk};
-  // One helper slot per worker that could take a chunk the caller leaves.
-  const size_t nhelpers = std::min(job.nchunks - 1, size());
+  // One helper slot per further thread that could take a chunk the
+  // caller leaves.
+  const size_t nhelpers = std::min(job.nchunks, threads) - 1;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     queue_.insert(queue_.end(), nhelpers, &job);
@@ -210,11 +169,5 @@ uint64_t ThreadPool::dispatches() const {
 }
 
 bool ThreadPool::in_worker() { return t_in_worker; }
-
-ThreadPool& ThreadPool::global() {
-  // 0 (no override) → hardware concurrency, per the constructor contract.
-  static ThreadPool pool(static_cast<size_t>(env_thread_override()));
-  return pool;
-}
 
 }  // namespace coastal::par

@@ -1,7 +1,6 @@
 #include "serve/cache.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #include "util/check.hpp"
@@ -11,8 +10,6 @@
 namespace coastal::serve {
 
 namespace {
-
-using clock = std::chrono::steady_clock;
 
 size_t frame_floats(const data::SampleSpec& spec) {
   const size_t n3 = static_cast<size_t>(spec.src_nz) * spec.src_ny *
@@ -71,7 +68,6 @@ struct ForecastCache::Entry {
   core::VerificationResult verdict;
   bool verified = false;
   uint64_t bytes = 0;
-  clock::time_point inserted{};
   std::list<uint64_t>::iterator lru_it;
 };
 
@@ -93,8 +89,6 @@ ForecastCache::ForecastCache(const CachePolicy& policy,
   evictions_ = registry->counter(
       "coastal_cache_evictions_total",
       "LRU and collision-displacement removals");
-  expirations_ =
-      registry->counter("coastal_cache_expired_total", "TTL removals");
   rejected_ = registry->counter(
       "coastal_cache_rejected_total",
       "Inserts refused (non-finite payload or oversized entry)");
@@ -112,17 +106,10 @@ ForecastCache::ForecastCache(const CachePolicy& policy,
 ForecastCache::~ForecastCache() = default;
 
 CachePolicy cache_policy_from_env(CachePolicy base) {
-  if (const char* v = std::getenv("COASTAL_CACHE"); v && *v) {
-    base.enabled = std::strcmp(v, "0") != 0;
-  }
+  base.enabled = util::env_flag("COASTAL_CACHE").value_or(base.enabled);
   if (const auto v =
           util::env_int("COASTAL_CACHE_BYTES", 0, int64_t{1} << 40)) {
     base.max_bytes = static_cast<uint64_t>(*v);
-  }
-  // Bounded so the TTL stays representable in steady_clock nanoseconds.
-  if (const auto v =
-          util::env_int("COASTAL_CACHE_TTL_US", 0, int64_t{1} << 43)) {
-    base.ttl_us = *v;
   }
   return base;
 }
@@ -235,12 +222,7 @@ ForecastCache::Probe ForecastCache::probe(
   Probe out;
   const auto& digests = key.digests;
   if (!policy_.enabled || digests.empty()) return out;
-  const auto now = clock::now();
   std::lock_guard<std::mutex> lock(mutex_);
-  auto expired = [&](const Entry& e) {
-    return policy_.ttl_us > 0 &&
-           now - e.inserted > std::chrono::microseconds(policy_.ttl_us);
-  };
   // Exact key first, then every shorter episode-boundary prefix.
   for (size_t p = digests.size(); p >= 1; --p) {
     const bool exact = p == digests.size();
@@ -249,11 +231,6 @@ ForecastCache::Probe ForecastCache::probe(
     auto it = entries_.find(digest);
     if (it == entries_.end()) continue;
     Entry& entry = *it->second;
-    if (expired(entry)) {
-      erase_locked(digest);
-      expirations_->inc();
-      continue;
-    }
     if (static_cast<size_t>(entry.episodes) != p ||
         !matches_locked(entry, key, window)) {
       continue;  // collision: a different window hashed here
@@ -346,7 +323,6 @@ void ForecastCache::insert(const Key& key,
   entry->verdict = verdict;
   entry->verified = verified;
   entry->bytes = entry_bytes;
-  entry->inserted = clock::now();
 
   std::lock_guard<std::mutex> lock(mutex_);
   if (entry_bytes > policy_.max_bytes) {
@@ -387,7 +363,6 @@ CacheStatsSnapshot ForecastCache::stats() const {
   s.misses = static_cast<uint64_t>(misses_->value());
   s.inserts = static_cast<uint64_t>(inserts_->value());
   s.evictions = static_cast<uint64_t>(evictions_->value());
-  s.expirations = static_cast<uint64_t>(expirations_->value());
   s.rejected = static_cast<uint64_t>(rejected_->value());
   s.bytes = bytes_;
   s.entries = entries_.size();

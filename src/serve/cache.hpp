@@ -43,10 +43,10 @@
 ///
 /// Storage: frame payloads live in pooled tensor::Storage (PR 4), so a
 /// warm hit performs zero tensor-layer heap allocations.  Eviction is LRU
-/// under a byte budget; optional TTL expires stale entries at probe time.
-/// All operations are thread-safe behind one mutex.
+/// under a byte budget; there is no expiry, because an entry's key is its
+/// window's content: a revised input is a different key, never a stale
+/// hit.  All operations are thread-safe behind one mutex.
 
-#include <chrono>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -64,16 +64,14 @@
 namespace coastal::serve {
 
 /// Cache knobs (ServerConfig::cache).  Env overrides via
-/// cache_policy_from_env: COASTAL_CACHE=0 disables, COASTAL_CACHE_BYTES,
-/// COASTAL_CACHE_TTL_US.  A p-episode entry always serves as a resume point
-/// for requests longer than p episodes (prefix reuse).
+/// cache_policy_from_env: COASTAL_CACHE (0 or 1), COASTAL_CACHE_BYTES.  A
+/// p-episode entry always serves as a resume point for requests longer
+/// than p episodes (prefix reuse).
 struct CachePolicy {
   bool enabled = true;
   /// Byte budget over cached payloads (stored window + result frames,
   /// 4 bytes per float).  LRU-evicts past this.
   uint64_t max_bytes = 256ull << 20;
-  /// Entry lifetime in microseconds; 0 = no expiry.
-  int64_t ttl_us = 0;
 };
 
 /// Apply COASTAL_CACHE* environment overrides on top of `base`.
@@ -85,10 +83,9 @@ struct CacheStatsSnapshot {
   uint64_t prefix_hits = 0;  ///< probes resumed from a shorter entry
   uint64_t misses = 0;
   uint64_t inserts = 0;
-  uint64_t evictions = 0;    ///< LRU / collision-displacement removals
-  uint64_t expirations = 0;  ///< TTL removals
-  uint64_t rejected = 0;     ///< inserts refused (non-finite, oversized)
-  uint64_t bytes = 0;        ///< accounted payload bytes currently held
+  uint64_t evictions = 0;  ///< LRU / collision-displacement removals
+  uint64_t rejected = 0;   ///< inserts refused (non-finite, oversized)
+  uint64_t bytes = 0;      ///< accounted payload bytes currently held
   uint64_t entries = 0;
 };
 
@@ -200,7 +197,6 @@ class ForecastCache {
   obs::Counter* misses_ = nullptr;
   obs::Counter* inserts_ = nullptr;
   obs::Counter* evictions_ = nullptr;
-  obs::Counter* expirations_ = nullptr;
   obs::Counter* rejected_ = nullptr;
 };
 

@@ -13,8 +13,6 @@
 #include "data/sample.hpp"
 #include "nn/layers.hpp"
 #include "obs/profile.hpp"
-#include "parallel/thread_pool.hpp"
-#include "tensor/kernels.hpp"
 #include "tensor/storage.hpp"
 #include "tensor/tensor.hpp"
 #include "util/check.hpp"
@@ -211,15 +209,13 @@ ForecastServer::ForecastServer(std::vector<ModelSlot> models,
     COASTAL_CHECK_MSG(slot.model != nullptr, "null model in slot");
     slot.model->set_training(false);
   }
-  if (grid_ && config_.verify) {
-    verifier_.emplace(*grid_, config_.threshold);
-  }
+  if (grid_) verifier_.emplace(*grid_, config_.threshold);
   // Deployment knobs (COASTAL_CACHE*) override the configured policy; the
   // effective policy is stored back so config().cache tells the truth.
   config_.cache = cache_policy_from_env(config_.cache);
   cache_ = std::make_unique<ForecastCache>(config_.cache, &registry_);
-  COASTAL_CHECK_MSG(!config_.fallback || (grid_ && config_.verify),
-                    "the ROMS fallback requires a grid and verify=true");
+  COASTAL_CHECK_MSG(!config_.fallback || grid_,
+                    "the ROMS fallback requires a grid");
   if (config_.fallback) {
     fallback_.emplace(core::NumericalFallback{*grid_, config_.fallback->tides,
                                               config_.fallback->params});
@@ -311,14 +307,6 @@ ForecastServer::ForecastServer(std::vector<ModelSlot> models,
     }
     obs::StageProfiler::instance().collect(out);
   });
-  if (config_.kernel_threads > 0) {
-    // Deployment-time kernel sizing: the pool and the kernel chunking
-    // config move together so dispatch decisions never drift from the
-    // workers actually available.
-    par::ThreadPool::global().resize(
-        static_cast<size_t>(config_.kernel_threads));
-    tensor::kernels::config().num_threads = config_.kernel_threads;
-  }
   const int nworkers = std::max(1, config_.workers);
   {
     std::lock_guard<std::mutex> lock(workers_mutex_);
@@ -1043,9 +1031,8 @@ void ForecastServer::watchdog_loop() {
       }
       if (now - it->second.since < timeout) continue;
       // Hung: retire the worker, fail its unresolved in-flight promises,
-      // and spawn a replacement (modeled on ThreadPool::resize's
-      // generation swap — the queue and its pending work carry over; only
-      // the wedged thread is written off).
+      // and spawn a replacement — the queue and its pending work carry
+      // over; only the wedged thread is written off.
       w->retired.store(true, std::memory_order_release);
       std::shared_ptr<InFlightBatch> inflight;
       {
@@ -1212,7 +1199,6 @@ ServerStatsSnapshot ForecastServer::stats() const {
   s.cache_misses = c.misses;
   s.cache_inserts = c.inserts;
   s.cache_evictions = c.evictions;
-  s.cache_expired = c.expirations;
   s.cache_bytes = c.bytes;
   s.cache_entries = c.entries;
   return s;

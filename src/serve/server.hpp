@@ -116,12 +116,6 @@ struct ServerConfig {
 
   double threshold = 4.0e-4;    ///< mass-residual bound, m/s
   double snapshot_dt = 1800.0;  ///< seconds between forecast snapshots
-  bool verify = true;  ///< run the physics check (needs a grid)
-
-  /// When > 0: resize the global kernel thread pool (and the kernel
-  /// config's chunking decisions) to this many workers at server
-  /// construction — deployment-time sizing without a process restart.
-  int kernel_threads = 0;
 
   std::optional<FallbackContext> fallback;  ///< enable the ROMS rerun
 
@@ -170,7 +164,6 @@ struct ServerStatsSnapshot {
   uint64_t cache_misses = 0;
   uint64_t cache_inserts = 0;
   uint64_t cache_evictions = 0;
-  uint64_t cache_expired = 0;
   uint64_t cache_bytes = 0;    ///< payload bytes currently cached
   uint64_t cache_entries = 0;  ///< entries currently cached
   double p50_ms = 0.0;       ///< end-to-end request latency percentiles

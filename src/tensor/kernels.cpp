@@ -39,6 +39,11 @@ int resolved_threads() {
   return hw;
 }
 
+par::ThreadPool& pool() {
+  static par::ThreadPool p(static_cast<size_t>(resolved_threads()));
+  return p;
+}
+
 namespace {
 
 /// The calibration loop: one element of a streaming elementwise loop per
@@ -84,7 +89,7 @@ int64_t measured_grain() {
   constexpr double kMinSpeedup = 2.0;
   constexpr int64_t kMinN = 4096, kMaxN = int64_t{1} << 20;
   static const int64_t grain = [] {
-    par::ThreadPool& pool = par::ThreadPool::global();
+    const size_t threads = static_cast<size_t>(resolved_threads());
     std::vector<float> a(kMaxN, 1.0f), b(kMaxN, 2.0f), out(kMaxN);
     int64_t n = kMinN;
     for (; n <= kMaxN; n *= 2) {
@@ -99,7 +104,7 @@ int64_t measured_grain() {
       const double serial = median_ns(
           touch, [&] { unit_loop(a.data(), b.data(), out.data(), n); });
       const double pooled = median_ns(touch, [&] {
-        pool.parallel_for(0, static_cast<size_t>(n), chunk);
+        pool().parallel_for(0, static_cast<size_t>(n), chunk, threads);
       });
       if (pooled * kMinSpeedup <= serial) break;
     }
@@ -118,7 +123,6 @@ int64_t parallel_grain() {
 void parallel_for(int64_t total, int64_t cost_per_item,
                   const std::function<void(int64_t, int64_t)>& fn) {
   if (total <= 0) return;
-  const KernelConfig& cfg = config();
   const int threads = resolved_threads();
   // Serial when: single thread, nested inside a pool worker or chunk
   // (waiting there would starve the pool), or too little work to pay for
@@ -128,16 +132,12 @@ void parallel_for(int64_t total, int64_t cost_per_item,
     fn(0, total);
     return;
   }
-  // The caller claims chunks alongside the helpers, so small chunks cost
-  // only a counter increment each and bound what a late helper can hold up.
-  const int64_t nchunks = std::min<int64_t>(
-      total, static_cast<int64_t>(cfg.oversubscribe) * threads);
-  par::ThreadPool::global().parallel_for(
+  pool().parallel_for(
       0, static_cast<size_t>(total),
       [&fn](size_t lo, size_t hi) {
         fn(static_cast<int64_t>(lo), static_cast<int64_t>(hi));
       },
-      static_cast<size_t>(nchunks));
+      static_cast<size_t>(threads));
 }
 
 // ---------------------------------------------------------------------------
@@ -156,6 +156,11 @@ constexpr int64_t kMR = 6, kNR = 16;
 #else
 constexpr int64_t kMR = 4, kNR = 8;
 #endif
+
+// Cache-block panel sizes (elements): Mc×Kc A-panels target L2, Kc×Nc
+// B-panels target L3/L2.
+constexpr int64_t kMC = 64, kKC = 256, kNC = 1024;
+static_assert(kMC >= kMR && kKC >= kMR && kNC % kNR == 0);
 
 /// Naive ikj kernel for problems too small to pack.  Unlike the historic
 /// version this has no `a == 0.0f` skip: NaN/Inf in B always propagates.
@@ -261,19 +266,16 @@ float* pack_scratch(int64_t need, std::vector<float>& warm,
 /// results — and the panels themselves are byte-identical to the historic
 /// per-task packing, so sharing them cannot either.
 void gemm_rowblock(const float* A, const float* Bp, float* C, int64_t mb,
-                   int64_t k, int64_t n, const KernelConfig& cfg) {
-  const int64_t kc_max = std::max<int64_t>(kMR, cfg.gemm_kc);
-  const int64_t nc_max =
-      std::max<int64_t>(kNR, (cfg.gemm_nc / kNR) * kNR);
+                   int64_t k, int64_t n) {
   const int64_t npad = ceil_div(n, kNR) * kNR;
   std::vector<float>& apack = workspace().gemm_apack;
-  apack.resize(static_cast<size_t>(ceil_div(mb, kMR) * kMR * kc_max));
-  for (int64_t pc = 0; pc < k; pc += kc_max) {
-    const int64_t kc = std::min(kc_max, k - pc);
+  apack.resize(static_cast<size_t>(ceil_div(mb, kMR) * kMR * kKC));
+  for (int64_t pc = 0; pc < k; pc += kKC) {
+    const int64_t kc = std::min(kKC, k - pc);
     pack_a(A + pc, k, mb, kc, apack.data());
     const float* bpc = Bp + pc * npad;
-    for (int64_t jc = 0; jc < n; jc += nc_max) {
-      const int64_t nc = std::min(nc_max, n - jc);
+    for (int64_t jc = 0; jc < n; jc += kNC) {
+      const int64_t nc = std::min(kNC, n - jc);
       for (int64_t jr = 0; jr < nc; jr += kNR) {
         const float* bp = bpc + (jc + jr) * kc;
         for (int64_t ir = 0; ir < mb; ir += kMR) {
@@ -312,8 +314,7 @@ void gemm_batched(const float* A, const float* B, float* C, int64_t m,
     });
     return;
   }
-  const int64_t mc = std::max<int64_t>(kMR, cfg.gemm_mc);
-  const int64_t nblocks = ceil_div(m, mc);
+  const int64_t nblocks = ceil_div(m, kMC);
 
   // Pack each *distinct* B operand once into a shared buffer before the
   // row-block sweep (previously every task repacked its own panels — for a
@@ -324,7 +325,6 @@ void gemm_batched(const float* A, const float* B, float* C, int64_t m,
   // caller-thread thread_local so repeated GEMMs reuse warm pages (a fresh
   // heap allocation per call costs mmap + page faults at these sizes);
   // pool workers only read it, and it outlives the parallel_for below.
-  const int64_t kc_max = std::max<int64_t>(kMR, cfg.gemm_kc);
   const int64_t npad = ceil_div(n, kNR) * kNR;
   // Distinct b_off values (first-seen order) and each entry's image index.
   // Fast paths cover the two dominant shapes — a single batch entry and a
@@ -348,7 +348,7 @@ void gemm_batched(const float* A, const float* B, float* C, int64_t m,
     }
   }
   const int64_t bstride = k * npad;  // one packed B image
-  const int64_t kcblocks = ceil_div(k, kc_max);
+  const int64_t kcblocks = ceil_div(k, kKC);
   const int64_t need = static_cast<int64_t>(uniq.size()) * bstride;
 
   // Share the pre-packed images only when (a) some image is actually
@@ -363,26 +363,26 @@ void gemm_batched(const float* A, const float* B, float* C, int64_t m,
   const bool share = need <= kBpackSharedMaxFloats &&
                      nbatch * nblocks > static_cast<int64_t>(uniq.size());
   if (!share) {
-    parallel_for(nbatch * nblocks, mc * k * n, [&](int64_t lo, int64_t hi) {
+    parallel_for(nbatch * nblocks, kMC * k * n, [&](int64_t lo, int64_t hi) {
       std::vector<float> local;
       float* img = pack_scratch(bstride, workspace().gemm_bpack, local);
       int64_t packed_off = -1;  // b_off currently packed into img
       for (int64_t t = lo; t < hi; ++t) {
         const int64_t b = t / nblocks;
-        const int64_t i0 = (t % nblocks) * mc;
-        const int64_t mb = std::min(mc, m - i0);
+        const int64_t i0 = (t % nblocks) * kMC;
+        const int64_t mb = std::min(kMC, m - i0);
         const int64_t off = b_off[static_cast<size_t>(b)];
         if (off != packed_off) {
           // Tasks are consecutive within a chunk, so same-entry row
           // blocks repack at most once per chunk.
-          for (int64_t pc0 = 0; pc0 < k; pc0 += kc_max) {
-            const int64_t kc = std::min(kc_max, k - pc0);
+          for (int64_t pc0 = 0; pc0 < k; pc0 += kKC) {
+            const int64_t kc = std::min(kKC, k - pc0);
             pack_b(B + off + pc0 * n, n, kc, n, img + pc0 * npad);
           }
           packed_off = off;
         }
         gemm_rowblock(A + a_off[static_cast<size_t>(b)] + i0 * k, img,
-                      C + b * m * n + i0 * n, mb, k, n, cfg);
+                      C + b * m * n + i0 * n, mb, k, n);
       }
     });
     return;
@@ -399,26 +399,25 @@ void gemm_batched(const float* A, const float* B, float* C, int64_t m,
     // the microsecond range where a std::function round-trip shows up).
     pack_b(B + uniq[0], n, k, n, bpack);
   } else {
-    parallel_for(pack_tasks, kc_max * npad, [&](int64_t lo, int64_t hi) {
+    parallel_for(pack_tasks, kKC * npad, [&](int64_t lo, int64_t hi) {
       for (int64_t t = lo; t < hi; ++t) {
         const int64_t u = t / kcblocks;
-        const int64_t pc0 = (t % kcblocks) * kc_max;
-        const int64_t kc = std::min(kc_max, k - pc0);
+        const int64_t pc0 = (t % kcblocks) * kKC;
+        const int64_t kc = std::min(kKC, k - pc0);
         pack_b(B + uniq[static_cast<size_t>(u)] + pc0 * n, n, kc, n,
                bpack + u * bstride + pc0 * npad);
       }
     });
   }
 
-  parallel_for(nbatch * nblocks, mc * k * n, [&](int64_t lo, int64_t hi) {
+  parallel_for(nbatch * nblocks, kMC * k * n, [&](int64_t lo, int64_t hi) {
     for (int64_t t = lo; t < hi; ++t) {
       const int64_t b = t / nblocks;
-      const int64_t i0 = (t % nblocks) * mc;
-      const int64_t mb = std::min(mc, m - i0);
+      const int64_t i0 = (t % nblocks) * kMC;
+      const int64_t mb = std::min(kMC, m - i0);
       const int64_t u = all_same ? 0 : u_of[static_cast<size_t>(b)];
       gemm_rowblock(A + a_off[static_cast<size_t>(b)] + i0 * k,
-                    bpack + u * bstride, C + b * m * n + i0 * n, mb, k, n,
-                    cfg);
+                    bpack + u * bstride, C + b * m * n + i0 * n, mb, k, n);
     }
   });
 }

@@ -16,9 +16,9 @@
 ///    loop streams contiguous memory; `transpose_last` uses a blocked
 ///    tile copy.
 ///
-/// Threading is provided by `par::ThreadPool::global()`; kernels fall back
-/// to serial execution for small problems (see KernelConfig thresholds) and
-/// when already running inside a pool worker (no nested parallelism).
+/// Threading is provided by `pool()`; kernels fall back to serial execution
+/// for small problems (see KernelConfig thresholds) and when already
+/// running inside a pool worker (no nested parallelism).
 ///
 /// All transient kernel scratch (GEMM packing panels, offset tables, data
 /// movement tables) lives in the per-thread `tensor::Workspace`
@@ -31,22 +31,20 @@
 
 #include "tensor/shape.hpp"
 
+namespace coastal::par {
+class ThreadPool;
+}
+
 namespace coastal::tensor::kernels {
 
 /// Tuning knobs for the kernel layer.  `config()` is initialized once from
 /// the environment and may be mutated by tests/benchmarks; kernels read it
 /// at call time.
 struct KernelConfig {
-  /// Worker count used for chunking decisions. 0 = auto (env
-  /// `COASTAL_NUM_THREADS`, else hardware concurrency). 1 = force serial.
+  /// Threads a dispatched loop runs on: the caller plus at most
+  /// `num_threads - 1` pool workers.  Starts as `COASTAL_NUM_THREADS` (0
+  /// when unset).  0 = hardware concurrency; 1 = serial.
   int num_threads = 0;
-
-  // GEMM cache-block panel sizes (elements).  Mc×Kc A-panels target L2,
-  // Kc×Nc B-panels target L3/L2; the register micro-kernel is fixed at
-  // compile time (see kernels.cpp).
-  int64_t gemm_mc = 64;
-  int64_t gemm_kc = 256;
-  int64_t gemm_nc = 1024;
 
   /// Below this many multiply-adds a GEMM stays on the naive serial path
   /// (packing overhead dominates).  Path choice depends only on problem
@@ -58,26 +56,29 @@ struct KernelConfig {
   /// measured on the host (see `parallel_for`); tests set 1 to force
   /// chunked dispatch.
   int64_t parallel_grain = 0;
-
-  /// Chunk oversubscription factor (chunks ≈ factor × threads) for load
-  /// balance on ragged loops.
-  int oversubscribe = 4;
 };
 
 KernelConfig& config();
 
-/// Threads the kernels will actually chunk for: `config().num_threads`, or
-/// the `COASTAL_NUM_THREADS` env var, or hardware concurrency.
+/// Threads a dispatched loop runs on: `config().num_threads`, or hardware
+/// concurrency when that is 0.
 int resolved_threads();
 
+/// The pool dispatched loops run on, sized once, on first use, to
+/// `resolved_threads()` at that moment; a later, larger `num_threads` runs
+/// on at most that many threads.
+par::ThreadPool& pool();
+
 /// Run `fn(lo, hi)` over [0, total), in parallel when the problem is big
-/// enough and more than one thread is available, in `oversubscribe ×
-/// threads` chunks, serially otherwise.  Big enough: `total *
-/// cost_per_item` reaches `config().parallel_grain` when that is set, else
-/// a grain measured once per process, on first use — the smallest
-/// streaming elementwise loop (one cost unit per element) that the pool
-/// runs at least twice as fast as the caller alone.  Chunk boundaries are independent of thread count only in
-/// so far as each index is processed exactly once — callers must keep any
+/// enough and more than one thread is available — on the caller plus at
+/// most `resolved_threads() - 1` pool workers, in
+/// `ThreadPool::kOversubscribe` chunks per thread — serially otherwise.
+/// Big enough: `total * cost_per_item` reaches `config().parallel_grain`
+/// when that is set, else a grain measured once per process, on first use
+/// — the smallest streaming elementwise loop (one cost unit per element)
+/// that the pool runs at least twice as fast as the caller alone.  Chunk
+/// boundaries are independent of thread count only in so far as each
+/// index is processed exactly once — callers must keep any
 /// reduction confined to a single index for determinism.
 void parallel_for(int64_t total, int64_t cost_per_item,
                   const std::function<void(int64_t, int64_t)>& fn);

@@ -61,6 +61,8 @@ namespace {
 constexpr int64_t kMinBucketFloats = 64;
 constexpr int kNumBuckets = 19;  // 64 << 18 = 16 Mi floats = 64 MB
 constexpr int64_t kMaxPooledFloats = kMinBucketFloats << (kNumBuckets - 1);
+/// ArenaScope chunk: 8 MB, one pool bucket.
+constexpr int64_t kArenaChunkFloats = (int64_t{8} << 20) / 4;
 
 int bucket_for(int64_t n) {
   int64_t cap = kMinBucketFloats;
@@ -92,11 +94,7 @@ struct Pool {
   std::vector<float*> free_lists[kNumBuckets];
   std::atomic<bool> enabled;
 
-  Pool() {
-    const char* env = std::getenv("COASTAL_DISABLE_POOL");
-    enabled = env == nullptr || env[0] == '\0' ||
-              (env[0] == '0' && env[1] == '\0');
-  }
+  Pool() : enabled(!util::env_flag("COASTAL_DISABLE_POOL").value_or(false)) {}
 };
 
 Pool& pool() {
@@ -178,8 +176,7 @@ struct ArenaState {
     int64_t cap;     ///< usable floats
   };
   std::vector<Chunk> chunks;
-  int64_t used = 0;           ///< floats consumed in the active (last) chunk
-  int64_t chunk_floats = 0;   ///< default chunk size
+  int64_t used = 0;  ///< floats consumed in the active (last) chunk
   std::atomic<int64_t> live{0};  ///< arena-backed storages still alive
 
   ~ArenaState() {
@@ -192,7 +189,7 @@ struct ArenaState {
     constexpr int64_t kAlignFloats = 16;  // 64-byte lines
     const int64_t need = (n + kAlignFloats - 1) / kAlignFloats * kAlignFloats;
     if (chunks.empty() || used + need > chunks.back().cap) {
-      const int64_t want = std::max(chunk_floats, need);
+      const int64_t want = std::max(kArenaChunkFloats, need);
       Chunk c;
       c.ptr = pool_acquire(want, &c.bucket);
       c.cap = c.bucket >= 0 ? bucket_floats(c.bucket) : want;
@@ -212,23 +209,11 @@ namespace {
 /// Active-arena stack of the calling thread (innermost scope last).
 thread_local std::vector<std::shared_ptr<detail::ArenaState>> t_arena_stack;
 
-int64_t default_arena_chunk_floats() {
-  static const int64_t v = [] {
-    const int64_t mb =
-        util::env_int("COASTAL_ARENA_CHUNK_MB", 1, 4096).value_or(8);
-    return (mb << 20) / 4;
-  }();
-  return v;
-}
-
 }  // namespace
 
-ArenaScope::ArenaScope(int64_t chunk_bytes) {
+ArenaScope::ArenaScope() {
   if (!pool_enabled()) return;  // debugging mode: every alloc is real
   state_ = std::make_shared<detail::ArenaState>();
-  state_->chunk_floats = chunk_bytes > 0
-                             ? std::max<int64_t>(1, chunk_bytes / 4)
-                             : default_arena_chunk_floats();
   t_arena_stack.push_back(state_);
 }
 

@@ -66,7 +66,7 @@ void reset_peak_bytes();
 
 /// Pool control (tests and debugging; normal code never calls these).
 /// The pool starts enabled unless the COASTAL_DISABLE_POOL environment
-/// variable is set to anything but "" or "0".
+/// variable is 1 (util::env_flag: 0 or 1, empty = unset).
 bool pool_enabled();
 void set_pool_enabled(bool enabled);
 /// Frees every cached free-list block back to the heap.
@@ -132,9 +132,9 @@ class Storage {
 
 /// RAII bump arena for activation tensors (thread-local; nests).  While
 /// active, every Storage created on this thread is carved from pooled
-/// chunks (`chunk_bytes` each, default 8 MB or COASTAL_ARENA_CHUNK_MB)
-/// and freed in bulk when the scope exits — the pattern core::rollout /
-/// core::workflow use per forecast episode.  The tradeoff is explicit:
+/// 8 MB chunks (a larger tensor gets a chunk of its own size) and freed in
+/// bulk when the scope exits — the pattern core::rollout / core::workflow
+/// use per forecast episode.  The tradeoff is explicit:
 /// arena memory is not reclaimed until scope exit, so an arena's
 /// footprint is the episode's *total* allocation, not its liveness peak.
 /// Inert when the pool is disabled (COASTAL_DISABLE_POOL debugging mode).
@@ -145,8 +145,7 @@ class Storage {
 /// diagnosable rather than a use-after-free.
 class ArenaScope {
  public:
-  /// `chunk_bytes` == 0 picks the default chunk size.
-  explicit ArenaScope(int64_t chunk_bytes = 0);
+  ArenaScope();
   ~ArenaScope() noexcept(false);
   ArenaScope(const ArenaScope&) = delete;
   ArenaScope& operator=(const ArenaScope&) = delete;

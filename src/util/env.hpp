@@ -1,12 +1,14 @@
 #pragma once
 
 /// \file env.hpp
-/// Checked parsing of the integer `COASTAL_*` environment knobs.
+/// Checked parsing of the integer and boolean `COASTAL_*` environment
+/// knobs.
 
 #include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
+#include <string_view>
 
 #include "util/check.hpp"
 
@@ -28,6 +30,18 @@ inline std::optional<int64_t> env_int(const char* name, int64_t lo,
                     name << "=\"" << v << "\" is not an integer in [" << lo
                          << ", " << hi << "]");
   return static_cast<int64_t>(x);
+}
+
+/// The boolean value of environment variable `name`, or nullopt when it is
+/// unset or empty.  The value must be exactly `0` or `1`; anything else
+/// (`false`, `on`, `01`) throws CheckError naming the variable.
+inline std::optional<bool> env_flag(const char* name) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return std::nullopt;
+  const std::string_view s(v);
+  COASTAL_CHECK_MSG(s == "0" || s == "1",
+                    name << "=\"" << v << "\" is not 0 or 1");
+  return s == "1";
 }
 
 }  // namespace coastal::util

@@ -1,7 +1,7 @@
 /// Forecast-cache tests: exact hits bitwise-equal to cold recomputes
 /// across kernel thread counts, prefix resume bitwise-equal to a full
 /// rollout (frames AND verdict), LRU eviction order with exact byte
-/// accounting, TTL expiry, the no-admission rules for faulted / fallback
+/// accounting, the env knobs, the no-admission rules for faulted / fallback
 /// results, the zero-allocation pin on the hit path, and hits resolved at
 /// admission (inside submit(), with no worker) — including their limits:
 /// a closed queue still rejects, an open breaker still degrades, and every
@@ -25,7 +25,6 @@
 #include "data/normalization.hpp"
 #include "ocean/archive.hpp"
 #include "ocean/bathymetry.hpp"
-#include "parallel/thread_pool.hpp"
 #include "serve/cache.hpp"
 #include "serve/server.hpp"
 #include "tensor/storage.hpp"
@@ -35,7 +34,6 @@
 namespace core = coastal::core;
 namespace data = coastal::data;
 namespace ocean = coastal::ocean;
-namespace par = coastal::par;
 namespace serve = coastal::serve;
 namespace tensor = coastal::tensor;
 namespace util = coastal::util;
@@ -164,23 +162,20 @@ uint64_t entry_bytes(const data::SampleSpec& spec, int episodes) {
 TEST(ForecastCache, ExactHitBitwiseAcrossKernelThreadCounts) {
   auto& w = CacheWorld::instance();
   coastal::testing::KernelConfigOverride kco;
-  const size_t prev_pool = par::ThreadPool::global().size();
 
   // Cold recompute under 1 kernel thread...
-  serve::ServerConfig cfg1 = w.config();
-  cfg1.kernel_threads = 1;
+  tensor::kernels::config().num_threads = 1;
   std::vector<data::CenterFields> cold1;
   {
     serve::ForecastServer server({{w.model.get(), w.spec}}, w.norm, &w.grid,
-                                 cfg1);
+                                 w.config());
     cold1 = serve_one(server, w.request(0)).frames;
   }
   // ...and a cold fill + warm hit under 2 kernel threads.
-  serve::ServerConfig cfg2 = w.config();
-  cfg2.kernel_threads = 2;
+  tensor::kernels::config().num_threads = 2;
   {
     serve::ForecastServer server({{w.model.get(), w.spec}}, w.norm, &w.grid,
-                                 cfg2);
+                                 w.config());
     const auto cold2 = serve_one(server, w.request(0));
     EXPECT_FALSE(cold2.cache_hit);
     const auto hit = serve_one(server, w.request(0));
@@ -198,8 +193,6 @@ TEST(ForecastCache, ExactHitBitwiseAcrossKernelThreadCounts) {
     EXPECT_EQ(stats.cache_hits, 1u);
     EXPECT_EQ(stats.cache_inserts, 1u);
   }
-
-  par::ThreadPool::global().resize(prev_pool);
 }
 
 TEST(ForecastCache, PrefixResumeMatchesFullRolloutBitwise) {
@@ -291,39 +284,16 @@ TEST(ForecastCache, LruEvictionOrderAndExactByteAccounting) {
   EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
-TEST(ForecastCache, TtlExpiresEntriesAtProbeTime) {
-  auto& w = CacheWorld::instance();
-  serve::CachePolicy policy;
-  policy.ttl_us = 1000;  // 1 ms
-  serve::ForecastCache cache(policy);
-  core::VerificationResult verdict;
-  verdict.pass = true;
-  std::vector<data::CenterFields> frames(
-      w.fields.begin() + 1, w.fields.begin() + 1 + w.spec.T);
-  cache.insert(0, 0, w.spec, w.window(0), frames, verdict, true);
-  EXPECT_TRUE(cache.probe(0, 0, w.spec, w.window(0)).hit);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_FALSE(cache.probe(0, 0, w.spec, w.window(0)).hit);
-  auto stats = cache.stats();
-  EXPECT_EQ(stats.expirations, 1u);
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.bytes, 0u);
-}
-
 TEST(ForecastCache, EnvKnobsParseWholeBoundedIntegers) {
   using coastal::testing::ScopedEnv;
   using coastal::testing::expect_check_error_naming;
   ScopedEnv bytes("COASTAL_CACHE_BYTES", "1048576");
-  ScopedEnv ttl("COASTAL_CACHE_TTL_US", "250");
   serve::CachePolicy p = serve::cache_policy_from_env({});
   EXPECT_EQ(p.max_bytes, 1048576u);
-  EXPECT_EQ(p.ttl_us, 250);
   // Empty means unset: the base value stands.
   bytes.set("");
-  ttl.set("");
   p = serve::cache_policy_from_env({});
   EXPECT_EQ(p.max_bytes, serve::CachePolicy{}.max_bytes);
-  EXPECT_EQ(p.ttl_us, 0);
   // Garbage, trailing text, negatives and out-of-range values are typed
   // errors naming the variable, never a silent 0 or a wrapped value.
   for (const char* bad : {"abc", "12MB", "-1", " ", "1099511627777",
@@ -333,12 +303,26 @@ TEST(ForecastCache, EnvKnobsParseWholeBoundedIntegers) {
     expect_check_error_naming([] { serve::cache_policy_from_env({}); },
                               "COASTAL_CACHE_BYTES");
   }
-  bytes.set(nullptr);
-  for (const char* bad : {"soon", "10us", "-5", "9223372036854775807"}) {
+}
+
+TEST(ForecastCache, CacheEnvFlagIsZeroOrOne) {
+  // Only parsed: `false` or `off` must not turn the cache on.
+  using coastal::testing::ScopedEnv;
+  ScopedEnv flag("COASTAL_CACHE", nullptr);
+  serve::CachePolicy off;
+  off.enabled = false;
+  EXPECT_FALSE(serve::cache_policy_from_env(off).enabled);  // unset
+  flag.set("");
+  EXPECT_TRUE(serve::cache_policy_from_env({}).enabled);  // empty = unset
+  flag.set("0");
+  EXPECT_FALSE(serve::cache_policy_from_env({}).enabled);
+  flag.set("1");
+  EXPECT_TRUE(serve::cache_policy_from_env(off).enabled);
+  for (const char* bad : {"false", "off", "true", "2", "01", " 1"}) {
     SCOPED_TRACE(bad);
-    ttl.set(bad);
-    expect_check_error_naming([] { serve::cache_policy_from_env({}); },
-                              "COASTAL_CACHE_TTL_US");
+    flag.set(bad);
+    coastal::testing::expect_check_error_naming(
+        [] { serve::cache_policy_from_env({}); }, "COASTAL_CACHE");
   }
 }
 

@@ -25,8 +25,7 @@ namespace coastal::testing {
 
 using tensor::Tensor;
 
-/// RAII override of the kernel config (thread count, grains, tile sizes);
-/// restores the previous config on scope exit even if a check throws.
+/// RAII override of the kernel config (thread count, grains); restores the previous config on scope exit even if a check throws.
 struct KernelConfigOverride {
   tensor::kernels::KernelConfig saved = tensor::kernels::config();
   ~KernelConfigOverride() { tensor::kernels::config() = saved; }

@@ -303,40 +303,6 @@ TEST(ObsTrace, DisabledRecorderHandsOutNoIds) {
   TraceGuard guard;
   obs::TraceRecorder::instance().configure(obs::TraceConfig{});
   EXPECT_EQ(obs::TraceRecorder::instance().begin_trace(), 0u);
-  // ScopedSpan on an unbound thread is a no-op even when enabled.
-  obs::TraceConfig on;
-  on.enabled = true;
-  obs::TraceRecorder::instance().configure(on);
-  obs::TraceRecorder::instance().clear();
-  EXPECT_EQ(obs::current_trace(), 0u);
-  { obs::ScopedSpan s("unit.noop"); }
-  EXPECT_TRUE(obs::TraceRecorder::instance().spans().empty());
-}
-
-TEST(ObsTrace, ScopedSpansAttachToTheAmbientTrace) {
-  TraceGuard guard;
-  obs::TraceConfig cfg;
-  cfg.enabled = true;
-  cfg.ring_spans = 64;
-  obs::TraceRecorder::instance().configure(cfg);
-  obs::TraceRecorder::instance().clear();
-
-  const uint64_t id = obs::TraceRecorder::instance().begin_trace();
-  ASSERT_NE(id, 0u);
-  {
-    obs::TraceBinding bind(id);
-    obs::ScopedSpan s("unit.stage");
-    s.set_flags(obs::kDegraded);
-    s.set_extra(17);
-  }
-  const auto spans = obs::TraceRecorder::instance().spans_for(id);
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_STREQ(spans[0].stage, "unit.stage");
-  EXPECT_EQ(spans[0].flags & obs::kDegraded, uint32_t{obs::kDegraded});
-  EXPECT_EQ(spans[0].extra, 17);
-  EXPECT_GE(spans[0].end_us, spans[0].start_us);
-  EXPECT_NE(obs::TraceRecorder::instance().dump_json().find("unit.stage"),
-            std::string::npos);
 }
 
 TEST(ObsTrace, RingRetainsOnlyTheConfiguredSpanCount) {
@@ -348,8 +314,11 @@ TEST(ObsTrace, RingRetainsOnlyTheConfiguredSpanCount) {
   obs::TraceRecorder::instance().clear();
   // Record on a fresh thread so the small ring size applies to its ring.
   std::thread([&] {
-    obs::TraceBinding bind(obs::TraceRecorder::instance().begin_trace());
-    for (int i = 0; i < 32; ++i) obs::ScopedSpan s("unit.wrap");
+    auto& rec = obs::TraceRecorder::instance();
+    obs::TraceSpan span;
+    span.trace_id = rec.begin_trace();
+    span.stage = "unit.wrap";
+    for (int i = 0; i < 32; ++i) rec.record(span);
   }).join();
   EXPECT_LE(obs::TraceRecorder::instance().spans().size(), 8u);
 }
@@ -410,6 +379,25 @@ TEST(ObsTrace, TraceEnvKnobRejectsTrailingTextAndNaN) {
   cfg.sample_rate = std::nan("");
   EXPECT_THROW(obs::TraceRecorder::instance().configure(cfg),
                coastal::util::CheckError);
+}
+
+TEST(ObsProfiler, ProfileEnvFlagIsZeroOrOne) {
+  // Only parsed: `false` or `off` must not turn profiling on.
+  coastal::testing::ScopedEnv flag("COASTAL_PROFILE", nullptr);
+  EXPECT_TRUE(obs::profile_from_env(true));  // unset keeps the base
+  EXPECT_FALSE(obs::profile_from_env(false));
+  flag.set("");  // empty = unset
+  EXPECT_TRUE(obs::profile_from_env(true));
+  flag.set("0");
+  EXPECT_FALSE(obs::profile_from_env(true));
+  flag.set("1");
+  EXPECT_TRUE(obs::profile_from_env(false));
+  for (const char* bad : {"false", "off", "true", "2", "01", " 1"}) {
+    SCOPED_TRACE(bad);
+    flag.set(bad);
+    coastal::testing::expect_check_error_naming(
+        [] { obs::profile_from_env(false); }, "COASTAL_PROFILE");
+  }
 }
 
 TEST(ObsProfiler, ScopedStagesFeedPerStageHistograms) {

@@ -5,12 +5,12 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -38,16 +38,24 @@ TEST(ThreadPool, ParallelForEmptyRangeIsNoop) {
 }
 
 TEST(ThreadPool, ParallelForOversubscribesChunks) {
-  par::ThreadPool pool(2);
-  std::atomic<int> chunks{0};
-  pool.parallel_for(0, 1000, [&](size_t, size_t) { chunks.fetch_add(1); });
-  // Default chunking targets ~4x the worker count for load balance.
-  EXPECT_GT(chunks.load(), 2);
-  // An explicit chunk hint is honored.
+  par::ThreadPool pool(3);
+  EXPECT_EQ(pool.size(), 3u);
+  std::atomic<size_t> chunks{0};
+  const auto count = [&](size_t, size_t) { chunks.fetch_add(1); };
+  // kOversubscribe chunks per thread, for load balance: every thread by
+  // default, or the thread count asked for, capped at size().
+  pool.parallel_for(0, 1000, count);
+  EXPECT_EQ(chunks.load(), par::ThreadPool::kOversubscribe * 3);
   chunks = 0;
-  pool.parallel_for(0, 1000,
-                    [&](size_t, size_t) { chunks.fetch_add(1); }, 5);
-  EXPECT_EQ(chunks.load(), 5);
+  pool.parallel_for(0, 1000, count, 2);
+  EXPECT_EQ(chunks.load(), par::ThreadPool::kOversubscribe * 2);
+  chunks = 0;
+  pool.parallel_for(0, 1000, count, 64);
+  EXPECT_EQ(chunks.load(), par::ThreadPool::kOversubscribe * 3);
+  // One thread runs the range inline, in one call.
+  chunks = 0;
+  pool.parallel_for(0, 1000, count, 1);
+  EXPECT_EQ(chunks.load(), 1u);
 }
 
 TEST(ThreadPool, ParallelForPropagatesExceptionAndStaysUsable) {
@@ -60,8 +68,7 @@ TEST(ThreadPool, ParallelForPropagatesExceptionAndStaysUsable) {
                         [&](size_t lo, size_t) {
                           if (lo == 0) throw std::runtime_error("chunk 0");
                           completed.fetch_add(1);
-                        },
-                        12),
+                        }),
       std::runtime_error);
   EXPECT_EQ(completed.load(), 11);
   // Pool still works afterwards.
@@ -109,57 +116,33 @@ TEST(ThreadPool, ConcurrentCallersEachCoverTheirRangeExactlyOnce) {
     for (auto& n : h) EXPECT_EQ(n.load(), kRounds);
 }
 
-TEST(ThreadPool, ResizeSwapsWorkerGenerationsSafely) {
-  par::ThreadPool pool(2);
-  EXPECT_EQ(pool.size(), 2u);
-  // Resize while another thread runs parallel_for rounds: nothing may be
-  // lost — every chunk runs, under the old generation, the new one or the
-  // caller.
-  constexpr int kRounds = 200, kN = 64;
-  std::vector<std::atomic<int>> hits(kN);
-  std::atomic<bool> started{false};
-  std::thread caller([&] {
-    for (int r = 0; r < kRounds; ++r) {
-      pool.parallel_for(0, kN, [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
+TEST(ThreadPool, KernelLoopRunsOnAtMostNumThreads) {
+  // A dispatched loop runs on the caller plus at most num_threads - 1 pool
+  // workers, however many workers the pool has.  Each chunk spins long
+  // enough that every enqueued helper has time to claim one.
+  coastal::testing::KernelConfigOverride kco;
+  namespace ker = coastal::tensor::kernels;
+  ker::config().parallel_grain = 1;
+  for (const int n : {1, 2}) {
+    SCOPED_TRACE(n);
+    ker::config().num_threads = n;
+    constexpr int64_t kN = 64;
+    for (int round = 0; round < 20; ++round) {
+      std::mutex m;
+      std::set<std::thread::id> threads;
+      std::vector<std::atomic<int>> hits(kN);
+      ker::parallel_for(kN, 1, [&](int64_t lo, int64_t hi) {
+        const auto until =
+            std::chrono::steady_clock::now() + std::chrono::microseconds(200);
+        while (std::chrono::steady_clock::now() < until) {
+        }
+        for (int64_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
+        std::lock_guard<std::mutex> lock(m);
+        threads.insert(std::this_thread::get_id());
       });
-      started.store(true);
+      for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+      EXPECT_LE(threads.size(), static_cast<size_t>(n));
     }
-  });
-  while (!started.load()) std::this_thread::yield();
-  pool.resize(3);
-  EXPECT_EQ(pool.size(), 3u);
-  caller.join();
-  for (auto& h : hits) EXPECT_EQ(h.load(), kRounds);
-  // The fresh generation serves parallel_for as usual.
-  std::atomic<int> sum{0};
-  pool.parallel_for(0, 100, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) sum.fetch_add(static_cast<int>(i));
-  });
-  EXPECT_EQ(sum.load(), 4950);
-  pool.resize(1);
-  EXPECT_EQ(pool.size(), 1u);
-  pool.parallel_for(0, 10, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) sum.fetch_add(1);
-  });
-  EXPECT_EQ(sum.load(), 4960);
-}
-
-TEST(ThreadPool, ResizeZeroRereadsEnvOverride) {
-  // resize(0) re-reads COASTAL_NUM_THREADS at resize time — the
-  // deployment-sizing path servers use — instead of the value cached at
-  // process start.
-  const char* saved = std::getenv("COASTAL_NUM_THREADS");
-  const std::string saved_copy = saved ? saved : "";
-  setenv("COASTAL_NUM_THREADS", "3", 1);
-  par::ThreadPool pool(1);
-  EXPECT_EQ(pool.size(), 1u);
-  pool.resize(0);
-  EXPECT_EQ(pool.size(), 3u);
-  if (saved) {
-    setenv("COASTAL_NUM_THREADS", saved_copy.c_str(), 1);
-  } else {
-    unsetenv("COASTAL_NUM_THREADS");
   }
 }
 

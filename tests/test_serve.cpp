@@ -240,7 +240,6 @@ TEST(ForecastServer, RejectPolicyBoundsTheQueue) {
   cfg.overflow = serve::ServerConfig::Overflow::kReject;
   cfg.batch.max_batch = 1;
   cfg.batch.max_wait_us = 0;
-  cfg.verify = false;
   serve::ForecastServer server({{w.model.get(), w.spec}}, w.norm, nullptr,
                                cfg);
   // Flood far beyond capacity: some must be rejected, every accepted one
@@ -275,7 +274,6 @@ TEST(ForecastServer, BlockPolicyServesEverything) {
   cfg.overflow = serve::ServerConfig::Overflow::kBlock;
   cfg.batch.max_batch = 2;
   cfg.batch.max_wait_us = 1000;
-  cfg.verify = false;
   serve::ForecastServer server({{w.model.get(), w.spec}}, w.norm, nullptr,
                                cfg);
   std::vector<std::future<serve::ForecastResult>> futures;
@@ -295,7 +293,6 @@ TEST(ForecastServer, ShutdownDrainsAndRejectsLateSubmits) {
   cfg.workers = 1;
   cfg.batch.max_batch = 4;
   cfg.batch.max_wait_us = 0;
-  cfg.verify = false;
   auto server = std::make_unique<serve::ForecastServer>(
       std::vector<serve::ModelSlot>{{w.model.get(), w.spec}}, w.norm,
       nullptr, cfg);

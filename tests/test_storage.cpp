@@ -22,6 +22,7 @@
 #include "tensor/tensor.hpp"
 #include "test_helpers.hpp"
 #include "util/check.hpp"
+#include "util/env.hpp"
 
 using namespace coastal;
 using tensor::Tensor;
@@ -220,4 +221,27 @@ TEST(StorageDisabledPool, EscapeHatchMakesEveryAllocationReal) {
   }  // no escape error either: nothing is arena-backed
   const auto s2 = ct::alloc_stats();
   EXPECT_EQ(s2.current_bytes, s0.current_bytes);
+}
+
+TEST(StorageDisabledPool, EnvFlagIsZeroOrOne) {
+  // The pool read COASTAL_DISABLE_POOL through util::env_flag at first
+  // use: test_storage runs with it unset, test_storage_nopool with 1.
+  EXPECT_EQ(ct::pool_enabled(),
+            !util::env_flag("COASTAL_DISABLE_POOL").value_or(false));
+  // Only parsed from here on: `false` or `off` must not disable the pool.
+  coastal::testing::ScopedEnv flag("COASTAL_DISABLE_POOL", nullptr);
+  EXPECT_FALSE(util::env_flag("COASTAL_DISABLE_POOL").has_value());
+  flag.set("");  // empty = unset
+  EXPECT_FALSE(util::env_flag("COASTAL_DISABLE_POOL").has_value());
+  flag.set("0");
+  EXPECT_EQ(util::env_flag("COASTAL_DISABLE_POOL"), false);
+  flag.set("1");
+  EXPECT_EQ(util::env_flag("COASTAL_DISABLE_POOL"), true);
+  for (const char* bad : {"false", "off", "true", "2", "01", " 1"}) {
+    SCOPED_TRACE(bad);
+    flag.set(bad);
+    coastal::testing::expect_check_error_naming(
+        [] { util::env_flag("COASTAL_DISABLE_POOL"); },
+        "COASTAL_DISABLE_POOL");
+  }
 }

@@ -47,7 +47,7 @@ sweep() {
     return
   fi
   # Tests run one at a time: several suites assert wall-clock bounds
-  # (deadlines, a 1 ms cache TTL) that sanitizer slowdown on a host loaded
+  # (deadlines, watchdog timeouts) that sanitizer slowdown on a host loaded
   # by parallel suites can break.
   if ! (cd "$dir" && ctest --output-on-failure "$@"); then
     echo "!! $name: tests failed"
