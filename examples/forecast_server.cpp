@@ -132,6 +132,7 @@ int main(int argc, char** argv) {
     tensor::NoGradGuard ng;
     model.set_training(false);
     core::MassVerifier verifier(grid, 8e-5);
+    const core::NumericalFallback fallback{grid, tides, params};
     for (int i = 0; i < kClients * kPerClient; ++i) {
       tensor::ArenaScope arena;
       auto win = window_of((i / kClients) % kWindows);
@@ -139,8 +140,8 @@ int main(int argc, char** argv) {
                                            dataset.normalizer, win, nullptr);
       const auto current =
           data::denormalized_copy(win.front(), dataset.normalizer);
-      core::verify_or_fallback(frames, current, verifier, grid, tides,
-                               params, current.time, acfg.interval_seconds);
+      core::verify_or_fallback(frames, current, verifier, &fallback,
+                               current.time, acfg.interval_seconds);
     }
   }
   const double serial_s = serial_timer.seconds();

@@ -44,18 +44,6 @@ EpisodeOutcome verify_or_fallback(std::vector<data::CenterFields>& frames,
   return outcome;
 }
 
-EpisodeOutcome verify_or_fallback(std::vector<data::CenterFields>& frames,
-                                  const data::CenterFields& current,
-                                  const MassVerifier& verifier,
-                                  const ocean::Grid& grid,
-                                  const ocean::TidalForcing& tides,
-                                  const ocean::PhysicsParams& params,
-                                  double start_time, double snapshot_dt) {
-  const NumericalFallback fallback{grid, tides, params};
-  return verify_or_fallback(frames, current, verifier, &fallback, start_time,
-                            snapshot_dt);
-}
-
 std::vector<data::CenterFields> numerical_episode(
     const ocean::Grid& grid, const ocean::TidalForcing& tides,
     const ocean::PhysicsParams& params, const data::CenterFields& current,
@@ -140,6 +128,7 @@ WorkflowResult run_workflow(SurrogateModel& model,
   const int T = spec.T;
   COASTAL_CHECK(truth.size() >= static_cast<size_t>(episodes * T + 1));
   MassVerifier verifier(grid, config.threshold);
+  const NumericalFallback fallback{grid, tides, params};
   model.set_training(false);
   tensor::NoGradGuard ng;
 
@@ -166,7 +155,7 @@ WorkflowResult run_workflow(SurrogateModel& model,
     result.ai_seconds += ai_timer.seconds();
 
     const EpisodeOutcome outcome = verify_or_fallback(
-        frames, current, verifier, grid, tides, params, t, config.snapshot_dt);
+        frames, current, verifier, &fallback, t, config.snapshot_dt);
     result.verify_seconds += outcome.verify_seconds;
     result.roms_seconds += outcome.roms_seconds;
     if (outcome.fallback) {

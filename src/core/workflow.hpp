@@ -86,14 +86,6 @@ EpisodeOutcome verify_or_fallback(std::vector<data::CenterFields>& frames,
                                   const VerificationResult* prefix_verdict =
                                       nullptr,
                                   size_t prefix_frames = 0);
-/// verify_or_fallback with the numerical fallback always on.
-EpisodeOutcome verify_or_fallback(std::vector<data::CenterFields>& frames,
-                                  const data::CenterFields& current,
-                                  const MassVerifier& verifier,
-                                  const ocean::Grid& grid,
-                                  const ocean::TidalForcing& tides,
-                                  const ocean::PhysicsParams& params,
-                                  double start_time, double snapshot_dt);
 
 /// Restart the numerical model from a (denormalized) cell-centered state:
 /// zeta copied directly, face velocities interpolated from the

@@ -211,12 +211,6 @@ void ForecastCache::fill_probe_locked(const Entry& entry, Probe& out) const {
 }
 
 ForecastCache::Probe ForecastCache::probe(
-    int model_id, int version, const data::SampleSpec& spec,
-    std::span<const data::CenterFields> window) {
-  return probe(key(model_id, version, spec, window), window);
-}
-
-ForecastCache::Probe ForecastCache::probe(
     const Key& key, std::span<const data::CenterFields> window,
     bool exact_only) {
   Probe out;
@@ -248,16 +242,6 @@ ForecastCache::Probe ForecastCache::probe(
   }
   if (!exact_only) misses_->inc();
   return out;
-}
-
-void ForecastCache::insert(int model_id, int version,
-                           const data::SampleSpec& spec,
-                           std::span<const data::CenterFields> window,
-                           const std::vector<data::CenterFields>& frames,
-                           const core::VerificationResult& verdict,
-                           bool verified) {
-  insert(key(model_id, version, spec, window), window, frames, verdict,
-         verified);
 }
 
 void ForecastCache::insert(const Key& key,

@@ -142,9 +142,6 @@ class ForecastCache {
   /// a hit — the admission probe, whose misses go on to a full probe.
   Probe probe(const Key& key, std::span<const data::CenterFields> window,
               bool exact_only = false);
-  /// Full probe that hashes `window` itself.
-  Probe probe(int model_id, int version, const data::SampleSpec& spec,
-              std::span<const data::CenterFields> window);
 
   /// Admit a served result under the window's precomputed `key`:
   /// `frames` are the episodes*T decoded frames for `window`
@@ -155,11 +152,6 @@ class ForecastCache {
   /// tensor::ArenaScope — cached storage must outlive any episode arena
   /// (enforced with a CheckError).
   void insert(const Key& key, std::span<const data::CenterFields> window,
-              const std::vector<data::CenterFields>& frames,
-              const core::VerificationResult& verdict, bool verified);
-  /// insert() that hashes `window` itself.
-  void insert(int model_id, int version, const data::SampleSpec& spec,
-              std::span<const data::CenterFields> window,
               const std::vector<data::CenterFields>& frames,
               const core::VerificationResult& verdict, bool verified);
 

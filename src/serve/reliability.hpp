@@ -70,8 +70,9 @@ struct BreakerPolicy {
 };
 
 /// Hung-worker detection.  Disabled by default (hang_timeout_ms = 0):
-/// the watchdog thread, the timed model locks, and the worker-generation
-/// swap only engage when a deployment opts in.
+/// the watchdog thread and its replacement workers only engage when a
+/// deployment opts in.  A replacement serves at once, even while its
+/// hung predecessor is still parked inside a model forward.
 struct WatchdogPolicy {
   int64_t hang_timeout_ms = 0;  ///< 0 disables the watchdog entirely
   int64_t poll_ms = 50;         ///< heartbeat scan interval

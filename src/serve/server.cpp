@@ -152,34 +152,6 @@ bool is_transient(const std::exception_ptr& e) {
   }
 }
 
-/// Take a model slot's forward lock (one batch in flight per model, see
-/// server.hpp).  With the watchdog on (hang_ms > 0) the wait is bounded,
-/// so a replacement worker cannot wedge forever behind a hung predecessor
-/// still holding the slot.  The bound is on steady_clock, so a wall-clock
-/// step cannot stretch or cut it short.  ThreadSanitizer builds (where the
-/// compiler defines __SANITIZE_THREAD__) alone wait on system_clock:
-/// libstdc++ waits on it with pthread_mutex_timedlock, which TSan
-/// intercepts, while the steady_clock wait (pthread_mutex_clocklock) is
-/// invisible to it, and every unlock would be reported as unpaired.
-#if defined(__SANITIZE_THREAD__)
-using LockClock = std::chrono::system_clock;
-#else
-using LockClock = std::chrono::steady_clock;
-#endif
-std::unique_lock<std::timed_mutex> lock_model(std::timed_mutex& m,
-                                              int64_t hang_ms) {
-  std::unique_lock<std::timed_mutex> lock(m, std::defer_lock);
-  const auto bound =
-      std::chrono::milliseconds(std::max<int64_t>(1, hang_ms / 2));
-  if (hang_ms <= 0) {
-    lock.lock();
-  } else if (!lock.try_lock_until(LockClock::now() + bound)) {
-    throw ForecastError(ForecastErrorCode::kModelFailure,
-                        "model slot lock timed out");
-  }
-  return lock;
-}
-
 /// The result an exact cache hit serves: no forward ran for it
 /// (batch_size 0) and the stored verdict applies as-is.
 ForecastResult hit_result(ForecastCache::Probe&& hit, int sharers) {
@@ -221,7 +193,6 @@ ForecastServer::ForecastServer(std::vector<ModelSlot> models,
                                               config_.fallback->params});
   }
   for (size_t i = 0; i < models_.size(); ++i) {
-    model_mutexes_.push_back(std::make_unique<std::timed_mutex>());
     breakers_.push_back(
         std::make_unique<CircuitBreaker>(config_.reliability.breaker));
   }
@@ -708,10 +679,8 @@ bool ForecastServer::run_step(Batch& b, int e,
   tensor::NoGradGuard ng;
   std::exception_ptr error;
   tensor::Tensor vol, surf;
-  // Pack *before* taking the model mutex: packing touches only request
-  // data and this worker's arena, so another worker's forward overlaps
-  // it.  Each rider contributes its step-e window; past its first
-  // episode, the previous step's last frame replaces frame 0.
+  // Each rider contributes its step-e window; past its first episode,
+  // the previous step's last frame replaces frame 0.
   const int64_t us_pack0 = obs::now_us();
   try {
     obs::ScopedStage stage(obs::Stage::kPack);
@@ -748,9 +717,6 @@ bool ForecastServer::run_step(Batch& b, int e,
   const int64_t us_fwd0 = obs::now_us();
   for (int attempt = 1; packed && !ok && alive > 0; ++attempt) {
     try {
-      const auto model_lock =
-          lock_model(*model_mutexes_[b.model],
-                     config_.reliability.watchdog.hang_timeout_ms);
       COASTAL_FAULT_POINT("serve.forward");
       if (b.state->retired.load(std::memory_order_acquire)) return false;
       // Grouped BatchNorm statistics: each stacked entry is normalized
@@ -866,8 +832,8 @@ void ForecastServer::settle(Batch& b) {
     if (!probe) return breaker.record(success);
     if (!success) ++b.probe_failures;
   };
-  // Per entry, outside the arena and the model lock (other workers'
-  // forwards overlap it): verify or fall back, fill the cache, fan out.
+  // Per entry, outside the step arena: verify or fall back, fill the
+  // cache, fan out.
   for (size_t u = 0; u < b.entries.size(); ++u) {
     Entry& en = b.entries[u];
     if (en.done) continue;

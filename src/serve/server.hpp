@@ -12,7 +12,7 @@
 ///                             ▼
 ///                        RequestQueue (bounded)
 ///                             │ pop_batch (max-batch / max-wait)
-///                        worker pool, one batch at a time:
+///                        worker pool, one batch per worker at a time:
 ///                          triage  ──▶ deadline check, identical-episode
 ///                             │        collapse, circuit-breaker admit,
 ///                             │        forecast-cache probe (hits inserted
@@ -21,10 +21,10 @@
 ///                          compute ──▶ for each episode step e: one
 ///                             │        stacked surrogate forward over every
 ///                             │        live entry that starts at or before
-///                             │        e (retries; one forward in flight
-///                             │        per model), per-entry decode;
-///                             │        deadlines checked between attempts
-///                             │        and between steps
+///                             │        e (retries; no model lock, so
+///                             │        workers forward concurrently),
+///                             │        per-entry decode; deadlines checked
+///                             │        between attempts and between steps
 ///                          settle  ──▶ core::verify_or_fallback (or the
 ///                             │        numerical route when degraded or
 ///                             │        the entry failed), cache fill
@@ -32,16 +32,16 @@
 ///        watchdog ── heartbeats ──▶ retire hung worker, fail its batch
 ///                                   with kWorkerLost, spawn replacement
 ///
-/// Concurrency contract: each model slot's forward runs under a per-model
-/// mutex.  The eval forward itself is re-entrant — each Swin block builds
-/// its window plan and mask in its constructor, and concurrent forwards of
-/// one model match the serial forward bitwise — so the mutex is not
-/// needed for correctness; it stays until ROADMAP item 1 replaces it with
-/// workers sized to cores at one kernel thread each.  Meanwhile workers
-/// overlap the serial per-request stages (sample packing, decode,
-/// verification, ROMS fallback) with the next batch's forward.  Stacking
-/// requests into one forward does not raise throughput on a CPU (ROADMAP
-/// "Where we are"); running independent forwards concurrently does.
+/// Concurrency contract: each worker runs its popped batch end to end —
+/// pack, forward, decode, verify, fallback — with no lock around the
+/// model, so W workers run up to W forwards of one model at once.  The
+/// eval forward is re-entrant: each Swin block builds its window plan and
+/// mask in its constructor, the weights are only read, and all scratch
+/// (arena, workspace, BatchNorm groups) is per thread; concurrent
+/// forwards of one model match the serial forward bitwise (pinned in
+/// tests/test_surrogate.cpp and, through the server, over workers x
+/// kernel threads x max_batch in tests/test_serve.cpp).  A worker parked
+/// inside its forward therefore never delays another worker's request.
 ///
 /// Failure contract (see reliability.hpp): every accepted request's future
 /// resolves — with a result, or with a typed ForecastError.  A failure in
@@ -85,7 +85,7 @@ namespace coastal::serve {
 
 /// One servable (model, sample geometry) pair.  The model pointer is
 /// non-owning and must outlive the server; the server flips it to eval
-/// mode and serializes its forwards internally.
+/// mode, and every worker then calls its forward concurrently, unlocked.
 struct ModelSlot {
   core::SurrogateModel* model = nullptr;
   data::SampleSpec spec;
@@ -307,10 +307,6 @@ class ForecastServer {
                uint32_t flags, const obs::TraceSpan* stage = nullptr);
 
   std::vector<ModelSlot> models_;
-  /// timed_mutex so a replacement worker can bound its wait on a slot a
-  /// hung predecessor still holds (watchdog mode only; otherwise these
-  /// are plain blocking locks).
-  std::vector<std::unique_ptr<std::timed_mutex>> model_mutexes_;
   std::vector<std::unique_ptr<CircuitBreaker>> breakers_;
   const data::Normalizer& norm_;
   const ocean::Grid* grid_;

@@ -162,6 +162,11 @@ constexpr int64_t kMR = 4, kNR = 8;
 constexpr int64_t kMC = 64, kKC = 256, kNC = 1024;
 static_assert(kMC >= kMR && kKC >= kMR && kNC % kNR == 0);
 
+// At or below this many multiply-adds a GEMM stays on the naive serial
+// path (packing overhead dominates).  Path choice depends only on problem
+// size, never on thread count, preserving determinism.
+constexpr int64_t kGemmSmallMadds = 4096;
+
 /// Naive ikj kernel for problems too small to pack.  Unlike the historic
 /// version this has no `a == 0.0f` skip: NaN/Inf in B always propagates.
 void gemm_naive(const float* A, const float* B, float* C, int64_t m,
@@ -301,11 +306,10 @@ void gemm_batched(const float* A, const float* B, float* C, int64_t m,
                   const std::vector<int64_t>& b_off) {
   if (m <= 0 || n <= 0 || nbatch <= 0) return;
   obs::ScopedStage obs_stage(obs::Stage::kGemm);
-  const KernelConfig& cfg = config();
-  // Path choice depends only on problem size and config — never on thread
-  // count — so serial and parallel runs agree bitwise.
+  // Path choice depends only on problem size — never on thread count — so
+  // serial and parallel runs agree bitwise.
   if (k <= 0) return;  // C += A·B with empty inner dim is a no-op
-  if (m * k * n <= cfg.gemm_small_madds) {
+  if (m * k * n <= kGemmSmallMadds) {
     parallel_for(nbatch, m * k * n, [&](int64_t lo, int64_t hi) {
       for (int64_t b = lo; b < hi; ++b) {
         gemm_naive(A + a_off[static_cast<size_t>(b)],

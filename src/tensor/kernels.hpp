@@ -46,11 +46,6 @@ struct KernelConfig {
   /// when unset).  0 = hardware concurrency; 1 = serial.
   int num_threads = 0;
 
-  /// Below this many multiply-adds a GEMM stays on the naive serial path
-  /// (packing overhead dominates).  Path choice depends only on problem
-  /// size, never on thread count, preserving determinism.
-  int64_t gemm_small_madds = 4096;
-
   /// Minimum cost units (`parallel_for`'s `total * cost_per_item`) a loop
   /// must carry before it is worth shipping to the pool.  0 = a grain
   /// measured on the host (see `parallel_for`); tests set 1 to force
@@ -88,7 +83,7 @@ void parallel_for(int64_t total, int64_t cost_per_item,
 // ---------------------------------------------------------------------------
 
 /// C[m,n] += A[m,k] · B[k,n], row-major, serial.  Cache-blocked with packed
-/// panels; falls back to a naive loop below `gemm_small_madds`.
+/// panels; falls back to a naive loop at or below 4096 multiply-adds.
 void gemm(const float* A, const float* B, float* C, int64_t m, int64_t k,
           int64_t n);
 

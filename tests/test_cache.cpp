@@ -249,31 +249,41 @@ TEST(ForecastCache, LruEvictionOrderAndExactByteAccounting) {
         w.fields.begin() + static_cast<ptrdiff_t>(start + 1),
         w.fields.begin() + static_cast<ptrdiff_t>(start + 4));
   };
-  cache.insert(0, 0, w.spec, w.window(0), result_frames(0), verdict, true);
+  auto insert = [&](serve::ForecastCache& c, size_t start) {
+    c.insert(serve::ForecastCache::key(0, 0, w.spec, w.window(start)),
+             w.window(start), result_frames(start), verdict, true);
+  };
+  auto hit = [&](size_t start, int version = 0) {
+    return cache
+        .probe(serve::ForecastCache::key(0, version, w.spec, w.window(start)),
+               w.window(start))
+        .hit;
+  };
+  insert(cache, 0);
   EXPECT_EQ(cache.stats().bytes, one);
-  cache.insert(0, 0, w.spec, w.window(1), result_frames(1), verdict, true);
+  insert(cache, 1);
   EXPECT_EQ(cache.stats().bytes, 2 * one);
   EXPECT_EQ(cache.stats().entries, 2u);
 
   // Touch entry 0 so entry 1 is the LRU victim of the next insert.
-  EXPECT_TRUE(cache.probe(0, 0, w.spec, w.window(0)).hit);
-  cache.insert(0, 0, w.spec, w.window(2), result_frames(2), verdict, true);
+  EXPECT_TRUE(hit(0));
+  insert(cache, 2);
   auto stats = cache.stats();
   EXPECT_EQ(stats.entries, 2u);
   EXPECT_EQ(stats.bytes, 2 * one);
   EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_TRUE(cache.probe(0, 0, w.spec, w.window(0)).hit);
-  EXPECT_FALSE(cache.probe(0, 0, w.spec, w.window(1)).hit);  // evicted
-  EXPECT_TRUE(cache.probe(0, 0, w.spec, w.window(2)).hit);
+  EXPECT_TRUE(hit(0));
+  EXPECT_FALSE(hit(1));  // evicted
+  EXPECT_TRUE(hit(2));
 
   // Version mismatch is a miss: bumping ModelSlot::version invalidates.
-  EXPECT_FALSE(cache.probe(0, 1, w.spec, w.window(0)).hit);
+  EXPECT_FALSE(hit(0, /*version=*/1));
 
   // An entry larger than the whole budget is refused, not thrashed.
   serve::CachePolicy tiny;
   tiny.max_bytes = one - 1;
   serve::ForecastCache small(tiny);
-  small.insert(0, 0, w.spec, w.window(0), result_frames(0), verdict, true);
+  insert(small, 0);
   EXPECT_EQ(small.stats().entries, 0u);
   EXPECT_EQ(small.stats().rejected, 1u);
 
@@ -353,8 +363,9 @@ TEST(ForecastCache, FaultedAndFallbackResultsAreNeverAdmitted) {
   std::vector<data::CenterFields> poisoned(
       w.fields.begin() + 1, w.fields.begin() + 1 + w.spec.T);
   poisoned[0].u[0] = std::numeric_limits<float>::quiet_NaN();
-  cache.insert(0, 0, w.spec, w.window(0), poisoned,
-               core::VerificationResult{}, /*verified=*/false);
+  cache.insert(serve::ForecastCache::key(0, 0, w.spec, w.window(0)),
+               w.window(0), poisoned, core::VerificationResult{},
+               /*verified=*/false);
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.stats().rejected, 1u);
 }

@@ -479,12 +479,10 @@ TEST(Kernels, SoftmaxRowsPolynomialExpfStaysWithinTolerance) {
 
 TEST(Kernels, MatmulGradcheckThroughBlockedKernel) {
   util::Rng rng(21);
-  // Big enough to leave the naive small-GEMM path even without config
-  // overrides? No — force the blocked path instead, keeping gradcheck fast.
-  coastal::testing::KernelConfigOverride guard;
-  ker::config().gemm_small_madds = 0;
-  Tensor a = Tensor::randn({3, 4}, rng);
-  Tensor b = Tensor::randn({4, 5}, rng);
+  // 16·17·18 = 4896 multiply-adds, above the naive small-GEMM bound of
+  // 4096, so the forward and both backward products take the blocked path.
+  Tensor a = Tensor::randn({16, 17}, rng);
+  Tensor b = Tensor::randn({17, 18}, rng);
   coastal::testing::gradcheck(
       [&](const Tensor& t) { return t.matmul(b).sum(); }, a);
   coastal::testing::gradcheck(

@@ -444,15 +444,14 @@ TEST(Reliability, ProbeRetiredByTheWatchdogReopensTheBreaker) {
   ASSERT_EQ(server.stats().breaker_trips, 1u);
   std::this_thread::sleep_for(std::chrono::milliseconds(1000));
 
-  // The probe's forward stalls (holding the model lock) past the hang
-  // timeout, so the watchdog retires its worker and fails its request.
+  // The probe's forward stalls past the hang timeout, so the watchdog
+  // retires its worker and fails its request.
   faults.install("serve.forward:delay=1800ms@1x1");
   auto probe = server.submit(w.request(2));
   ASSERT_TRUE(probe.has_value());
   probe->wait();
-  // The retirement reopened the circuit.  Past the stalled forward (which
-  // then releases the model lock) and a fresh cooldown, the replacement
-  // worker's probe runs the healthy surrogate and closes it.
+  // The retirement reopened the circuit.  Past a fresh cooldown, the
+  // replacement worker's probe runs the healthy surrogate and closes it.
   std::this_thread::sleep_for(std::chrono::milliseconds(1500));
   auto next = server.submit(w.request(3));
   ASSERT_TRUE(next.has_value());

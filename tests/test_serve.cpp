@@ -1,7 +1,8 @@
-/// Serving-subsystem tests: micro-batched results bitwise-equal to serial
-/// execution, grouped BatchNorm statistics, backpressure and shutdown
-/// semantics, the numerical fallback through the server, and the
-/// steady-state zero-allocation pin.
+/// Serving-subsystem tests: micro-batched and concurrent results
+/// bitwise-equal to serial execution across workers, kernel threads and
+/// max_batch, unserialized forwards, grouped BatchNorm statistics,
+/// backpressure and shutdown semantics, the numerical fallback through
+/// the server, and the steady-state zero-allocation pin.
 
 #include <gtest/gtest.h>
 
@@ -19,9 +20,11 @@
 #include "ocean/archive.hpp"
 #include "ocean/bathymetry.hpp"
 #include "serve/server.hpp"
+#include "tensor/kernels.hpp"
 #include "tensor/storage.hpp"
 #include "tensor/tensor.hpp"
 #include "test_helpers.hpp"
+#include "util/fault.hpp"
 
 namespace core = coastal::core;
 namespace data = coastal::data;
@@ -29,6 +32,7 @@ namespace nn = coastal::nn;
 namespace ocean = coastal::ocean;
 namespace serve = coastal::serve;
 namespace tensor = coastal::tensor;
+namespace util = coastal::util;
 using coastal::util::Rng;
 
 namespace {
@@ -160,42 +164,111 @@ TEST(BatchStatScope, GroupedEvalMatchesPerSampleBitwise) {
 }
 
 TEST(ForecastServer, BatchedMatchesSerialBitwise) {
+  // One bitwise assertion over workers x kernel threads x max_batch:
+  // forwards of one model run concurrently on every worker, each with its
+  // own kernel thread count and batch composition, and every result must
+  // still be the serial episode exactly.
   auto& w = ServeWorld::instance();
   constexpr size_t kRequests = 8;
 
   std::vector<std::vector<data::CenterFields>> serial(kRequests);
   for (size_t i = 0; i < kRequests; ++i) serial[i] = w.serial_episode(i);
 
+  for (int workers : {1, 2, 4}) {
+    for (int threads : {1, 4}) {
+      for (int max_batch : {1, 8}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "workers " << workers << ", kernel threads "
+                     << threads << ", max_batch " << max_batch);
+        coastal::testing::KernelConfigOverride kernel_guard;
+        tensor::kernels::config().num_threads = threads;
+        serve::ServerConfig cfg;
+        cfg.workers = workers;
+        cfg.batch.max_batch = max_batch;
+        cfg.batch.max_wait_us = 200000;  // generous window: batches form
+        cfg.threshold = 10.0;            // verification passes everything
+        serve::ForecastServer server({{w.model.get(), w.spec}}, w.norm,
+                                     &w.grid, cfg);
+        std::vector<std::future<serve::ForecastResult>> futures;
+        for (size_t i = 0; i < kRequests; ++i) {
+          auto f = server.submit(w.request(i));
+          ASSERT_TRUE(f.has_value());
+          futures.push_back(std::move(*f));
+        }
+        int max_batch_seen = 0;
+        for (size_t i = 0; i < kRequests; ++i) {
+          serve::ForecastResult r = futures[i].get();
+          ASSERT_EQ(r.frames.size(), 3u);
+          EXPECT_TRUE(r.verified);
+          EXPECT_TRUE(r.verdict.pass);
+          EXPECT_LE(r.batch_size, max_batch);
+          max_batch_seen = std::max(max_batch_seen, r.batch_size);
+          expect_frames_bitwise(r.frames, serial[i]);
+        }
+        // Every worker collects for the whole window, so at most
+        // `workers` < 8 batches hold the burst.
+        if (max_batch > 1) {
+          EXPECT_GT(max_batch_seen, 1)
+              << "no micro-batch formed despite the window";
+        }
+
+        auto stats = server.stats();
+        EXPECT_EQ(stats.submitted, kRequests);
+        EXPECT_EQ(stats.served, stats.submitted);
+        EXPECT_EQ(stats.rejected, 0u);
+        EXPECT_GT(stats.batches, 0u);
+        EXPECT_GT(stats.p50_ms, 0.0);
+        EXPECT_GE(stats.p99_ms, stats.p50_ms);
+      }
+    }
+  }
+}
+
+TEST(ForecastServer, ParkedForwardDoesNotBlockOtherWorkers) {
+  // The first forward parks inside the model forward's fault point.  The
+  // second worker must run its own forward of the same model meanwhile:
+  // nothing serializes the forwards of one slot.
+  auto& w = ServeWorld::instance();
+  const auto serial0 = w.serial_episode(0);
+  const auto serial1 = w.serial_episode(1);
+  struct FaultGuard {
+    ~FaultGuard() { util::FaultInjector::instance().clear(); }
+  } fault_guard;
+  auto& faults = util::FaultInjector::instance();
+  faults.install("serve.forward:hang@1x1");
+
   serve::ServerConfig cfg;
   cfg.workers = 2;
-  cfg.batch.max_batch = 4;
-  cfg.batch.max_wait_us = 200000;  // generous window: batches form
-  cfg.threshold = 10.0;            // verification passes everything
+  cfg.batch.max_batch = 1;
+  cfg.threshold = 10.0;
   serve::ForecastServer server({{w.model.get(), w.spec}}, w.norm, &w.grid,
                                cfg);
-  std::vector<std::future<serve::ForecastResult>> futures;
-  for (size_t i = 0; i < kRequests; ++i) {
-    auto f = server.submit(w.request(i));
-    ASSERT_TRUE(f.has_value());
-    futures.push_back(std::move(*f));
+  auto parked = server.submit(w.request(0));
+  ASSERT_TRUE(parked.has_value());
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(30);
+  while (faults.parked() < 1 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  int max_batch_seen = 0;
-  for (size_t i = 0; i < kRequests; ++i) {
-    serve::ForecastResult r = futures[i].get();
-    ASSERT_EQ(r.frames.size(), 3u);
-    EXPECT_TRUE(r.verified);
-    EXPECT_TRUE(r.verdict.pass);
-    max_batch_seen = std::max(max_batch_seen, r.batch_size);
-    expect_frames_bitwise(r.frames, serial[i]);
-  }
-  EXPECT_GT(max_batch_seen, 1) << "no micro-batch formed despite the window";
+  ASSERT_EQ(faults.parked(), 1) << "the first forward never parked";
 
-  auto stats = server.stats();
-  EXPECT_EQ(stats.served, kRequests);
-  EXPECT_EQ(stats.rejected, 0u);
-  EXPECT_GT(stats.batches, 0u);
-  EXPECT_GT(stats.p50_ms, 0.0);
-  EXPECT_GE(stats.p99_ms, stats.p50_ms);
+  auto other = server.submit(w.request(1));
+  ASSERT_TRUE(other.has_value());
+  ASSERT_EQ(other->wait_for(std::chrono::seconds(10)),
+            std::future_status::ready)
+      << "a parked forward blocked the other worker's forward";
+  const serve::ForecastResult r = other->get();
+  EXPECT_FALSE(r.fallback);
+  EXPECT_FALSE(r.degraded);
+  EXPECT_FALSE(r.cache_hit);
+  expect_frames_bitwise(r.frames, serial1);
+  EXPECT_EQ(parked->wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout)
+      << "the parked request resolved before its hang was released";
+
+  faults.release_hangs();
+  expect_frames_bitwise(parked->get().frames, serial0);
+  EXPECT_EQ(server.stats().served, 2u);
 }
 
 TEST(ForecastServer, IdenticalEpisodesCoalesceIntoOneEntry) {
