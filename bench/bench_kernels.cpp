@@ -130,6 +130,21 @@ static void BM_BroadcastRowVector(benchmark::State& state) {
 }
 BENCHMARK(BM_BroadcastRowVector);
 
+// The gradient reductions of training: BatchNorm's channel sums over the
+// full-resolution field, [rows, C] -> [C], and a trainable window mask's
+// gradient, [B/g, g, h, N, N] -> [1, g, 1, N, N].
+static void BM_SumTo(benchmark::State& state, tensor::Shape in,
+                     tensor::Shape out) {
+  util::Rng rng(15);
+  Tensor x = Tensor::randn(in, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(x.sum_to(out).raw());
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK_CAPTURE(BM_SumTo, batch_norm, tensor::Shape{9600, 8},
+                  tensor::Shape{8});
+BENCHMARK_CAPTURE(BM_SumTo, window_mask, tensor::Shape{4, 4, 2, 64, 64},
+                  tensor::Shape{1, 4, 1, 64, 64});
+
 static void BM_SoftmaxLastDim(benchmark::State& state) {
   util::Rng rng(2);
   Tensor x = Tensor::randn({256, state.range(0)}, rng);

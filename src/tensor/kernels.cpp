@@ -1223,4 +1223,108 @@ void gelu_backward(const float* g, const float* x, float* gx, int64_t n) {
   });
 }
 
+// ---------------------------------------------------------------------------
+// Gradient reductions
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// to[0, L) += each of `rows` consecutive rows of `from`, in row order,
+/// with the output row held in registers across the rows.
+template <int64_t L>
+void add_rows_fixed(float* __restrict to, const float* __restrict from,
+                    int64_t rows) {
+  float acc[L];
+  for (int64_t i = 0; i < L; ++i) acc[i] = to[i];
+  for (int64_t r = 0; r < rows; ++r, from += L)
+    for (int64_t i = 0; i < L; ++i) acc[i] += from[i];
+  for (int64_t i = 0; i < L; ++i) to[i] = acc[i];
+}
+
+/// to[0, len) += each of `rows` consecutive rows of `from`, in row order:
+/// the model's 8- and 16-channel rows in registers, others through memory
+/// (a long row vectorizes there).
+void add_rows(float* __restrict to, const float* __restrict from,
+              int64_t rows, int64_t len) {
+  switch (len) {
+    case 8: return add_rows_fixed<8>(to, from, rows);
+    case 16: return add_rows_fixed<16>(to, from, rows);
+  }
+  for (int64_t r = 0; r < rows; ++r, from += len)
+    for (int64_t i = 0; i < len; ++i) to[i] += from[i];
+}
+
+}  // namespace
+
+void sum_to(const float* src, const Shape& in_shape, float* dst,
+            const Shape& out_shape) {
+  const size_t rank = in_shape.size();
+  COASTAL_CHECK_MSG(out_shape.size() <= rank,
+                    "sum_to " << shape_str(in_shape) << " -> "
+                              << shape_str(out_shape));
+  // Strides of the input (row-major) and of the output over the input's
+  // axes: 0 on a summed axis — a leading extra axis, or a 1 in out_shape.
+  Workspace& ws = workspace();
+  std::vector<int64_t>& s_in = ws.sum_in_strides;
+  std::vector<int64_t>& s_out = ws.sum_out_strides;
+  s_in.resize(rank);
+  s_out.resize(rank);
+  const size_t lead = rank - out_shape.size();
+  int64_t in_acc = 1, out_acc = 1;
+  for (size_t i = rank; i-- > 0;) {
+    const int64_t d = in_shape[i];
+    const int64_t o = i < lead ? 1 : out_shape[i - lead];
+    COASTAL_CHECK_MSG(o == d || o == 1, "sum_to " << shape_str(in_shape)
+                                                  << " -> "
+                                                  << shape_str(out_shape));
+    s_in[i] = in_acc;
+    in_acc *= d;
+    s_out[i] = o == 1 ? 0 : out_acc;
+    out_acc *= o;
+  }
+  std::fill_n(dst, tensor::numel(out_shape), 0.0f);
+  const int64_t total = in_acc;
+  if (total == 0) return;
+
+  // Neighbouring axes both summed or both kept merge: the input is
+  // contiguous, and so is the output over its kept axes.
+  std::vector<int64_t>& d = ws.move_dims;
+  std::vector<int64_t>& so = ws.move_sb;
+  coalesce_axes(in_shape, s_in, &s_out, d, ws.move_sa, so);
+  const size_t n = d.size();
+  COASTAL_CHECK(n < kMaxAxes);
+  if (n == 0) {  // one element
+    dst[0] += src[0];
+    return;
+  }
+
+  // Flat walk in blocks: a kept innermost row, with the run of rows a
+  // summed axis just outside it puts onto the same output row (BatchNorm's
+  // [rows, C] -> [C]), or a summed innermost run folded into one output
+  // element, left to right.  The outer axes advance the output offset as
+  // an odometer.
+  const int64_t len = d[n - 1];
+  const bool kept = so[n - 1] != 0;
+  const bool run = kept && n >= 2 && so[n - 2] == 0;
+  const int64_t rows = run ? d[n - 2] : 1;
+  const size_t outer = run ? n - 2 : n - 1;
+  std::array<int64_t, kMaxAxes> coord{};
+  int64_t off = 0;
+  for (int64_t b = 0; b < total / (rows * len); ++b, src += rows * len) {
+    if (kept) {
+      add_rows(dst + off, src, rows, len);
+    } else {
+      float acc = dst[off];
+      for (int64_t i = 0; i < len; ++i) acc += src[i];
+      dst[off] = acc;
+    }
+    for (size_t i = outer; i-- > 0;) {
+      off += so[i];
+      if (++coord[i] < d[i]) break;
+      off -= d[i] * so[i];
+      coord[i] = 0;
+    }
+  }
+}
+
 }  // namespace coastal::tensor::kernels

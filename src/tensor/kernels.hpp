@@ -228,4 +228,24 @@ void gelu_backward(const float* g, const float* x, float* gx, int64_t n);
 void map(const float* x, float* out, int64_t n, int64_t cost,
          const std::function<void(const float*, float*, int64_t)>& fn);
 
+// ---------------------------------------------------------------------------
+// Gradient reductions
+// ---------------------------------------------------------------------------
+
+/// dst = src summed onto `out_shape`, which must broadcast to `in_shape`
+/// (right-aligned; each of its axes is 1 or the input's extent; checked).
+/// Every dst element starts at 0.0f and adds its inputs in ascending src
+/// order, so the result is bitwise the odometer loop
+/// `dst[dot(coords, out_strides)] += src[k]`, Inf and NaN included (only
+/// which NaN a sum of two NaNs keeps is the compiler's choice, there as
+/// here).  Size-1 axes are dropped and neighbouring axes that are both
+/// kept or both summed merged; the input is then walked once in flat
+/// order: a kept innermost row is added into its output row (vectorizes),
+/// a run of rows onto one short row in registers, and a summed innermost
+/// run is folded into one element.  Serial and allocation-free once warm;
+/// an empty input leaves dst all zeros.  The broadcast backward of every
+/// elementwise op, `sum_axis` and the window-mask gradient run on it.
+void sum_to(const float* src, const Shape& in_shape, float* dst,
+            const Shape& out_shape);
+
 }  // namespace coastal::tensor::kernels

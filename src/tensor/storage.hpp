@@ -176,10 +176,10 @@ struct Workspace {
   // retained capacity.
   std::vector<int64_t> off_a;
   std::vector<int64_t> off_b;
-  // Data movement (permute_gather / binary_broadcast): the coalesced axis
-  // extents and strides, permute_gather's block offset table, and
-  // binary_broadcast's replicated row operand.  Filled by the calling
-  // thread and only read by the parallel tasks it dispatches.
+  // Data movement (permute_gather / binary_broadcast / sum_to): the
+  // coalesced axis extents and strides, permute_gather's block offset
+  // table, and binary_broadcast's replicated row operand.  Filled by the
+  // calling thread and only read by the parallel tasks it dispatches.
   std::vector<int64_t> move_dims;
   std::vector<int64_t> move_sa;
   std::vector<int64_t> move_sb;
@@ -188,6 +188,11 @@ struct Workspace {
   // Batch norm: row offsets in reduction order, per-channel statistics.
   std::vector<int64_t> norm_rows;
   std::vector<float> norm_stats;
+  // Gradient reductions (sum_to): the input's row-major strides and the
+  // output's strides over the input's axes (0 on summed axes), before
+  // coalescing into move_dims / move_sa / move_sb.
+  std::vector<int64_t> sum_in_strides;
+  std::vector<int64_t> sum_out_strides;
 };
 
 /// The calling thread's workspace.

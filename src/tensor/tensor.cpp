@@ -79,17 +79,13 @@ void add_into(Tensor& acc, const Tensor& g) {
                        acc.numel());
 }
 
-/// Non-differentiable broadcast materialization (backward helper).
+/// Non-differentiable broadcast materialization (backward helper): a
+/// stride-0 gather.
 Tensor broadcast_to(const Tensor& t, const Shape& target) {
   if (t.shape() == target) return t;
-  const Shape bstr = broadcast_strides(t.shape(), target);
   Storage out = Storage::uninit(tensor::numel(target));
-  CoordIter it(target);
-  const float* src = t.raw();
-  int64_t k = 0;
-  do {
-    out[k++] = src[dot_strides(it.coords(), bstr)];
-  } while (it.next());
+  kernels::permute_gather(t.raw(), out.data(), target,
+                          broadcast_strides(t.shape(), target));
   return Tensor::from_storage(target, std::move(out));
 }
 
@@ -413,17 +409,8 @@ Tensor Tensor::sum_axis(int axis, bool keepdim) const {
   const Shape in = shape();
   Shape keep = in;
   keep[static_cast<size_t>(a)] = 1;
-  // Iterate as [outer, axis, inner].
-  int64_t outer = 1, inner = 1;
-  for (int i = 0; i < a; ++i) outer *= in[static_cast<size_t>(i)];
-  for (size_t i = static_cast<size_t>(a) + 1; i < in.size(); ++i) inner *= in[i];
-  const int64_t len = in[static_cast<size_t>(a)];
-  Storage out = Storage::zeros(outer * inner);
-  const float* p = raw();
-  for (int64_t o = 0; o < outer; ++o)
-    for (int64_t l = 0; l < len; ++l)
-      for (int64_t i = 0; i < inner; ++i)
-        out[o * inner + i] += p[static_cast<size_t>((o * len + l) * inner + i)];
+  Storage out = Storage::uninit(tensor::numel(keep));
+  kernels::sum_to(raw(), in, out.data(), keep);
 
   Shape out_shape = keep;
   if (!keepdim) out_shape.erase(out_shape.begin() + a);
@@ -442,15 +429,8 @@ Tensor Tensor::mean_axis(int axis, bool keepdim) const {
 
 Tensor Tensor::sum_to(const Shape& target) const {
   if (shape() == target) return *this;
-  // Sum over leading extra axes and over broadcast axes.
-  Storage out = Storage::zeros(tensor::numel(target));
-  const Shape tstr = broadcast_strides(target, shape());
-  CoordIter it(shape());
-  const float* p = raw();
-  size_t k = 0;
-  do {
-    out[dot_strides(it.coords(), tstr)] += p[k++];
-  } while (it.next());
+  Storage out = Storage::uninit(tensor::numel(target));
+  kernels::sum_to(raw(), shape(), out.data(), target);
   return Tensor::from_storage(target, std::move(out));
 }
 
@@ -498,7 +478,7 @@ Tensor Tensor::matmul(const Tensor& o) const {
   std::vector<int64_t>& b_off = ws.off_b;
   a_off.assign(static_cast<size_t>(nbatch), 0);
   b_off.assign(static_cast<size_t>(nbatch), 0);
-  if (!batch.empty()) {
+  if (nbatch > 0 && !batch.empty()) {
     CoordIter it(batch);
     size_t bi = 0;
     do {

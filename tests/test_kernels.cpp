@@ -2,6 +2,7 @@
 /// blocked GEMM vs a reference triple loop across odd sizes and broadcast
 /// batch shapes, NaN/Inf propagation semantics, bitwise serial-vs-parallel
 /// agreement, softmax / layer-norm kernels, permute/transpose fast paths,
+/// the sum_to gradient reduction against its odometer loop,
 /// the attention head split/merge ops, and the attention module's NaN
 /// containment, window mask and stage accounting.
 
@@ -10,6 +11,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/surrogate.hpp"
@@ -729,6 +731,156 @@ TEST(Kernels, BinaryBroadcastMatchesCoordIterBitwise) {
     else if (rank > 0 && rng.uniform_index(2) == 0)
       b.erase(b.begin(), b.begin() + static_cast<int64_t>(rng.uniform_index(rank + 1)));
     expect_broadcast_matches(a, b, rng);
+  }
+}
+
+namespace {
+
+/// Odometer reference for sum_to: out[coords·out_strides] += src[k], k
+/// ascending, from zeros.
+std::vector<float> reference_sum_to(const float* src, const Shape& in_shape,
+                                    const Shape& out_shape) {
+  std::vector<float> out(static_cast<size_t>(tensor::numel(out_shape)), 0.0f);
+  if (tensor::numel(in_shape) == 0) return out;
+  const Shape ostr = tensor::broadcast_strides(out_shape, in_shape);
+  tensor::CoordIter it(in_shape);
+  int64_t k = 0;
+  do {
+    out[static_cast<size_t>(tensor::dot_strides(it.coords(), ostr))] +=
+        src[k++];
+  } while (it.next());
+  return out;
+}
+
+/// Bitwise equal, except that a NaN matches any NaN: which operand's
+/// payload and sign a sum of two NaNs keeps is the compiler's choice of
+/// operand order, in the reference loop as in the kernel.
+bool same_sums(const std::vector<float>& want, const float* got) {
+  for (size_t i = 0; i < want.size(); ++i) {
+    const bool both_nan = std::isnan(want[i]) && std::isnan(got[i]);
+    if (!both_nan && std::memcmp(&want[i], got + i, sizeof(float)) != 0)
+      return false;
+  }
+  return true;
+}
+
+/// Values spread over nine decades, so a sum's rounding depends on its
+/// order, with NaN, +Inf and −Inf sprinkled in when `specials`.
+std::vector<float> order_sensitive_values(int64_t n, util::Rng& rng,
+                                          bool specials) {
+  std::vector<float> v(static_cast<size_t>(n));
+  for (auto& x : v) {
+    x = static_cast<float>(rng.normal() * std::pow(10.0, rng.uniform(-3, 6)));
+    if (specials && rng.uniform_index(40) == 0) {
+      const float s[] = {std::numeric_limits<float>::quiet_NaN(),
+                         std::numeric_limits<float>::infinity(),
+                         -std::numeric_limits<float>::infinity()};
+      x = s[rng.uniform_index(3)];
+    }
+  }
+  return v;
+}
+
+/// sum_to of `in_shape` onto `out_shape`, and the broadcast back of
+/// `out_shape` onto `in_shape` (the stride-0 gather), each checked bit
+/// for bit (NaN payloads aside) against its odometer reference at 1 and
+/// at 4 kernel threads; `Tensor::sum_to` must be the kernel.
+void expect_sum_to_matches(const Shape& in_shape, const Shape& out_shape,
+                           util::Rng& rng, bool specials = false) {
+  const std::string what =
+      tensor::shape_str(in_shape) + " -> " + tensor::shape_str(out_shape);
+  const int64_t n_in = tensor::numel(in_shape);
+  const int64_t n_out = tensor::numel(out_shape);
+  const std::vector<float> src = order_sensitive_values(n_in, rng, specials);
+  const std::vector<float> small = order_sensitive_values(n_out, rng, specials);
+  const std::vector<float> want = reference_sum_to(src.data(), in_shape,
+                                                   out_shape);
+  const Shape bstr = tensor::broadcast_strides(out_shape, in_shape);
+  const std::vector<float> want_b =
+      reference_gather(small.data(), in_shape, bstr);
+  coastal::testing::KernelConfigOverride guard;
+  for (int threads : {1, 4}) {
+    ker::config().num_threads = threads;
+    ker::config().parallel_grain = threads > 1 ? 1 : 0;
+    std::vector<float> got(want.size() + 1, -7.0f);  // +1: overrun sentinel
+    ker::sum_to(src.data(), in_shape, got.data(), out_shape);
+    EXPECT_TRUE(same_sums(want, got.data()))
+        << "sum_to " << what << " at " << threads << " threads";
+    EXPECT_EQ(got.back(), -7.0f) << "wrote past " << what;
+    std::vector<float> back(want_b.size() + 1, -7.0f);
+    ker::permute_gather(small.data(), back.data(), in_shape, bstr);
+    EXPECT_TRUE(bitwise_equal(want_b, back.data()))
+        << "broadcast " << what << " at " << threads << " threads";
+    EXPECT_EQ(back.back(), -7.0f) << "broadcast past " << what;
+  }
+  if (in_shape != out_shape) {
+    const Tensor t = Tensor::from_vector(in_shape, src);
+    EXPECT_TRUE(same_sums(want, t.sum_to(out_shape).raw())) << what;
+  }
+}
+
+}  // namespace
+
+TEST(Kernels, SumToMatchesCoordIterBitwise) {
+  util::Rng rng(64);
+  // Training BatchNorm's channel sums, a bias gradient with leading extra
+  // axes, everything summed to [1], rows summed to a column, and the
+  // window-mask gradient view [B/g, g, h, N, N] -> [1, g, 1, N, N].
+  expect_sum_to_matches({9600, 8}, {8}, rng);
+  expect_sum_to_matches({9600, 8}, {1, 8}, rng);
+  expect_sum_to_matches({3, 300, 4}, {3, 1, 4}, rng);
+  expect_sum_to_matches({50, 16}, {1, 16}, rng);
+  expect_sum_to_matches({2, 3, 5, 24}, {24}, rng);
+  expect_sum_to_matches({2, 3, 5, 24}, {5, 1}, rng);
+  expect_sum_to_matches({7, 9, 11}, {1}, rng);
+  expect_sum_to_matches({7, 9, 11}, {1, 1, 1}, rng);
+  expect_sum_to_matches({37, 130}, {37, 1}, rng);
+  expect_sum_to_matches({2, 4, 2, 16, 16}, {1, 4, 1, 16, 16}, rng);
+  expect_sum_to_matches({3, 2, 2, 64, 64}, {1, 2, 1, 64, 64}, rng);
+  // NaN/Inf reach exactly the sums the reference puts them in.
+  expect_sum_to_matches({64, 8}, {8}, rng, /*specials=*/true);
+  expect_sum_to_matches({6, 50}, {6, 1}, rng, /*specials=*/true);
+  // Rank 0, a single element, and empty inputs and outputs.
+  expect_sum_to_matches({}, {}, rng);
+  expect_sum_to_matches({1, 1}, {1}, rng);
+  expect_sum_to_matches({0, 3}, {3}, rng);
+  expect_sum_to_matches({4, 0, 3}, {1, 1, 3}, rng);
+  expect_sum_to_matches({2, 0}, {0}, rng);
+
+  // Random ranks 0–6: each axis kept, summed to 1, or size 1, and the
+  // output may also drop leading axes.
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t rank = rng.uniform_index(7);
+    Shape in(rank), out(rank);
+    int64_t budget = 20000;
+    for (size_t i = 0; i < rank; ++i) {
+      int64_t d = static_cast<int64_t>(2 + rng.uniform_index(6));
+      if (rng.uniform_index(40) == 0) d = 0;
+      if (d > 1 && budget / d < 1) d = 1;
+      if (d > 1) budget /= d;
+      const uint64_t mode = rng.uniform_index(3);  // kept, summed, size 1
+      in[i] = mode == 2 ? 1 : d;
+      out[i] = mode == 0 ? in[i] : 1;
+    }
+    if (rank > 0 && rng.uniform_index(3) == 0)
+      out.erase(out.begin(),
+                out.begin() + static_cast<int64_t>(rng.uniform_index(rank + 1)));
+    expect_sum_to_matches(in, out, rng, /*specials=*/trial % 4 == 0);
+  }
+
+  // Tensor::sum_axis is the same reduction, on the same kernel.
+  for (const Shape& shape :
+       {Shape{9600, 8}, Shape{4, 2400, 8}, Shape{5, 33, 65}}) {
+    const std::vector<float> src =
+        order_sensitive_values(tensor::numel(shape), rng, true);
+    const Tensor t = Tensor::from_vector(shape, src);
+    for (int axis = 0; axis < static_cast<int>(shape.size()); ++axis) {
+      Shape keep = shape;
+      keep[static_cast<size_t>(axis)] = 1;
+      EXPECT_TRUE(same_sums(reference_sum_to(src.data(), shape, keep),
+                            t.sum_axis(axis, /*keepdim=*/true).raw()))
+          << "sum_axis " << tensor::shape_str(shape) << " axis " << axis;
+    }
   }
 }
 

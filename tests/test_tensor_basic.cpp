@@ -205,6 +205,40 @@ TEST(TensorBasic, SumToReducesBroadcastAxes) {
   for (float v : r2.data()) EXPECT_EQ(v, 3.0f);
 }
 
+TEST(TensorBasic, EmptyShapesThroughSumToBroadcastAndBatchedMatmul) {
+  // An empty input sums to zeros; an empty output is left empty.
+  Tensor r = Tensor::zeros({0, 3}).sum_to({3});
+  EXPECT_EQ(r.shape(), (ct::Shape{3}));
+  for (float v : r.data()) EXPECT_EQ(v, 0.0f);
+  Tensor r1 = Tensor::zeros({4, 0, 3}).sum_to({1, 1, 3});
+  EXPECT_EQ(r1.shape(), (ct::Shape{1, 1, 3}));
+  for (float v : r1.data()) EXPECT_EQ(v, 0.0f);
+  EXPECT_EQ(Tensor::zeros({2, 0}).sum_to({0}).numel(), 0);
+  Tensor s = Tensor::zeros({4, 0, 3}).sum_axis(1, /*keepdim=*/true);
+  EXPECT_EQ(s.shape(), (ct::Shape{4, 1, 3}));
+  for (float v : s.data()) EXPECT_EQ(v, 0.0f);
+
+  // The sum's backward broadcasts the seed onto the empty shape.
+  Tensor x = Tensor::zeros({0, 3});
+  x.set_requires_grad(true);
+  x.sum().backward();
+  ASSERT_TRUE(x.grad().defined());
+  EXPECT_EQ(x.grad().shape(), (ct::Shape{0, 3}));
+
+  // A batched matmul over an empty batch, forward and backward: the
+  // broadcast operand's gradient is an empty sum.
+  Tensor a = Tensor::zeros({0, 2, 3});
+  a.set_requires_grad(true);
+  Tensor b = Tensor::ones({3, 4});
+  b.set_requires_grad(true);
+  Tensor c = a.matmul(b);
+  EXPECT_EQ(c.shape(), (ct::Shape{0, 2, 4}));
+  c.sum().backward();
+  EXPECT_EQ(a.grad().shape(), (ct::Shape{0, 2, 3}));
+  ASSERT_EQ(b.grad().shape(), (ct::Shape{3, 4}));
+  for (float v : b.grad().data()) EXPECT_EQ(v, 0.0f);
+}
+
 TEST(TensorBasic, Matmul2d) {
   Tensor a = Tensor::from_vector({2, 3}, {1, 2, 3, 4, 5, 6});
   Tensor b = Tensor::from_vector({3, 2}, {7, 8, 9, 10, 11, 12});
