@@ -24,6 +24,7 @@
 #include "tensor/kernels.hpp"
 #include "tensor/tensor.hpp"
 #include "util/fault.hpp"
+#include "util/hash.hpp"
 
 using namespace coastal;
 using tensor::Tensor;
@@ -568,6 +569,42 @@ static void BM_ServeCached(benchmark::State& state, int mode) {
 BENCHMARK_CAPTURE(BM_ServeCached, cold, 0)->UseRealTime();
 BENCHMARK_CAPTURE(BM_ServeCached, warm, 1)->UseRealTime();
 BENCHMARK_CAPTURE(BM_ServeCached, prefix, 2)->UseRealTime();
+
+static void BM_CacheKey(benchmark::State& state, bool key_hash) {
+  // Keying one e2e-size request window (4 frames of 20x20x6, 121.6 KB),
+  // the step every cache hit pays in ForecastServer::submit().
+  //   key     — ForecastCache::key as served (util::KeyHash, 8 lanes).
+  //   content — the same word stream through util::ContentHash's one
+  //             serial chain, the hash the cache keyed with before.
+  auto& w = ServeBenchWorld::instance();
+  const auto window = w.window(0);
+  for (auto _ : state) {
+    if (key_hash) {
+      auto key = serve::ForecastCache::key(0, 0, w.spec, window);
+      benchmark::DoNotOptimize(key.digests.data());
+    } else {
+      util::ContentHash h;
+      for (const int x : {0, 0, w.spec.H, w.spec.W, w.spec.D, w.spec.T,
+                          w.spec.src_ny, w.spec.src_nx, w.spec.src_nz}) {
+        h.update_i64(x);
+      }
+      for (const auto& f : window) {
+        h.update_i64(f.nx);
+        h.update_i64(f.ny);
+        h.update_i64(f.nz);
+        h.update_f32(f.u);
+        h.update_f32(f.v);
+        h.update_f32(f.w);
+        h.update_f32(f.zeta);
+      }
+      benchmark::DoNotOptimize(h.digest());
+    }
+  }
+  state.SetBytesProcessed(state.iterations() * 4 * 7600 *
+                          static_cast<int64_t>(sizeof(float)));
+}
+BENCHMARK_CAPTURE(BM_CacheKey, content, false);
+BENCHMARK_CAPTURE(BM_CacheKey, key, true);
 
 static void BM_ServeObserved(benchmark::State& state, bool obs_on) {
   // BM_ServeThroughput/108 with the observability layer armed (stage

@@ -1,10 +1,10 @@
 #include "serve/cache.hpp"
 
-#include <cmath>
 #include <cstring>
 
 #include "util/check.hpp"
 #include "util/env.hpp"
+#include "util/finite.hpp"
 #include "util/hash.hpp"
 
 namespace coastal::serve {
@@ -42,14 +42,11 @@ bool frame_equals(const float* packed, const data::CenterFields& f) {
 }
 
 bool frames_finite(const std::vector<data::CenterFields>& frames) {
-  auto ok = [](const std::vector<float>& v) {
-    for (float x : v) {
-      if (!std::isfinite(x)) return false;
-    }
-    return true;
-  };
   for (const auto& f : frames) {
-    if (!ok(f.u) || !ok(f.v) || !ok(f.w) || !ok(f.zeta)) return false;
+    if (!util::all_finite(f.u) || !util::all_finite(f.v) ||
+        !util::all_finite(f.w) || !util::all_finite(f.zeta)) {
+      return false;
+    }
   }
   return true;
 }
@@ -119,7 +116,7 @@ ForecastCache::Key ForecastCache::key(
     std::span<const data::CenterFields> window) {
   const int T = spec.T;
   Key out{model_id, version, spec, {}};
-  util::ContentHash h;
+  util::KeyHash h;
   h.update_i64(model_id);
   h.update_i64(version);
   h.update_i64(spec.H);

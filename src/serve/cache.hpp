@@ -11,8 +11,8 @@
 /// bitwise-deterministic (the invariant pinned since PR 1): a hit is, by
 /// construction, the exact bytes a recompute would produce.
 ///
-/// Keying.  An entry is addressed by a streaming content hash
-/// (util::ContentHash) over (model slot id, model version, SampleSpec,
+/// Keying.  An entry is addressed by a streaming multi-lane hash
+/// (util::KeyHash) over (model slot id, model version, SampleSpec,
 /// then every window frame's dims and u/v/w/zeta bytes).  The hash is an
 /// index, never a proof: a probe only hits after a full byte compare of
 /// the stored window, so a collision degrades to a miss, not a wrong
@@ -105,9 +105,10 @@ class ForecastCache {
   /// A window's cache key: the content hash snapshotted at every episode
   /// boundary (`digests[p-1]` addresses the p-episode prefix, `back()`
   /// the whole window) plus the identity the byte compare re-checks.
-  /// Hashing is the expensive part of a probe, so a server builds the key
-  /// once per request and hands it to every probe and insert of that
-  /// window.
+  /// Hashing reads every byte of the window, as the finiteness screen
+  /// does: about 14 us for an e2e-size window, more than the probe's
+  /// lookup and byte compare, so a server builds the key once per request
+  /// and hands it to every probe and insert of that window.
   struct Key {
     int model_id = 0;
     int version = 0;

@@ -1,7 +1,6 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <iterator>
 #include <numeric>
@@ -17,6 +16,7 @@
 #include "tensor/tensor.hpp"
 #include "util/check.hpp"
 #include "util/fault.hpp"
+#include "util/finite.hpp"
 
 namespace coastal::serve {
 
@@ -105,13 +105,8 @@ bool same_window(const PendingRequest& pa, const PendingRequest& pb) {
 }
 
 bool fields_finite(const data::CenterFields& f) {
-  auto ok = [](const std::vector<float>& v) {
-    for (float x : v) {
-      if (!std::isfinite(x)) return false;
-    }
-    return true;
-  };
-  return ok(f.u) && ok(f.v) && ok(f.w) && ok(f.zeta);
+  return util::all_finite(f.u) && util::all_finite(f.v) &&
+         util::all_finite(f.w) && util::all_finite(f.zeta);
 }
 
 bool has_deadline(const PendingRequest& p) {

@@ -1,7 +1,8 @@
 /// Forecast-cache tests: exact hits bitwise-equal to cold recomputes
 /// across kernel thread counts, prefix resume bitwise-equal to a full
 /// rollout (frames AND verdict), LRU eviction order with exact byte
-/// accounting, the env knobs, the no-admission rules for faulted / fallback
+/// accounting, a forced digest collision (a miss, then a displacement),
+/// the env knobs, the no-admission rules for faulted / fallback
 /// results, the zero-allocation pin on the hit path, and hits resolved at
 /// admission (inside submit(), with no worker) — including their limits:
 /// a closed queue still rejects, an open breaker still degrades, and every
@@ -292,6 +293,49 @@ TEST(ForecastCache, LruEvictionOrderAndExactByteAccounting) {
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.stats().bytes, 0u);
   EXPECT_EQ(cache.stats().evictions, 1u);
+}
+
+TEST(ForecastCache, DigestCollisionIsAMissAndDisplacesOnInsert) {
+  // Hash as index, bytes as proof: force a collision by keying window B
+  // with window A's digests.
+  auto& w = CacheWorld::instance();
+  serve::ForecastCache cache(serve::CachePolicy{});
+  core::VerificationResult verdict;
+  verdict.pass = true;
+  auto result_frames = [&](size_t start) {
+    return std::vector<data::CenterFields>(
+        w.fields.begin() + static_cast<ptrdiff_t>(start + 1),
+        w.fields.begin() + static_cast<ptrdiff_t>(start + 1 + w.spec.T));
+  };
+  const auto win_a = w.window(0);
+  const auto win_b = w.window(1);
+  const auto key_a = serve::ForecastCache::key(0, 0, w.spec, win_a);
+  ASSERT_NE(key_a.digests.back(),
+            serve::ForecastCache::key(0, 0, w.spec, win_b).digests.back());
+  cache.insert(key_a, win_a, result_frames(0), verdict, true);
+  ASSERT_TRUE(cache.probe(key_a, win_a).hit);
+
+  // B probed under A's digest: the byte compare refuses A's entry.
+  const auto miss = cache.probe(key_a, win_b);
+  EXPECT_FALSE(miss.hit);
+  EXPECT_FALSE(miss.prefix);
+  EXPECT_TRUE(miss.frames.empty());
+  auto stats = cache.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.evictions, 0u);
+
+  // B inserted under A's digest displaces A.
+  cache.insert(key_a, win_b, result_frames(1), verdict, true);
+  stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.inserts, 2u);
+  EXPECT_FALSE(cache.probe(key_a, win_a).hit);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  const auto hit_b = cache.probe(key_a, win_b);
+  ASSERT_TRUE(hit_b.hit);
+  expect_frames_bitwise(hit_b.frames, result_frames(1));
 }
 
 TEST(ForecastCache, EnvKnobsParseWholeBoundedIntegers) {

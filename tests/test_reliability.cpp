@@ -314,7 +314,22 @@ TEST(Reliability, SubmitScreensNonFiniteWindows) {
     EXPECT_EQ(e.code(), serve::ForecastErrorCode::kInvalidInput);
     EXPECT_NE(std::string(e.what()).find("frame 2"), std::string::npos);
   }
-  EXPECT_EQ(server.stats().invalid, 1u);
+  // ±Inf anywhere is refused too, down to the last ζ cell of the window.
+  for (const float inf : {std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    serve::ForecastRequest req = w.request(0);
+    req.window.back().zeta.back() = inf;
+    auto fi = server.submit(std::move(req));
+    ASSERT_TRUE(fi.has_value());
+    try {
+      fi->get();
+      FAIL() << "an infinite value must be refused";
+    } catch (const serve::ForecastError& e) {
+      EXPECT_EQ(e.code(), serve::ForecastErrorCode::kInvalidInput);
+      EXPECT_NE(std::string(e.what()).find("frame 3"), std::string::npos);
+    }
+  }
+  EXPECT_EQ(server.stats().invalid, 3u);
   EXPECT_EQ(server.stats().served, 0u);
 
   // A clean request on the same server still serves normally.
